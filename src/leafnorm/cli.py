@@ -46,8 +46,13 @@ def main(argv=None):
     if args.command == "run":
         text = emit(report, args.format)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print("leafnorm: cannot write %s: %s" % (args.out, exc),
+                      file=sys.stderr)
+                return 2
         else:
             sys.stdout.write(text)
         return 0

@@ -174,6 +174,11 @@ CATALOG_NAMES = ("so3", "heisenberg3", "sphere_so3", "product", "period_model")
 _PUNCT = "{}[]();,="
 _OPS = "+-*/^"
 
+# Deepest expression tree, and deepest parenthesis nesting, the parser
+# accepts.  Parsing, evaluation and printing recurse once per level, and at
+# this depth all three stay well inside Python's default recursion limit.
+MAX_DEPTH = 100
+
 
 class Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -261,6 +266,10 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.bound = set()
+        # the '-', '^' and '(' levels open on the way down, so that hostile
+        # nesting stops before the recursion gets deep
+        self.ops = 0
+        self.parens = 0
 
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -470,6 +479,20 @@ class _Parser:
     # -- expressions --------------------------------------------------------------
 
     def expr(self):
+        # a tree with at most MAX_DEPTH tokens is at most that deep, so only
+        # longer expressions pay for the walk
+        tok = self.peek()
+        start = self.pos
+        node = self._sum()
+        if self.pos - start > MAX_DEPTH and _depth(node) > MAX_DEPTH:
+            self._too_deep(tok)
+        return node
+
+    def _too_deep(self, tok):
+        raise DslSyntaxError("expression nested deeper than %d levels"
+                             % MAX_DEPTH, tok.line, tok.col)
+
+    def _sum(self):
         node = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
@@ -484,19 +507,29 @@ class _Parser:
         return node
 
     def unary(self):
-        if self.peek().kind == "-":
+        tok = self.peek()
+        while tok.kind == "+":
             self.next()
-            return ENeg(self.unary())
-        if self.peek().kind == "+":
-            self.next()
-            return self.unary()
-        return self.power()
+            tok = self.peek()
+        if tok.kind != "-":
+            return self.power()
+        self.next()
+        self.ops += 1
+        if self.ops > MAX_DEPTH:
+            self._too_deep(tok)
+        node = ENeg(self.unary())
+        self.ops -= 1
+        return node
 
     def power(self):
         node = self.atom()
         while self.peek().kind == "^":
-            self.next()
+            tok = self.next()
+            self.ops += 1
+            if self.ops > MAX_DEPTH:
+                self._too_deep(tok)
             node = EBin("^", node, self.unary())
+            self.ops -= 1
         return node
 
     def atom(self):
@@ -518,12 +551,30 @@ class _Parser:
             return EVar(tok.text)
         if tok.kind == "(":
             self.next()
-            node = self.expr()
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                self._too_deep(tok)
+            node = self._sum()
+            self.parens -= 1
             self.expect(")")
             return node
         raise DslSyntaxError("unexpected token %r"
                              % (tok.text or "end of input"),
                              tok.line, tok.col)
+
+
+def _depth(node):
+    """Depth of an expression tree, found without recursion."""
+    depth = 0
+    stack = [(node, 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(node, EBin):
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+        elif isinstance(node, ENeg):
+            stack.append((node.arg, d + 1))
+    return depth
 
 
 def parse(source):

@@ -25,7 +25,7 @@ from .models import (
     so3,
     sphere_example,
 )
-from .multivector import DiffForm, Multivector, is_poisson
+from .multivector import DiffForm, Graded, Multivector, is_poisson
 from .omega import MixedElement, jet_n, ltimes_bracket, validate_membership, INVALID
 from .rational import ChartContext, RatFunc
 from .vorobjev import (
@@ -70,83 +70,28 @@ class Report:
 # --- expression evaluation --------------------------------------------------------
 
 
-class _GeoVal:
-    """Intermediate wedge value: (covariant tuple, contravariant tuple) -> RatFunc."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = terms
-
-    @staticmethod
-    def scalar(f):
-        return _GeoVal(f.ctx, {((), ()): f} if not f.is_zero() else {})
-
-    def is_scalar(self):
-        return all(k == ((), ()) for k in self.terms)
-
-    def scalar_value(self):
-        return self.terms.get(((), ()), RatFunc.zero(self.ctx))
-
-    def add(self, other, sign=1):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            c = c if sign > 0 else -c
-            v = out.get(k)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return _GeoVal(self.ctx, out)
-
-    def wedge(self, other):
-        from .multivector import _merge_sorted
-        out = {}
-        for (f1, v1), c1 in self.terms.items():
-            for (f2, v2), c2 in other.terms.items():
-                fkey, fs = _merge_sorted(f1, f2)
-                if fkey is None:
-                    continue
-                vkey, vs = _merge_sorted(v1, v2)
-                if vkey is None:
-                    continue
-                c = c1 * c2
-                if fs * vs < 0:
-                    c = -c
-                key = (fkey, vkey)
-                prev = out.get(key)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = c
-        return _GeoVal(self.ctx, out)
-
-
 class _EvalError(LeafnormError):
     pass
 
 
 def _eval_expr(node, ctx):
+    """Evaluate into the term store keyed by (covariant, contravariant)."""
     if isinstance(node, dsl.ENum):
-        return _GeoVal.scalar(RatFunc.const(ctx, node.value))
+        return Graded.scalar(RatFunc.const(ctx, node.value))
     if isinstance(node, dsl.EVar):
         try:
             ctx.var_index(node.name)
         except LeafnormError:
             raise UnknownIdentifier("unknown variable %r" % node.name)
-        return _GeoVal.scalar(RatFunc.var(ctx, node.name))
+        return Graded.scalar(RatFunc.var(ctx, node.name))
     if isinstance(node, dsl.EBasisVec):
         i = _gen_index(ctx, node.name)
-        return _GeoVal(ctx, {((), (i,)): RatFunc.one(ctx)})
+        return Graded(ctx, {((), (i,)): RatFunc.one(ctx)})
     if isinstance(node, dsl.EBasisForm):
         i = _gen_index(ctx, node.name)
-        return _GeoVal(ctx, {((i,), ()): RatFunc.one(ctx)})
+        return Graded(ctx, {((i,), ()): RatFunc.one(ctx)})
     if isinstance(node, dsl.ENeg):
-        v = _eval_expr(node.arg, ctx)
-        return _GeoVal(ctx, {k: -c for k, c in v.terms.items()})
+        return -_eval_expr(node.arg, ctx)
     if isinstance(node, dsl.EBin):
         left = _eval_expr(node.left, ctx)
         right = _eval_expr(node.right, ctx)
@@ -163,18 +108,15 @@ def _gen_index(ctx, name):
 
 
 def _apply_binop(op, left, right):
-    ctx = left.ctx
     if op == "+":
-        return left.add(right)
+        return left + right
     if op == "-":
-        return left.add(right, sign=-1)
+        return left - right
     if op == "*":
         if left.is_scalar():
-            f = left.scalar_value()
-            return _GeoVal(ctx, {k: c * f for k, c in right.terms.items()})
+            return right.scale(left.scalar_value())
         if right.is_scalar():
-            f = right.scalar_value()
-            return _GeoVal(ctx, {k: c * f for k, c in left.terms.items()})
+            return left.scale(right.scalar_value())
         raise _EvalError("'*' needs a scalar factor; use '^' for wedges")
     if op == "/":
         if not right.is_scalar():
@@ -182,7 +124,7 @@ def _apply_binop(op, left, right):
         f = right.scalar_value()
         if f.is_zero():
             raise _EvalError("division by zero")
-        return _GeoVal(ctx, {k: c / f for k, c in left.terms.items()})
+        return left.map_coeffs(lambda c: c / f)
     if op == "^":
         if right.is_scalar() and left.is_scalar():
             e = right.scalar_value()
@@ -191,7 +133,7 @@ def _apply_binop(op, left, right):
             ev = e.const_value()
             if ev.denominator != 1:
                 raise _EvalError("exponent must be an integer")
-            return _GeoVal.scalar(left.scalar_value() ** int(ev))
+            return Graded.scalar(left.scalar_value() ** int(ev))
         if right.is_scalar() and not left.is_scalar():
             e = right.scalar_value()
             if e.is_const():
@@ -201,8 +143,9 @@ def _apply_binop(op, left, right):
 
 
 def _classify(val):
-    """Turn a _GeoVal into RatFunc / Multivector / DiffForm / MixedElement."""
-    ctx = val.ctx
+    """Turn an evaluated value into RatFunc / Multivector / DiffForm /
+    MixedElement."""
+    ctx = val.context
     has_form = any(k[0] for k in val.terms)
     has_vec = any(k[1] for k in val.terms)
     if not has_form and not has_vec:
@@ -211,15 +154,15 @@ def _classify(val):
         return Multivector(ctx, {k[1]: c for k, c in val.terms.items()})
     if not has_vec:
         return DiffForm(ctx, {k[0]: c for k, c in val.terms.items()})
-    items = []
+    terms = {}
     for (fkey, vkey), c in val.terms.items():
         if any(i >= ctx.p for i in fkey):
             raise _EvalError(
                 "mixed elements only take base covariant directions")
         J = tuple(i for i in vkey if i < ctx.p)
         K = tuple(i for i in vkey if i >= ctx.p)
-        items.append(((fkey, J, K), c))
-    e = MixedElement.from_terms(ctx, items)
+        terms[(fkey, J, K)] = c
+    e = MixedElement(ctx, terms)
     if validate_membership(e) == INVALID:
         raise _EvalError("element violates the mixed-degree constraints")
     return e

@@ -118,9 +118,6 @@ class MatrixRF:
         d = m[n - 1][n - 1]
         return -d if sign < 0 else d
 
-    def inverse(self):
-        return matrix_inverse(self)
-
     def solve(self, rhs):
         """Solve self * X = rhs exactly (self square nonsingular)."""
         if self.rows != self.cols:

@@ -8,6 +8,7 @@ area form 4/(1+u^2+v^2)^2 du^dv is derived once by an exact pullback oracle
 in the test suite and recorded here.
 """
 
+import math
 from fractions import Fraction as Fr
 
 from .errors import (
@@ -361,9 +362,7 @@ def integer_affine_identity(f, basis):
     for mono in monomials:
         row = [c.terms.get(mono, Q(0)) for c in cols]
         b = lhs.terms.get(mono, Q(0))
-        lcm = b.denominator
-        for x in row:
-            lcm = lcm * x.denominator // _gcd_int(lcm, x.denominator)
+        lcm = math.lcm(b.denominator, *(x.denominator for x in row))
         rows.append([int(x * lcm) for x in row])
         rhs.append(int(b * lcm))
     sol = integer_solve(rows, rhs)
@@ -381,12 +380,6 @@ def _product_except(polys, skip):
     if out is None:
         return Poly.one(polys[0].ctx)
     return out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def affine_in_params(model):

@@ -1,9 +1,12 @@
 """Multivector fields and differential forms on the chart, with Cartan calculus.
 
-Both kinds of object are stored as sparse maps from strictly increasing
-generator index tuples to RatFunc coefficients.  Generator index i < p
-means the i-th base direction, p <= i < p+q the (i-p)-th fiber direction
-(contravariant d/dz for Multivector, covariant dz for DiffForm).
+Every graded object of the engine lives in one sparse term store, `Graded`:
+a map from blocked generator index tuples to RatFunc coefficients.
+Multivector and DiffForm key it by a single strictly increasing tuple,
+omega.MixedElement by three blocks, and the DSL interpreter evaluates into
+(covariant, contravariant) pairs.  Generator index i < p means the i-th base
+direction, p <= i < p+q the (i-p)-th fiber direction (contravariant d/dz for
+Multivector, covariant dz for DiffForm).
 
 The Schouten bracket is computed through the odd-coordinate representation:
 a multivector is a polynomial in odd generators z_i, and
@@ -52,78 +55,109 @@ def _merge_sorted(a, b):
     return tuple(out), sign
 
 
-class _Graded:
-    """Shared storage/arithmetic for Multivector and DiffForm."""
+def _sort_block(block):
+    """(sorted tuple, sign of the sorting permutation); (None, 0) when an
+    index repeats."""
+    sblock = tuple(sorted(block))
+    if len(set(sblock)) != len(sblock):
+        return None, 0
+    sign = 1
+    for i in range(len(block)):
+        for j in range(i + 1, len(block)):
+            if block[i] > block[j]:
+                sign = -sign
+    return sblock, sign
+
+
+def _accumulate(out, key, c):
+    """Add c to out[key], dropping the key when the sum vanishes."""
+    prev = out.get(key)
+    c = c if prev is None else prev + c
+    if c.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = c
+
+
+class Graded:
+    """Sparse sum of wedge monomials with nonzero RatFunc coefficients.
+
+    A key is a tuple of blocks, each a strictly increasing tuple of generator
+    indices.  Generators anticommute within a block; different blocks commute
+    with no sign.  This class keys by (covariant, contravariant) blocks and is
+    what the DSL evaluates into; subclasses pick their own key shape through
+    `_blocks`/`_key`, name their factors by `FACTORS`, one format per block,
+    and give the key of the empty monomial as `UNIT`.
+    """
 
     __slots__ = ("context", "terms")
+
+    FACTORS = ("dx[%s]", "d/d%s")
+    UNIT = ((), ())
 
     def __init__(self, context, terms):
         self.context = context
         self.terms = terms
+
+    @staticmethod
+    def _blocks(key):
+        return key
+
+    @staticmethod
+    def _key(blocks):
+        return blocks
+
+    @classmethod
+    def _blockwise(cls, fn, *keys):
+        """Apply fn, which returns (block, sign) or (None, 0), to the blocks
+        of the keys in turn; the resulting key and the product of the signs,
+        or (None, 0)."""
+        blocks = []
+        sign = 1
+        for parts in zip(*map(cls._blocks, keys)):
+            block, s = fn(*parts)
+            if block is None:
+                return None, 0
+            blocks.append(block)
+            sign *= s
+        return cls._key(tuple(blocks)), sign
 
     @classmethod
     def zero(cls, context):
         return cls(context, {})
 
     @classmethod
+    def scalar(cls, f):
+        return cls(f.ctx, {cls.UNIT: f} if not f.is_zero() else {})
+
+    @classmethod
     def from_terms(cls, context, items):
-        """Build from (index tuple, RatFunc) pairs, normalizing order/signs."""
+        """Build from (key, RatFunc) pairs: every block is sorted with its
+        permutation sign, keys with a repeated generator drop out and equal
+        keys are summed."""
         out = {}
         for key, coeff in items:
             if coeff.is_zero():
                 continue
-            skey = tuple(sorted(key))
-            if len(set(skey)) != len(skey):
-                continue
-            sign = _perm_sign(key)
-            c = coeff if sign > 0 else -coeff
-            prev = out.get(skey)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                out.pop(skey, None)
-            else:
-                out[skey] = c
+            key, sign = cls._blockwise(_sort_block, key)
+            if key is not None:
+                _accumulate(out, key, coeff if sign > 0 else -coeff)
         return cls(context, out)
-
-    @classmethod
-    def scalar(cls, f):
-        return cls(f.ctx, {(): f} if not f.is_zero() else {})
-
-    @classmethod
-    def basis(cls, context, index):
-        return cls(context, {(index,): RatFunc.one(context)})
 
     def is_zero(self):
         return not self.terms
 
-    def degrees(self):
-        return sorted({len(k) for k in self.terms})
+    def is_scalar(self):
+        return all(k == self.UNIT for k in self.terms)
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
-    def degree(self):
-        degs = self.degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise NonHomogeneous("mixed degrees %s" % (degs,))
-        return degs[0]
-
-    def degree_part(self, k):
-        return type(self)(self.context,
-                          {m: c for m, c in self.terms.items() if len(m) == k})
+    def scalar_value(self):
+        return self.terms.get(self.UNIT, RatFunc.zero(self.context))
 
     def __add__(self, other):
         self._same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = v
+            _accumulate(out, m, c)
         return type(self)(self.context, out)
 
     def __neg__(self):
@@ -141,16 +175,17 @@ class _Graded:
                           {m: c * f for m, c in self.terms.items()})
 
     def wedge(self, other):
+        """Blockwise merge of every pair of monomials, signed by the product
+        of the block signs."""
         self._same(other)
-        items = []
+        out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key, sign = _merge_sorted(m1, m2)
-                if key is None:
-                    continue
-                c = c1 * c2
-                items.append((key, c if sign > 0 else -c))
-        return type(self).from_terms(self.context, items)
+                key, sign = self._blockwise(_merge_sorted, m1, m2)
+                if key is not None:
+                    c = c1 * c2
+                    _accumulate(out, key, c if sign > 0 else -c)
+        return type(self)(self.context, out)
 
     def __eq__(self, other):
         return (type(self) is type(other)
@@ -177,33 +212,28 @@ class _Graded:
         return type(self)(self.context, out)
 
     def _same(self, other):
-        if self.context != other.context:
-            raise ContextMismatch("operands live on different charts")
         if type(self) is not type(other):
             raise TypeError("cannot mix %s and %s"
                             % (type(self).__name__, type(other).__name__))
-
-    def _gen_name(self, i):
-        ctx = self.context
-        if i < ctx.p:
-            return ctx.base[i]
-        return ctx.fiber[i - ctx.p]
-
-    def _basis_str(self, i):
-        raise NotImplementedError
+        if self.context != other.context:
+            raise ContextMismatch("operands live on different charts")
 
     def __str__(self):
         if not self.terms:
             return "0"
+        names = self.context.base + self.context.fiber
         parts = []
-        for m in sorted(self.terms, key=lambda k: (len(k), k)):
+        for m in sorted(self.terms,
+                        key=lambda k: (sum(map(len, self._blocks(k))), k)):
             c = self.terms[m]
-            wedgestr = " ^ ".join(self._basis_str(i) for i in m)
+            factors = [fmt % names[i] for fmt, block
+                       in zip(self.FACTORS, self._blocks(m)) for i in block]
+            wedgestr = " ^ ".join(factors)
             cs = str(c)
             neg = cs.startswith("-")
             if neg:
                 cs = str(-c)
-            if not m:
+            if not factors:
                 body = cs
             elif cs == "1":
                 body = "(%s)" % wedgestr
@@ -220,59 +250,73 @@ class _Graded:
     __repr__ = __str__
 
 
-def _perm_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+class _Flat(Graded):
+    """One block stored as a flat index tuple: Multivector and DiffForm."""
+
+    __slots__ = ()
+
+    UNIT = ()
+
+    @staticmethod
+    def _blocks(key):
+        return (key,)
+
+    @staticmethod
+    def _key(blocks):
+        return blocks[0]
+
+    @classmethod
+    def basis(cls, context, index):
+        return cls(context, {(index,): RatFunc.one(context)})
+
+    def degrees(self):
+        return sorted({len(k) for k in self.terms})
+
+    def is_homogeneous(self):
+        return len(self.degrees()) <= 1
+
+    def degree(self):
+        degs = self.degrees()
+        if not degs:
+            return None
+        if len(degs) > 1:
+            raise NonHomogeneous("mixed degrees %s" % (degs,))
+        return degs[0]
+
+    def degree_part(self, k):
+        return type(self)(self.context,
+                          {m: c for m, c in self.terms.items() if len(m) == k})
 
 
-class Multivector(_Graded):
+class Multivector(_Flat):
     """Sparse wedge expansion over d/dx^i, d/dy^a."""
 
     __slots__ = ()
 
-    def _basis_str(self, i):
-        return "d/d%s" % self._gen_name(i)
-
-    def var_index_of_gen(self, i):
-        return self.context.nparams + i
+    FACTORS = ("d/d%s",)
 
 
-class DiffForm(_Graded):
+class DiffForm(_Flat):
     """Sparse wedge expansion over dx^i, dy^a."""
 
     __slots__ = ()
 
-    def _basis_str(self, i):
-        return "dx[%s]" % self._gen_name(i)
+    FACTORS = ("dx[%s]",)
 
 
 # ---------------------------------------------------------------------------
 # Schouten bracket
 # ---------------------------------------------------------------------------
 
-def _right_zeta_derivative(terms, gen):
+def _right_zeta_derivative(u, gen):
     """Right derivative by the odd generator: move it to the last slot."""
-    out = {}
-    for m, c in terms.items():
-        try:
+    items = []
+    for m, c in u.terms.items():
+        if gen in m:
             pos = m.index(gen)
-        except ValueError:
-            continue
-        sign = 1 if ((len(m) - 1 - pos) % 2 == 0) else -1
-        key = m[:pos] + m[pos + 1:]
-        v = c if sign > 0 else -c
-        prev = out.get(key)
-        v = v if prev is None else prev + v
-        if v.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = v
-    return out
+            items.append((m[:pos] + m[pos + 1:],
+                          c if (len(m) - 1 - pos) % 2 == 0 else -c))
+    return Multivector.from_terms(u.context, items)
 
 
 def _d_half(u, v, gens):
@@ -280,15 +324,15 @@ def _d_half(u, v, gens):
     ctx = u.context
     items = []
     for gen in gens:
-        du = _right_zeta_derivative(u.terms, gen)
-        if not du:
+        du = _right_zeta_derivative(u, gen)
+        if du.is_zero():
             continue
         var = ctx.vars[ctx.nparams + gen]
         for m2, c2 in v.terms.items():
             dc = c2.derivative(var)
             if dc.is_zero():
                 continue
-            for m1, c1 in du.items():
+            for m1, c1 in du.terms.items():
                 key, sign = _merge_sorted(m1, m2)
                 if key is None:
                     continue
@@ -322,13 +366,7 @@ def schouten(u, v, gens=None):
 
 def d_scalar(f):
     """Differential of a function as a 1-form (base and fiber directions)."""
-    ctx = f.ctx
-    items = []
-    for i in range(ctx.p + ctx.q):
-        df = f.derivative(ctx.vars[ctx.nparams + i])
-        if not df.is_zero():
-            items.append(((i,), df))
-    return DiffForm.from_terms(ctx, items)
+    return exterior_derivative(DiffForm.scalar(f))
 
 
 def exterior_derivative(omega):
@@ -347,43 +385,32 @@ def exterior_derivative(omega):
     return DiffForm.from_terms(ctx, items)
 
 
+def _contract(a, u):
+    """First-slot contraction of the degree-1 terms of a into u."""
+    if a.context != u.context:
+        raise ContextMismatch("operands live on different charts")
+    items = []
+    for (i,), ca in a.terms.items():
+        for m, c in u.terms.items():
+            if i in m:
+                pos = m.index(i)
+                v = ca * c
+                items.append((m[:pos] + m[pos + 1:], v if pos % 2 == 0 else -v))
+    return type(u).from_terms(u.context, items)
+
+
 def interior_form(x, omega):
     """i_X omega for a degree-1 multivector X (first-slot contraction)."""
     if x.degree() not in (None, 1):
         raise WrongDegree("interior product needs a vector field")
-    if x.context != omega.context:
-        raise ContextMismatch("operands live on different charts")
-    ctx = omega.context
-    items = []
-    for (i,), a in x.terms.items():
-        for m, c in omega.terms.items():
-            try:
-                pos = m.index(i)
-            except ValueError:
-                continue
-            sign = 1 if pos % 2 == 0 else -1
-            v = a * c
-            items.append((m[:pos] + m[pos + 1:], v if sign > 0 else -v))
-    return DiffForm.from_terms(ctx, items)
+    return _contract(x, omega)
 
 
 def interior_vec(alpha, u):
     """i_alpha u for a 1-form alpha into a multivector (first slot)."""
     if alpha.degree() not in (None, 1):
         raise WrongDegree("contraction needs a 1-form")
-    if alpha.context != u.context:
-        raise ContextMismatch("operands live on different charts")
-    items = []
-    for (i,), a in alpha.terms.items():
-        for m, c in u.terms.items():
-            try:
-                pos = m.index(i)
-            except ValueError:
-                continue
-            sign = 1 if pos % 2 == 0 else -1
-            v = a * c
-            items.append((m[:pos] + m[pos + 1:], v if sign > 0 else -v))
-    return Multivector.from_terms(u.context, items)
+    return _contract(alpha, u)
 
 
 def pairing(u, omega):

@@ -27,7 +27,7 @@ from .errors import (
     NotFiberPolynomial,
     ZeroParameter,
 )
-from .multivector import Multivector, _merge_sorted, _perm_sign, schouten
+from .multivector import Graded, Multivector, _merge_sorted, schouten
 from .rational import Poly, Q, RatFunc
 
 __all__ = [
@@ -43,53 +43,13 @@ OMEGA_TILDE = "Omega~_E"
 INVALID = "invalid"
 
 
-class MixedElement:
-    __slots__ = ("context", "terms")
+class MixedElement(Graded):
+    """Term store keyed by (I, J, K); see the module docstring."""
 
-    def __init__(self, context, terms):
-        self.context = context
-        self.terms = terms
+    __slots__ = ()
 
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def zero(context):
-        return MixedElement(context, {})
-
-    @staticmethod
-    def from_terms(context, items):
-        out = {}
-        for (I, J, K), coeff in items:
-            if coeff.is_zero():
-                continue
-            sign = 1
-            for block in (I, J, K):
-                if len(set(block)) != len(block):
-                    sign = 0
-                    break
-                sign *= _perm_sign(block)
-            if sign == 0:
-                continue
-            key = (tuple(sorted(I)), tuple(sorted(J)), tuple(sorted(K)))
-            c = coeff if sign > 0 else -coeff
-            prev = out.get(key)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
-        return MixedElement(context, out)
-
-    @staticmethod
-    def scalar(f):
-        if f.is_zero():
-            return MixedElement(f.ctx, {})
-        return MixedElement(f.ctx, {((), (), ()): f})
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
+    FACTORS = ("dx[%s]", "d/d%s", "d/d%s")
+    UNIT = ((), (), ())
 
     def bidegrees(self):
         return sorted({(len(I), len(J) + len(K)) for (I, J, K) in self.terms})
@@ -107,101 +67,8 @@ class MixedElement:
         return MixedElement(self.context,
                             {k: c for k, c in self.terms.items() if not k[1]})
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        self._same(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return MixedElement(self.context, out)
-
-    def __neg__(self):
-        return MixedElement(self.context,
-                            {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, f):
-        if isinstance(f, (int, Q)):
-            f = RatFunc.const(self.context, f)
-        if f.is_zero():
-            return MixedElement.zero(self.context)
-        return MixedElement(self.context,
-                            {k: c * f for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, MixedElement)
-                and self.context == other.context
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-    def map_coeffs(self, fn):
-        out = {}
-        for k, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[k] = v
-        return MixedElement(self.context, out)
-
-    def cast(self, new_ctx):
-        return MixedElement(new_ctx, {k: c.cast(new_ctx)
-                                      for k, c in self.terms.items()})
-
-    def restrict(self, new_ctx):
-        return MixedElement(new_ctx, {k: c.restrict(new_ctx)
-                                      for k, c in self.terms.items()})
-
     def substitute(self, mapping):
         return self.map_coeffs(lambda c: c.substitute(mapping))
-
-    def _same(self, other):
-        if not isinstance(other, MixedElement):
-            raise TypeError("expected MixedElement")
-        if self.context != other.context:
-            raise ContextMismatch("operands live on different charts")
-
-    # -- printing -----------------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        ctx = self.context
-        parts = []
-        for key in sorted(self.terms,
-                          key=lambda k: (len(k[0]) + len(k[1]) + len(k[2]), k)):
-            I, J, K = key
-            c = self.terms[key]
-            factors = ["dx[%s]" % ctx.base[i] for i in I]
-            factors += ["d/d%s" % ctx.base[j] for j in J]
-            factors += ["d/d%s" % ctx.fiber[k - ctx.p] for k in K]
-            wedgestr = " ^ ".join(factors)
-            cs = str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = str(-c)
-            if not factors:
-                body = cs
-            elif cs == "1":
-                body = "(%s)" % wedgestr
-            else:
-                if "/" in cs or " " in cs:
-                    cs = "(%s)" % cs
-                body = "%s*(%s)" % (cs, wedgestr)
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

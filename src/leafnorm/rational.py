@@ -12,6 +12,7 @@ coefficients integral with joint content 1, and the leading coefficient of
 the denominator positive — so equality is representation equality.
 """
 
+import math
 from fractions import Fraction as Q
 
 from .errors import (
@@ -428,24 +429,25 @@ class Poly:
 # multivariate gcd (primitive PRS) and exact division
 # ---------------------------------------------------------------------------
 
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _integral_scale(*polys):
+    """The factor making the joint coefficients integral with content 1:
+    lcm of the denominators over gcd of the scaled numerators."""
+    lcm = 1
+    for f in polys:
+        for c in f.terms.values():
+            lcm = math.lcm(lcm, c.denominator)
+    g = 0
+    for f in polys:
+        for c in f.terms.values():
+            g = math.gcd(g, c.numerator * (lcm // c.denominator))
+    return Q(lcm, g)
 
 
 def _iprimitive(f):
     """Scale to integer coefficients with content 1 and positive leading coeff."""
     if f.is_zero():
         return f
-    lcm = 1
-    for c in f.terms.values():
-        d = c.denominator
-        lcm = lcm // _int_gcd(lcm, d) * d
-    g = 0
-    for c in f.terms.values():
-        g = _int_gcd(g, c.numerator * (lcm // c.denominator))
-    scale = Q(lcm, g)
+    scale = _integral_scale(f)
     out = {m: c * scale for m, c in f.terms.items()}
     p = Poly(f.ctx, out)
     if p.leading_coeff() < 0:
@@ -853,19 +855,7 @@ def _canonical_scale(num, den):
     """Joint integral scaling with content 1 and positive leading denominator."""
     if num.is_zero():
         return RatFunc(Poly.zero(num.ctx), Poly.one(num.ctx))
-    lcm = 1
-    for c in num.terms.values():
-        d = c.denominator
-        lcm = lcm // _int_gcd(lcm, d) * d
-    for c in den.terms.values():
-        d = c.denominator
-        lcm = lcm // _int_gcd(lcm, d) * d
-    g = 0
-    for c in num.terms.values():
-        g = _int_gcd(g, c.numerator * (lcm // c.denominator))
-    for c in den.terms.values():
-        g = _int_gcd(g, c.numerator * (lcm // c.denominator))
-    scale = Q(lcm, g)
+    scale = _integral_scale(num, den)
     if scale != 1:
         num = num * scale
         den = den * scale

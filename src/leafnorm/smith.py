@@ -4,6 +4,7 @@ Used by the obstruction calculators: lattice rank of rational generator sets
 and existence of integer solutions of linear systems.
 """
 
+import math
 from fractions import Fraction as Q
 
 __all__ = ["smith_normal_form", "integer_solve", "rational_rank"]
@@ -128,16 +129,7 @@ def rational_rank(vectors):
     n = len(vectors[0])
     scaled = []
     for vec in vectors:
-        lcm = 1
-        for x in vec:
-            x = Q(x)
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        lcm = math.lcm(*(Q(x).denominator for x in vec))
         scaled.append([int(Q(x) * lcm) for x in vec])
     s, _, _ = smith_normal_form(scaled)
     return sum(1 for i in range(min(len(s), n)) if s[i][i])
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)

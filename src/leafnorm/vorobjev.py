@@ -37,7 +37,6 @@ from .omega import (
     gamma_S,
     jet_n,
     ltimes_bracket,
-    mixed_from_base_form,
     p_S,
 )
 from .rational import Poly, Q, RatFunc
@@ -78,6 +77,12 @@ class DiracElement:
         self.conn_part = conn_part
         self.f_part = f_part
         self._dirac_checked = None
+
+    @classmethod
+    def from_mixed(cls, g):
+        """Split an element into its (0,2), (1,1) and (2,0) parts."""
+        return cls(g.bidegree_part(0, 2), g.bidegree_part(1, 1),
+                   g.bidegree_part(2, 0))
 
     @property
     def context(self):
@@ -123,6 +128,22 @@ class HorizontalData:
         self.C = C
 
 
+def _antisymmetric(ctx, n, entries):
+    """The n x n antisymmetric matrix with the given ((i, j), c) entries."""
+    z = RatFunc.zero(ctx)
+    m = [[z for _ in range(n)] for _ in range(n)]
+    for (i, j), c in entries:
+        m[i][j] = c
+        m[j][i] = -c
+    return MatrixRF(ctx, m)
+
+
+def _upper(m):
+    """The ((i, j), entry) pairs above the diagonal of a square matrix."""
+    return [((i, j), m.entries[i][j])
+            for i in range(m.rows) for j in range(i + 1, m.rows)]
+
+
 def horizontal_blocks(theta):
     """Read the blocks off a degree-2 multivector (uniquely)."""
     if theta.degree() not in (None, 2):
@@ -130,19 +151,18 @@ def horizontal_blocks(theta):
     ctx = theta.context
     p, q = ctx.p, ctx.q
     z = RatFunc.zero(ctx)
-    A = [[z for _ in range(p)] for _ in range(p)]
+    A = []
     B = [[z for _ in range(q)] for _ in range(p)]
-    C = [[z for _ in range(q)] for _ in range(q)]
+    C = []
     for (i, j), c in theta.terms.items():
         if j < p:
-            A[i][j] = c
-            A[j][i] = -c
+            A.append(((i, j), c))
         elif i < p:
             B[i][j - p] = c
         else:
-            C[i - p][j - p] = c
-            C[j - p][i - p] = -c
-    return HorizontalData(MatrixRF(ctx, A), MatrixRF(ctx, B), MatrixRF(ctx, C))
+            C.append(((i - p, j - p), c))
+    return HorizontalData(_antisymmetric(ctx, p, A), MatrixRF(ctx, B),
+                          _antisymmetric(ctx, q, C))
 
 
 class HorizontalCheck:
@@ -170,12 +190,7 @@ def is_horizontally_nondegenerate(theta):
 def decompose(theta):
     """Dirac element of a horizontally non-degenerate bivector."""
     ctx = theta.context
-    blocks = horizontal_blocks(theta)
-    if blocks.A.det().is_zero():
-        raise NotHorizontallyNondegenerate(
-            "horizontal block is singular as a rational function")
-    ainv = matrix_inverse(blocks.A)
-    w = ainv * blocks.B
+    blocks, ainv, w = _frames(theta)
     p, q = ctx.p, ctx.q
     conn_items = []
     for i in range(p):
@@ -183,36 +198,19 @@ def decompose(theta):
             conn_items.append((((i,), (), (p + a,)), w.entries[i][a]))
     conn = gamma_S(ctx) + MixedElement.from_terms(ctx, conn_items)
     vmat = blocks.C + blocks.B.transpose() * ainv * blocks.B
-    v_items = []
-    for a in range(q):
-        for b in range(a + 1, q):
-            v_items.append((((), (), (p + a, p + b)), vmat.entries[a][b]))
-    v_part = MixedElement.from_terms(ctx, v_items)
-    f_items = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            f_items.append((((i, j), (), ()), ainv.entries[i][j]))
-    f_part = MixedElement.from_terms(ctx, f_items)
+    v_part = MixedElement.from_terms(ctx, [
+        (((), (), (p + a, p + b)), c) for (a, b), c in _upper(vmat)])
+    f_part = MixedElement.from_terms(ctx, [
+        ((ij, (), ()), c) for ij, c in _upper(ainv)])
     return DiracElement(v_part, conn, f_part)
-
-
-def _f_matrix(f_part):
-    ctx = f_part.context
-    p = ctx.p
-    z = RatFunc.zero(ctx)
-    F = [[z for _ in range(p)] for _ in range(p)]
-    for (I, _, _), c in f_part.terms.items():
-        i, j = I
-        F[i][j] = c
-        F[j][i] = -c
-    return MatrixRF(ctx, F)
 
 
 def assemble(gamma):
     """The bivector of a Dirac element (exact inverse of decompose)."""
     ctx = gamma.context
     p, q = ctx.p, ctx.q
-    F = _f_matrix(gamma.f_part)
+    F = _antisymmetric(ctx, p, ((I, c) for (I, _, _), c
+                                in gamma.f_part.terms.items()))
     if F.det().is_zero():
         raise DegenerateFPart(
             "two-form component is degenerate as a rational-function matrix")
@@ -225,22 +223,14 @@ def assemble(gamma):
         W[I[0]][K[0] - p] = c
     W = MatrixRF(ctx, W)
     B = A * W
-    vmat = [[z for _ in range(q)] for _ in range(q)]
-    for (_, _, K), c in gamma.v_part.terms.items():
-        a, b = K[0] - p, K[1] - p
-        vmat[a][b] = c
-        vmat[b][a] = -c
-    C = MatrixRF(ctx, vmat) - B.transpose() * matrix_inverse(A) * B
-    items = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            items.append(((i, j), A.entries[i][j]))
+    vmat = _antisymmetric(ctx, q, (((K[0] - p, K[1] - p), c) for (_, _, K), c
+                                   in gamma.v_part.terms.items()))
+    C = vmat - B.transpose() * F * B
+    items = _upper(A)
     for i in range(p):
         for a in range(q):
             items.append(((i, p + a), B.entries[i][a]))
-    for a in range(q):
-        for b in range(a + 1, q):
-            items.append(((p + a, p + b), C.entries[a][b]))
+    items += [((p + a, p + b), c) for (a, b), c in _upper(C)]
     return Multivector.from_terms(ctx, items)
 
 
@@ -258,27 +248,42 @@ def structure_equations(gamma):
 # the chain map tau
 # ---------------------------------------------------------------------------
 
+def _expand(gens, c, repl):
+    """c * g_1 ^ ... ^ g_k with every g replaced by the linear combination
+    repl[g] = ((h, coeff or None for 1), ...); generators missing from repl
+    stay.  Returns (strictly increasing tuple, coefficient) pairs."""
+    parts = [((), c)]
+    for g in gens:
+        new_parts = []
+        for tup, cc in parts:
+            for h, ch in repl.get(g, ((g, None),)):
+                merged, s = _merge_sorted(tup, (h,))
+                if merged is None:
+                    continue
+                v = cc if ch is None else cc * ch
+                new_parts.append((merged, v if s > 0 else -v))
+        parts = new_parts
+    return parts
+
+
+def _replacements(matrix, offset, keep):
+    """Row g of the matrix as a replacement of generator g: the sum of
+    matrix[g][k] times generator offset + k over the nonzero entries, plus g
+    itself when keep is set."""
+    table = {}
+    for g, row in enumerate(matrix.entries):
+        repl = [(g, None)] if keep else []
+        for k, e in enumerate(row):
+            if not e.is_zero():
+                repl.append((offset + k, e))
+        table[g] = tuple(repl)
+    return table
+
+
 def _substitute_vec_gens(mv, repl):
     """Expand generators of a multivector through linear replacements."""
-    ctx = mv.context
-    out = []
-    for key, c in mv.terms.items():
-        parts = [((), c)]
-        for g in key:
-            repl_g = repl.get(g)
-            if repl_g is None:
-                repl_g = ((g, None),)
-            new_parts = []
-            for tup, cc in parts:
-                for h, ch in repl_g:
-                    merged, s = _merge_sorted(tup, (h,))
-                    if merged is None:
-                        continue
-                    v = cc if ch is None else cc * ch
-                    new_parts.append((merged, v if s > 0 else -v))
-            parts = new_parts
-        out.extend(parts)
-    return Multivector.from_terms(ctx, out)
+    return Multivector.from_terms(mv.context, [
+        part for key, c in mv.terms.items() for part in _expand(key, c, repl)])
 
 
 def _frames(theta):
@@ -298,35 +303,13 @@ def tau(theta, u):
     p = ctx.p
     blocks, ainv, w = _frames(theta)
     # coordinate basis -> connection frame: d/dx_i = hor_i - sum W[i][a] d/dy_a
-    repl = {}
-    for i in range(p):
-        row = [(i, None)]
-        for a in range(ctx.q):
-            cw = w.entries[i][a]
-            if not cw.is_zero():
-                row.append((p + a, -cw))
-        repl[i] = tuple(row)
-    framed = _substitute_vec_gens(u, repl)
+    framed = _substitute_vec_gens(u, _replacements(-w, p, True))
     # map hor_i -> -sum_j F[i][j] dx^j, keep verticals; forms precede verticals
+    to_forms = _replacements(-ainv, 0, False)
     items = []
     for key, c in framed.terms.items():
-        hor = [g for g in key if g < p]
         vert = tuple(g for g in key if g >= p)
-        parts = [((), c)]
-        for i in hor:
-            new_parts = []
-            for tup, cc in parts:
-                for j in range(p):
-                    fij = ainv.entries[i][j]
-                    if fij.is_zero():
-                        continue
-                    merged, s = _merge_sorted(tup, (j,))
-                    if merged is None:
-                        continue
-                    v = cc * -fij
-                    new_parts.append((merged, v if s > 0 else -v))
-            parts = new_parts
-        for tup, cc in parts:
+        for tup, cc in _expand([g for g in key if g < p], c, to_forms):
             items.append(((tup, (), vert), cc))
     return MixedElement.from_terms(ctx, items)
 
@@ -336,41 +319,20 @@ def tau_inverse(theta, e):
     ctx = theta.context
     p = ctx.p
     blocks, ainv, w = _frames(theta)
+    to_frame = _replacements(-blocks.A, 0, False)
     items = []
     for (I, J, K), c in e.terms.items():
         if J:
             raise InvalidElement("tau inverse expects an element with no "
                                  "horizontal lift terms")
-        parts = [((), c)]
-        for j in I:
-            new_parts = []
-            for tup, cc in parts:
-                for i in range(p):
-                    aji = blocks.A.entries[j][i]
-                    if aji.is_zero():
-                        continue
-                    merged, s = _merge_sorted(tup, (i,))
-                    if merged is None:
-                        continue
-                    v = cc * -aji
-                    new_parts.append((merged, v if s > 0 else -v))
-            parts = new_parts
-        for tup, cc in parts:
+        for tup, cc in _expand(I, c, to_frame):
             merged, s = _merge_sorted(tup, K)
             if merged is None:
                 continue
             items.append((merged, cc if s > 0 else -cc))
     framed = Multivector.from_terms(ctx, items)
     # hor_i = d/dx_i + sum W[i][a] d/dy_a
-    repl = {}
-    for i in range(p):
-        row = [(i, None)]
-        for a in range(ctx.q):
-            cw = w.entries[i][a]
-            if not cw.is_zero():
-                row.append((p + a, cw))
-        repl[i] = tuple(row)
-    return _substitute_vec_gens(framed, repl)
+    return _substitute_vec_gens(framed, _replacements(w, p, True))
 
 
 def chain_map_residual(theta, u):
@@ -405,8 +367,8 @@ def leaf_check(gamma):
     omega = base_form_of(-g0)
     if not exterior_derivative(omega).is_zero():
         return LeafCheck(False, omega)
-    m = _f_matrix(mixed_from_base_form(omega))
-    if m.det().is_zero():
+    ctx = omega.context
+    if _antisymmetric(ctx, ctx.p, omega.terms.items()).det().is_zero():
         return LeafCheck(False, omega)
     return LeafCheck(True, omega)
 
@@ -415,9 +377,7 @@ def first_jet_model(gamma):
     """j^1_S(gamma) = gamma|_S + d^1_S(gamma), verified to be Dirac."""
     if not leaf_check(gamma).ok:
         raise LeafCheckFailed("the zero section is not a symplectic leaf")
-    j = jet_n(gamma.as_mixed(), 1)
-    out = DiracElement(j.bidegree_part(0, 2), j.bidegree_part(1, 1),
-                       j.bidegree_part(2, 0))
+    out = DiracElement.from_mixed(jet_n(gamma.as_mixed(), 1))
     if not out.is_dirac():
         raise InvalidElement("first jet fails the Dirac equation")
     return out
@@ -459,17 +419,13 @@ def moser_path(gamma, param="t", truncation_order=None):
                 "path coefficient is singular at %s = 0" % param)
         items.append((key, c2))
     path = g0 + MixedElement.from_terms(ctx_t, items)
-    element = DiracElement(path.bidegree_part(0, 2), path.bidegree_part(1, 1),
-                           path.bidegree_part(2, 0))
-    return MoserPath(element, param, base_ctx)
+    return MoserPath(DiracElement.from_mixed(path), param, base_ctx)
 
 
 def moser_at(path, value):
     """Evaluate the path at a rational parameter value, back on the chart."""
     g = path.gamma_t.as_mixed().substitute({path.param: Q(value)})
-    g = g.restrict(path.base_context)
-    return DiracElement(g.bidegree_part(0, 2), g.bidegree_part(1, 1),
-                        g.bidegree_part(2, 0))
+    return DiracElement.from_mixed(g.restrict(path.base_context))
 
 
 def moser_gamma_dot(path):
@@ -631,7 +587,7 @@ class AlgebroidData:
         g2 = ltimes_bracket(self.conn_part, a2)
         h = h + MixedElement.scalar(self._eval_one_form(g2, s1))
         h = h - MixedElement.scalar(self._eval_one_form(g1, s2))
-        hc = h.terms.get(((), (), ()), RatFunc.zero(ctx))
+        hc = h.scalar_value()
         eps = [hc.derivative(name) for name in ctx.fiber]
         # the data is first order, so h must be exactly fiber-linear
         rebuilt = RatFunc.zero(ctx)

@@ -1,8 +1,15 @@
 import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import leafnorm
+from leafnorm.dsl import MAX_DEPTH, parse, print_program
+from leafnorm.errors import DslError
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def run_cli(args):
@@ -78,14 +85,60 @@ def test_out_flag(tmp_path):
 
 
 def test_byte_determinism(tmp_path):
-    path = leafnorm.sphere_pipeline_path()
-    res1 = run_cli(["run", path])
-    res2 = run_cli(["run", path])
-    assert res1.returncode == 0
-    assert res1.stdout == res2.stdout
-    res3 = run_cli(["run", path, "--format", "text"])
-    res4 = run_cli(["run", path, "--format", "text"])
-    assert res3.stdout == res4.stdout
+    # equality with checked-in reports implies determinism, and also catches
+    # any drift in representation or printing
+    pipeline = leafnorm.sphere_pipeline_path()
+    cases = [([pipeline], "sphere_pipeline.json"),
+             ([pipeline, "--format", "text"], "sphere_pipeline.txt"),
+             ([str(FIXTURES / "term_store.lnf"), "--format", "text"],
+              "term_store.txt")]
+    for args, expected in cases:
+        res = run_cli(["run"] + args)
+        assert res.returncode == 0
+        assert res.stdout == (FIXTURES / expected).read_text(encoding="utf-8")
+
+
+def test_out_to_missing_directory_exits_2(tmp_path):
+    f = tmp_path / "good.lnf"
+    f.write_text(GOOD)
+    res = run_cli(["run", str(f), "--out", str(tmp_path / "missing" / "x.json")])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert "cannot write" in res.stderr
+
+
+def _deep_expressions(depth):
+    """Each shape that used to overflow the stack, `depth` levels deep."""
+    return {"parens": "(" * depth + "u" + ")" * depth,
+            "minus": "-" * depth + "u",
+            "power": " ^ ".join(["u"] * (depth + 1)),
+            "sum": " + ".join(["u"] * (depth + 1))}
+
+
+def test_expression_depth_limit(tmp_path):
+    at_limit = _deep_expressions(MAX_DEPTH)
+    src = "chart { base:[u]; fiber:[y]; }\n" + "".join(
+        "let %s = %s;\n" % item for item in at_limit.items()) + "".join(
+        "emit(%s);\n" % name for name in at_limit)
+    prog = parse(src)
+    assert parse(print_program(prog)) == prog
+    f = tmp_path / "deep.lnf"
+    f.write_text(src)
+    res = run_cli(["check", str(f)])
+    assert res.returncode == 0, res.stderr
+    for depth in (MAX_DEPTH + 1, 2000):
+        for name, expr in _deep_expressions(depth).items():
+            with pytest.raises(DslError) as info:
+                parse("chart { base:[u]; fiber:[y]; }\nlet a = %s;\n" % expr)
+            assert "deeper than %d" % MAX_DEPTH in str(info.value), name
+            assert info.value.line == 2
+    f.write_text("chart { base:[u]; fiber:[y]; }\nlet a = %s;\n"
+                 % _deep_expressions(2000)["parens"])
+    res = run_cli(["run", str(f)])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "line 2" in res.stderr
 
 
 def test_sphere_pipeline_all_ok():

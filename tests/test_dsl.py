@@ -164,3 +164,12 @@ def test_wedge_vs_power_dispatch():
     report = execute(parse(src))
     assert report.records[0].value == "u^2 + 2*u + 1"
     assert report.records[1].value == "(d/du ^ d/dy)"
+
+
+def test_zero_factor_leaves_no_terms():
+    src = ("chart { base:[u]; fiber:[y]; }\n"
+           "let a = 0*dx[u];\n"
+           "let b = dx[u]*0 + 1;\n"
+           "emit(a);\nemit(b);\n")
+    report = execute(parse(src))
+    assert [r.value for r in report.records] == ["0", "1"]
