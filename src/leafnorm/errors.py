@@ -28,6 +28,10 @@ class SingularMatrix(LeafnormError):
     pass
 
 
+class LimitExceeded(LeafnormError):
+    """An input exceeds an explicit resource limit; raised before any work."""
+
+
 # --- multivector / mixed-element algebra ---
 
 class ContextMismatch(LeafnormError):

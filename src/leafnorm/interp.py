@@ -4,15 +4,15 @@ Residual-bearing commands (check jacobi, check dirac, structure_eqs, jet,
 moser, chain_map) set ok <=> the printed residual is exactly "0".  The
 value-producing commands (decompose, monodromy, ratio_constancy, affine,
 int_identity, emit) report their result in `value` with residual null and
-ok = successful execution.  Errors are recorded per command; execution
-continues.  The `ms` field is always 0 so that reports are byte-identical
-across runs.
+ok = successful execution.  Errors, of whatever type, are recorded per
+command; execution continues.  The `ms` field is always 0 so that reports
+are byte-identical across runs.
 """
 
 import json
 
 from . import dsl
-from .errors import LeafnormError, UnknownIdentifier
+from .errors import LeafnormError, LimitExceeded, UnknownIdentifier
 from .models import (
     PeriodModel,
     affine_in_params,
@@ -38,7 +38,11 @@ from .vorobjev import (
     chain_map_residual,
 )
 
-__all__ = ["execute", "emit", "Report", "CommandRecord"]
+__all__ = ["execute", "emit", "Report", "CommandRecord", "MAX_EXPONENT"]
+
+# Largest |n| in a scalar power f^n.  Repeated squaring of a non-monomial or
+# of a constant builds dense or huge results long before n gets large.
+MAX_EXPONENT = 1000
 
 
 class CommandRecord:
@@ -133,6 +137,9 @@ def _apply_binop(op, left, right):
             ev = e.const_value()
             if ev.denominator != 1:
                 raise _EvalError("exponent must be an integer")
+            if abs(ev) > MAX_EXPONENT:
+                raise LimitExceeded("exponent %s exceeds the limit %d"
+                                    % (ev, MAX_EXPONENT))
             return Graded.scalar(left.scalar_value() ** int(ev))
         if right.is_scalar() and not left.is_scalar():
             e = right.scalar_value()
@@ -334,14 +341,14 @@ def execute(program):
     for binding in program.bindings:
         try:
             env[binding.name] = _eval_binding(binding, ctx, env)
-        except LeafnormError as exc:
+        except Exception as exc:
             records.append(CommandRecord(
                 "let %s" % binding.name, False, None,
                 "error: %s: %s" % (type(exc).__name__, exc)))
     for cmd in program.commands:
         try:
             records.append(_run_command(cmd, ctx, env))
-        except LeafnormError as exc:
+        except Exception as exc:
             records.append(CommandRecord(
                 _render(cmd), False, None,
                 "error: %s: %s" % (type(exc).__name__, exc)))

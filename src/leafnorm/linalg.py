@@ -15,19 +15,23 @@ __all__ = ["MatrixRF", "matrix_inverse"]
 class MatrixRF:
     __slots__ = ("ctx", "rows", "cols", "entries")
 
-    def __init__(self, ctx, entries):
+    def __init__(self, ctx, entries, cols=None):
+        # cols is needed only to give a matrix with no rows its width
         self.ctx = ctx
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
+        if cols is None:
+            cols = len(self.entries[0]) if self.rows else 0
+        self.cols = cols
         for row in self.entries:
-            if len(row) != self.cols:
+            if len(row) != cols:
                 raise ValueError("ragged matrix")
 
     @staticmethod
     def zero(ctx, rows, cols):
         z = RatFunc.zero(ctx)
-        return MatrixRF(ctx, [[z for _ in range(cols)] for _ in range(rows)])
+        return MatrixRF(ctx, [[z for _ in range(cols)] for _ in range(rows)],
+                        cols)
 
     @staticmethod
     def identity(ctx, n):
@@ -60,27 +64,28 @@ class MatrixRF:
                         acc = acc + self.entries[i][k] * other.entries[k][j]
                     row.append(acc)
                 out.append(row)
-            return MatrixRF(self.ctx, out)
+            return MatrixRF(self.ctx, out, other.cols)
         return MatrixRF(self.ctx, [[e * other for e in row]
-                                   for row in self.entries])
+                                   for row in self.entries], self.cols)
 
     def __add__(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch")
         return MatrixRF(self.ctx, [
             [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)])
+            for r1, r2 in zip(self.entries, other.entries)], self.cols)
 
     def __sub__(self, other):
-        return MatrixRF(self.ctx, [
-            [a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)])
+        return self + (-other)
 
     def __neg__(self):
-        return MatrixRF(self.ctx, [[-e for e in row] for row in self.entries])
+        return MatrixRF(self.ctx, [[-e for e in row] for row in self.entries],
+                        self.cols)
 
     def transpose(self):
         return MatrixRF(self.ctx, [[self.entries[i][j]
                                     for i in range(self.rows)]
-                                   for j in range(self.cols)])
+                                   for j in range(self.cols)], self.rows)
 
     def is_antisymmetric(self):
         if self.rows != self.cols:
@@ -142,7 +147,7 @@ class MatrixRF:
                     continue
                 f = aug[r][k]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[k])]
-        return MatrixRF(self.ctx, [row[n:total] for row in aug])
+        return MatrixRF(self.ctx, [row[n:total] for row in aug], rhs.cols)
 
     def __str__(self):
         return "[" + "; ".join(

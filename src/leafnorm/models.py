@@ -8,9 +8,6 @@ area form 4/(1+u^2+v^2)^2 du^dv is derived once by an exact pullback oracle
 in the test suite and recorded here.
 """
 
-import math
-from fractions import Fraction as Fr
-
 from .errors import (
     JacobiFailed,
     NonRationalInput,
@@ -356,15 +353,8 @@ def integer_affine_identity(f, basis):
     for c in cols:
         monomials.update(c.terms)
     monomials = sorted(monomials)
-    # scale rows to integers
-    rows = []
-    rhs = []
-    for mono in monomials:
-        row = [c.terms.get(mono, Q(0)) for c in cols]
-        b = lhs.terms.get(mono, Q(0))
-        lcm = math.lcm(b.denominator, *(x.denominator for x in row))
-        rows.append([int(x * lcm) for x in row])
-        rhs.append(int(b * lcm))
+    rows = [[c.terms.get(mono, 0) for c in cols] for mono in monomials]
+    rhs = [lhs.terms.get(mono, 0) for mono in monomials]
     sol = integer_solve(rows, rhs)
     if sol is None:
         return IntegerIdentity(False, None)

@@ -161,7 +161,7 @@ def horizontal_blocks(theta):
             B[i][j - p] = c
         else:
             C.append(((i - p, j - p), c))
-    return HorizontalData(_antisymmetric(ctx, p, A), MatrixRF(ctx, B),
+    return HorizontalData(_antisymmetric(ctx, p, A), MatrixRF(ctx, B, q),
                           _antisymmetric(ctx, q, C))
 
 
@@ -221,7 +221,7 @@ def assemble(gamma):
         if J:
             continue
         W[I[0]][K[0] - p] = c
-    W = MatrixRF(ctx, W)
+    W = MatrixRF(ctx, W, q)
     B = A * W
     vmat = _antisymmetric(ctx, q, (((K[0] - p, K[1] - p), c) for (_, _, K), c
                                    in gamma.v_part.terms.items()))

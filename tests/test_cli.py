@@ -50,6 +50,21 @@ def test_run_json_schema(tmp_path):
     assert rec["ms"] == 0
 
 
+def test_any_exception_recorded_in_its_command(tmp_path):
+    # printing 10^5000 exceeds Python's int-to-str digit limit (ValueError)
+    f = tmp_path / "big.lnf"
+    f.write_text("chart { base:[u]; fiber:[y]; }\n"
+                 "let a = (10^100)^50;\nlet b = 2;\nemit(a);\nemit(b);\n")
+    res = run_cli(["run", str(f)])
+    assert res.returncode == 0
+    assert "Traceback" not in res.stderr
+    first, second = json.loads(res.stdout)["commands"]
+    assert first["ok"] is False
+    assert first["value"].startswith("error: ValueError: ")
+    assert second["ok"] is True and second["value"] == "2"
+    assert run_cli(["check", str(f)]).returncode == 1
+
+
 def test_empty_program_report(tmp_path):
     f = tmp_path / "empty.lnf"
     f.write_text("chart { base:[u]; fiber:[y]; }\n")

@@ -7,7 +7,7 @@ from leafnorm.dsl import (
 from leafnorm.errors import (
     ChartRedeclared, DslSyntaxError, UnknownIdentifier,
 )
-from leafnorm.interp import execute
+from leafnorm.interp import MAX_EXPONENT, execute
 
 
 SMOKE = """
@@ -130,6 +130,23 @@ check jacobi(good);
     assert not report.records[0].ok
     assert "NotHorizontallyNondegenerate" in report.records[0].value
     assert report.records[1].ok
+
+
+def test_exponent_limit_recorded_in_binding():
+    src = """
+chart { base:[u]; fiber:[y]; }
+let a = (1 + u)^1000000000000;
+let b = 2^-1000000000000;
+let c = u^%d;
+let d = u^%d;
+emit(c);
+""" % (MAX_EXPONENT, MAX_EXPONENT + 1)
+    records = execute(parse(src)).records
+    assert [r.cmd for r in records[:3]] == ["let a", "let b", "let d"]
+    for r in records[:3]:
+        assert not r.ok
+        assert r.value.startswith("error: LimitExceeded: exponent ")
+    assert records[3].ok and records[3].value == "u^%d" % MAX_EXPONENT
 
 
 def test_no_float_literals():

@@ -91,6 +91,17 @@ def test_singular_rejected():
         matrix_inverse(m)
 
 
+def test_shape_without_rows():
+    empty = MatrixRF.zero(CTX, 0, 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    square = empty.transpose() * empty
+    assert square == MatrixRF.zero(CTX, 3, 3)
+    with pytest.raises(ValueError):
+        square + MatrixRF.zero(CTX, 0, 0)
+    with pytest.raises(ValueError):
+        square - MatrixRF.zero(CTX, 3, 2)
+
+
 def test_det_matches_permutation_expansion():
     rng = random.Random(2)
     x = Poly.var(CTX, "x")

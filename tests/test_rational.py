@@ -208,6 +208,22 @@ def test_exact_div_detects_non_divisibility():
     x, y = v("x"), v("y")
     assert poly_exact_div(x * x - 1, x - 1) == x + 1
     assert poly_exact_div(x * x - 1, y) is None
+    # division is in Z[x]: 2x - 2 divides x^2 - 1 only over Q
+    assert poly_exact_div(x * x - 1, 2 * x - 2) is None
+    assert poly_exact_div(2 * x * x - 2, 2 * x - 2) == x + 1
+
+
+def test_poly_coefficients_are_integers():
+    x = v("x")
+    assert Poly.const(CTX, Q(6, 3)) == 2
+    assert x * Q(4, 2) == 2 * x
+    with pytest.raises(ValueError, match="RatFunc.const"):
+        Poly.const(CTX, Q(1, 2))
+    with pytest.raises(ValueError, match="RatFunc.const"):
+        x * Q(1, 2)
+    half = RatFunc.const(CTX, Q(-1, 2))
+    assert (str(half.num), str(half.den)) == ("-1", "2")
+    assert half.const_value() == Q(-1, 2)
 
 
 # --- casting / substitution -------------------------------------------------

@@ -6,6 +6,7 @@ from leafnorm.errors import (
     DegenerateFPart, LeafCheckFailed, NotFirstOrder,
     NotHorizontallyNondegenerate,
 )
+from leafnorm.models import linear_poisson, so3
 from leafnorm.multivector import DiffForm, Multivector, is_poisson, schouten
 from leafnorm.omega import (
     MixedElement, dilation, ds_n, euler_field, gamma_S, ltimes_bracket,
@@ -115,6 +116,20 @@ def test_decompose_requires_nondegenerate():
     vertical_only = Multivector(CTX3, {(2, 3): RatFunc.one(CTX3)})
     with pytest.raises(NotHorizontallyNondegenerate):
         decompose(vertical_only)
+
+
+def test_decompose_point_leaf():
+    # p = 0: the leaf is a point and the whole bivector is vertical
+    ctx = ChartContext(base=[], fiber=["y1", "y2", "y3"])
+    theta = linear_poisson(so3(), ctx)
+    gamma = decompose(theta)
+    assert gamma.v_part == MixedElement.from_terms(
+        ctx, [(((), (), key), c) for key, c in theta.terms.items()])
+    assert gamma.is_dirac()
+    assert assemble(gamma) == theta
+    broken = Multivector.from_terms(ctx, [
+        ((0, 1), RatFunc.var(ctx, "y1")), ((1, 2), RatFunc.var(ctx, "y2"))])
+    assert not decompose(broken).is_dirac()
 
 
 def test_assemble_frozen_example():
