@@ -10,17 +10,19 @@ Grammar (one chart per program, bindings before commands):
     rhs       := catalog | expr
     catalog   := "so3" ["(" ")"] | "heisenberg3" ["(" ")"]
                | "sphere_so3" "(" ("true"|"false") ")"
-               | "product" "(" ID "," ID ")"
-               | "period_model" "(" expr ("," expr)* ")"
-    command   := "check" ("jacobi"|"dirac") "(" ID ")" ";"
-               | "decompose" "(" ID ")" ";" | "structure_eqs" "(" ID ")" ";"
-               | "jet" "(" ID "," INT ")" ";" | "moser" "(" ID ")" ";"
-               | "chain_map" "(" ID "," ID ")" ";"
-               | "monodromy" "(" ID ("," point)? ")" ";"
-               | "ratio_constancy" "(" ID ")" ";" | "affine" "(" ID ")" ";"
-               | "int_identity" "(" expr ";" expr ("," expr)* ")" ";"
-               | "emit" "(" ID ")" ";"
-    point     := "[" expr ("," expr)* "]"
+               | "product" "(" NAME "," NAME ")" | "period_model" "(" exprs ")"
+    command   := "check" ("jacobi"|"dirac") "(" NAME ")" ";"
+               | ("decompose"|"structure_eqs"|"moser") "(" NAME ")" ";"
+               | ("ratio_constancy"|"affine"|"emit") "(" NAME ")" ";"
+               | "jet" "(" NAME "," INT ")" ";"
+               | "chain_map" "(" NAME "," NAME ")" ";"
+               | "monodromy" "(" NAME ("," "[" exprs "]")? ")" ";"
+               | "int_identity" "(" expr ";" exprs ")" ";"
+    exprs     := expr ("," expr)*
+
+NAME is an ID bound by an earlier binding, INT is [0-9]+, and an ID is a
+letter or "_" followed by letters, digits and "_".  GRAMMAR declares each
+catalog entry and command once; the parser and the printer both read it.
 
 Expressions are rational arithmetic (integer literals only; rationals are
 quotients) over identifiers and the basis symbols `d/dX` (contravariant) and
@@ -28,17 +30,18 @@ quotients) over identifiers and the basis symbols `d/dX` (contravariant) and
 of scalars.  `#` starts a line comment.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ChartRedeclared, DslSyntaxError, UnknownIdentifier
 
 __all__ = [
-    "tokenize", "parse", "print_program", "Program", "ChartDecl", "Binding",
-    "ENum", "EVar", "EBasisVec", "EBasisForm", "ENeg", "EBin", "Catalog",
-    "CmdCheckJacobi", "CmdCheckDirac", "CmdDecompose", "CmdStructureEqs",
-    "CmdJet", "CmdMoser", "CmdChainMap", "CmdMonodromy", "CmdRatioConstancy",
-    "CmdAffine", "CmdIntIdentity", "CmdEmit",
+    "tokenize", "parse", "print_program", "GRAMMAR", "Program", "ChartDecl",
+    "Binding", "ENum", "EVar", "EBasisVec", "EBasisForm", "ENeg", "EBin",
+    "Catalog", "CmdCheckJacobi", "CmdCheckDirac", "CmdDecompose",
+    "CmdStructureEqs", "CmdJet", "CmdMoser", "CmdChainMap", "CmdMonodromy",
+    "CmdRatioConstancy", "CmdAffine", "CmdIntIdentity", "CmdEmit",
 ]
 
 
@@ -166,18 +169,53 @@ class Program:
     commands: Tuple
 
 
-CATALOG_NAMES = ("so3", "heisenberg3", "sphere_so3", "product", "period_model")
+# Every catalog entry and command: its words, its AST node and one argument
+# kind per argument (see _ARGS).  A command node takes the arguments as its
+# fields, in order; a catalog entry becomes Catalog(words, arguments).
+GRAMMAR = (
+    ("so3", Catalog, ()),
+    ("heisenberg3", Catalog, ()),
+    ("sphere_so3", Catalog, ("bool",)),
+    ("product", Catalog, ("name", "name")),
+    ("period_model", Catalog, ("exprs",)),
+    ("check jacobi", CmdCheckJacobi, ("name",)),
+    ("check dirac", CmdCheckDirac, ("name",)),
+    ("decompose", CmdDecompose, ("name",)),
+    ("structure_eqs", CmdStructureEqs, ("name",)),
+    ("jet", CmdJet, ("name", "int")),
+    ("moser", CmdMoser, ("name",)),
+    ("chain_map", CmdChainMap, ("name", "name")),
+    ("monodromy", CmdMonodromy, ("name", "point")),
+    ("ratio_constancy", CmdRatioConstancy, ("name",)),
+    ("affine", CmdAffine, ("name",)),
+    ("int_identity", CmdIntIdentity, ("expr", "basis")),
+    ("emit", CmdEmit, ("name",)),
+)
+
+_CATALOG = {words: kinds for words, node, kinds in GRAMMAR if node is Catalog}
+_COMMANDS = {words: (node, kinds) for words, node, kinds in GRAMMAR
+             if node is not Catalog}
+_WORDS = {node: (words, kinds) for words, (node, kinds) in _COMMANDS.items()}
 
 
 # --- lexer ------------------------------------------------------------------------
-
-_PUNCT = "{}[]();,="
-_OPS = "+-*/^"
 
 # Deepest expression tree, and deepest parenthesis nesting, the parser
 # accepts.  Parsing, evaluation and printing recurse once per level, and at
 # this depth all three stay well inside Python's default recursion limit.
 MAX_DEPTH = 100
+
+# Blanks, then one token, or a comment or the end of the line (no group).
+# [^\W\d] also matches numerals such as "²", so names after d/d (D) and
+# names that start outside ASCII (U) must pass str.isalpha.  (A verbose
+# pattern would take longer to compile, in every process that parses.)
+_TOKEN = re.compile(r"[ \t\r]*(?:"
+                    r"(?P<P>[-+*/^{}\[\]();,=:])"
+                    r"|d/d(?P<D>[^\W\d]\w*)"
+                    r"|(?P<INT>[0-9]+)"
+                    r"|(?P<IDENT>[A-Za-z_]\w*)"
+                    r"|\#.*|$"
+                    r"|(?P<U>[^\W\d]\w*|.))")
 
 
 class Token:
@@ -194,68 +232,30 @@ class Token:
                                          self.col)
 
 
-def _ident_start(c):
-    return c.isalpha() or c == "_"
-
-
-def _ident_char(c):
-    return c.isalnum() or c == "_"
-
-
 def tokenize(source):
     tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        # the contravariant basis symbol d/dX
-        if source.startswith("d/d", i) and i + 3 < n and \
-                _ident_start(source[i + 3]):
-            j = i + 3
-            while j < n and _ident_char(source[j]):
-                j += 1
-            tokens.append(Token("DDVAR", source[i + 3:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if _ident_start(c):
-            j = i
-            while j < n and _ident_char(source[j]):
-                j += 1
-            tokens.append(Token("IDENT", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT or c in _OPS or c == ":":
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError("unexpected character %r" % c, line, col)
-    tokens.append(Token("EOF", "", line, col))
+    append = tokens.append
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            name = m.group(kind)
+            col = m.start(kind) + 1
+            if kind == "P":
+                kind = name
+            elif kind == "D" or kind == "U":
+                if not (name[0].isalpha() or name[0] == "_"):
+                    raise DslSyntaxError("unexpected character %r" % name[0],
+                                         line, col)
+                if kind == "D":
+                    kind, col = "DDVAR", col - 3
+                else:
+                    kind = "IDENT"
+            append(Token(kind, name, line, col))
+    # a trailing comment does not move the end of input
+    append(Token("EOF", "", len(lines), len(lines[-1].split("#", 1)[0]) + 1))
     return tokens
 
 
@@ -271,8 +271,9 @@ class _Parser:
         self.ops = 0
         self.parens = 0
 
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self):
+        # the tokens end with EOF, and next() never moves past it
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -295,6 +296,22 @@ class _Parser:
                                  % (word, tok.text or "end of input"),
                                  tok.line, tok.col)
         return self.next()
+
+    def comma_list(self, item):
+        """item ("," item)*, as a tuple."""
+        items = [item()]
+        while self.peek().kind == ",":
+            self.next()
+            items.append(item())
+        return tuple(items)
+
+    def bracketed(self, item, empty=False):
+        """A list [item, item, ...] as a tuple; "[]" only if empty is set."""
+        self.expect("[")
+        items = () if empty and self.peek().kind == "]" else \
+            self.comma_list(item)
+        self.expect("]")
+        return items
 
     # -- program -----------------------------------------------------------
 
@@ -319,33 +336,19 @@ class _Parser:
     def chart_decl(self):
         self.expect_word("chart")
         self.expect("{")
-        self.expect_word("base")
-        self.expect(":")
-        base = self.idlist()
-        self.expect(";")
-        self.expect_word("fiber")
-        self.expect(":")
-        fiber = self.idlist()
-        self.expect(";")
-        params = ()
-        if self.peek().kind == "IDENT" and self.peek().text == "params":
-            self.next()
+        lists = []
+        for word in ("base", "fiber", "params"):
+            tok = self.peek()
+            if word == "params" and (tok.kind, tok.text) != ("IDENT", word):
+                lists.append(())
+                continue
+            self.expect_word(word)
             self.expect(":")
-            params = self.idlist()
+            lists.append(self.bracketed(
+                lambda: self.expect("IDENT", "identifier").text, empty=True))
             self.expect(";")
         self.expect("}")
-        return ChartDecl(base, fiber, params)
-
-    def idlist(self):
-        self.expect("[")
-        names = []
-        if self.peek().kind != "]":
-            names.append(self.expect("IDENT", "identifier").text)
-            while self.peek().kind == ",":
-                self.next()
-                names.append(self.expect("IDENT", "identifier").text)
-        self.expect("]")
-        return tuple(names)
+        return ChartDecl(*lists)
 
     def binding(self):
         self.expect_word("let")
@@ -358,123 +361,62 @@ class _Parser:
 
     def rhs(self):
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.text in CATALOG_NAMES:
-            return self.catalog()
-        return self.expr()
+        kinds = _CATALOG.get(tok.text) if tok.kind == "IDENT" else None
+        if kinds is None:
+            return self.expr()
+        self.next()
+        return Catalog(tok.text, tuple(self.arguments(kinds)))
 
-    def catalog(self):
-        tok = self.next()
-        name = tok.text
-        if name in ("so3", "heisenberg3"):
-            if self.peek().kind == "(":
-                self.next()
-                self.expect(")")
-            return Catalog(name, ())
+    def command(self):
+        tok = self.expect("IDENT", "command")
+        words, second = tok.text, self.peek()
+        if second.kind == "IDENT" and words + " " + second.text in _COMMANDS:
+            words += " " + self.next().text     # a two-word command
+        if words not in _COMMANDS:
+            raise DslSyntaxError("unknown command %r" % words, tok.line,
+                                 tok.col)
+        node, kinds = _COMMANDS[words]
+        out = node(*self.arguments(kinds))
+        self.expect(";")
+        return out
+
+    def arguments(self, kinds):
+        """The argument list of a GRAMMAR entry, one value per argument.
+        An entry without arguments may leave out the parentheses."""
+        values = []
+        if not kinds and self.peek().kind != "(":
+            return values
         self.expect("(")
-        if name == "sphere_so3":
-            flag = self.expect("IDENT", "true or false")
-            if flag.text not in ("true", "false"):
-                raise DslSyntaxError("expected true or false, found %r"
-                                     % flag.text, flag.line, flag.col)
-            self.expect(")")
-            return Catalog(name, (flag.text == "true",))
-        if name == "product":
-            a = self._bound_name()
-            self.expect(",")
-            b = self._bound_name()
-            self.expect(")")
-            return Catalog(name, (a, b))
-        # period_model
-        exprs = [self.expr()]
-        while self.peek().kind == ",":
-            self.next()
-            exprs.append(self.expr())
+        for i, kind in enumerate(kinds):
+            sep, read, _ = _ARGS[kind]
+            if kind == "point" and self.peek().kind != sep:
+                values.append(None)     # optional, and absent
+                continue
+            if i:
+                self.expect(sep)
+            if kind == "exprs":         # the remaining arguments
+                values += read(self)
+            else:
+                values.append(read(self))
         self.expect(")")
-        return Catalog(name, tuple(exprs))
+        return values
 
-    def _bound_name(self):
+    def bound_name(self):
         tok = self.expect("IDENT", "bound name")
         if tok.text not in self.bound:
             raise UnknownIdentifier("name %r is not bound" % tok.text,
                                     tok.line, tok.col)
         return tok.text
 
-    # -- commands -------------------------------------------------------------
+    def boolean(self):
+        flag = self.expect("IDENT", "true or false")
+        if flag.text not in ("true", "false"):
+            raise DslSyntaxError("expected true or false, found %r"
+                                 % flag.text, flag.line, flag.col)
+        return flag.text == "true"
 
-    def command(self):
-        tok = self.expect("IDENT", "command")
-        word = tok.text
-        if word == "check":
-            sub = self.expect("IDENT", "jacobi or dirac")
-            if sub.text == "jacobi":
-                out = CmdCheckJacobi(self._paren_name())
-            elif sub.text == "dirac":
-                out = CmdCheckDirac(self._paren_name())
-            else:
-                raise DslSyntaxError("expected jacobi or dirac after check, "
-                                     "found %r" % sub.text, sub.line, sub.col)
-        elif word == "decompose":
-            out = CmdDecompose(self._paren_name())
-        elif word == "structure_eqs":
-            out = CmdStructureEqs(self._paren_name())
-        elif word == "jet":
-            self.expect("(")
-            name = self._bound_name()
-            self.expect(",")
-            order = int(self.expect("INT", "jet order").text)
-            self.expect(")")
-            out = CmdJet(name, order)
-        elif word == "moser":
-            out = CmdMoser(self._paren_name())
-        elif word == "chain_map":
-            self.expect("(")
-            name = self._bound_name()
-            self.expect(",")
-            arg = self._bound_name()
-            self.expect(")")
-            out = CmdChainMap(name, arg)
-        elif word == "monodromy":
-            self.expect("(")
-            name = self._bound_name()
-            point = None
-            if self.peek().kind == ",":
-                self.next()
-                self.expect("[")
-                entries = [self.expr()]
-                while self.peek().kind == ",":
-                    self.next()
-                    entries.append(self.expr())
-                self.expect("]")
-                point = tuple(entries)
-            self.expect(")")
-            out = CmdMonodromy(name, point)
-        elif word == "ratio_constancy":
-            out = CmdRatioConstancy(self._paren_name())
-        elif word == "affine":
-            out = CmdAffine(self._paren_name())
-        elif word == "int_identity":
-            self.expect("(")
-            func = self.expr()
-            self.expect(";")
-            basis = [self.expr()]
-            while self.peek().kind == ",":
-                self.next()
-                basis.append(self.expr())
-            self.expect(")")
-            out = CmdIntIdentity(func, tuple(basis))
-        elif word == "emit":
-            out = CmdEmit(self._paren_name())
-        else:
-            raise DslSyntaxError("unknown command %r" % word, tok.line,
-                                 tok.col)
-        self.expect(";")
-        return out
-
-    def _paren_name(self):
-        self.expect("(")
-        name = self._bound_name()
-        self.expect(")")
-        return name
+    def exprs(self):
+        return self.comma_list(self.expr)
 
     # -- expressions --------------------------------------------------------------
 
@@ -536,12 +478,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            return ENum(int(tok.text))
+            return ENum(_int(tok))
         if tok.kind == "DDVAR":
             self.next()
             return EBasisVec(tok.text)
         if tok.kind == "IDENT":
-            if tok.text == "dx" and self.peek(1).kind == "[":
+            if tok.text == "dx" and self.tokens[self.pos + 1].kind == "[":
                 self.next()
                 self.next()
                 name = self.expect("IDENT", "variable name").text
@@ -561,6 +503,14 @@ class _Parser:
         raise DslSyntaxError("unexpected token %r"
                              % (tok.text or "end of input"),
                              tok.line, tok.col)
+
+
+def _int(tok):
+    try:
+        return int(tok.text)
+    except ValueError:      # beyond Python's int-to-str digit limit
+        raise DslSyntaxError("integer literal of %d digits is too long"
+                             % len(tok.text), tok.line, tok.col) from None
 
 
 def _depth(node):
@@ -600,57 +550,56 @@ def _pexpr(e):
     raise TypeError("not an expression node: %r" % (e,))
 
 
+def _pexprs(exprs):
+    return ", ".join(_pexpr(e) for e in exprs)
+
+
+# argument kind -> (separator before it, reader, printer).  A "point" may be
+# left out, with its separator; it is None then.  "exprs" takes the
+# remaining arguments, one expression each.
+_ARGS = {
+    "name": (",", _Parser.bound_name, str),
+    "int": (",", lambda p: _int(p.expect("INT", "integer")), str),
+    "bool": (",", _Parser.boolean, lambda b: "true" if b else "false"),
+    "expr": (",", _Parser.expr, _pexpr),
+    "exprs": (",", _Parser.exprs, _pexprs),
+    "point": (",", lambda p: p.bracketed(p.expr),
+              lambda exprs: "[%s]" % _pexprs(exprs)),
+    "basis": (";", _Parser.exprs, _pexprs),
+}
+
+
+def _pentry(words, kinds, values):
+    """A GRAMMAR entry with its argument values, as source text."""
+    if not kinds:
+        return words
+    if kinds[-1] == "exprs":
+        values = values[:len(kinds) - 1] + (values[len(kinds) - 1:],)
+    parts = []
+    for kind, value in zip(kinds, values):
+        if value is not None:
+            sep, _, write = _ARGS[kind]
+            parts.append((sep + " " if parts else "") + write(value))
+    return "%s(%s)" % (words, "".join(parts))
+
+
 def _prhs(rhs):
     if isinstance(rhs, Catalog):
-        if rhs.name in ("so3", "heisenberg3"):
-            return rhs.name
-        if rhs.name == "sphere_so3":
-            return "sphere_so3(%s)" % ("true" if rhs.args[0] else "false")
-        if rhs.name == "product":
-            return "product(%s, %s)" % rhs.args
-        return "period_model(%s)" % ", ".join(_pexpr(e) for e in rhs.args)
+        return _pentry(rhs.name, _CATALOG[rhs.name], rhs.args)
     return _pexpr(rhs)
 
 
 def _pcmd(cmd):
-    if isinstance(cmd, CmdCheckJacobi):
-        return "check jacobi(%s);" % cmd.target
-    if isinstance(cmd, CmdCheckDirac):
-        return "check dirac(%s);" % cmd.target
-    if isinstance(cmd, CmdDecompose):
-        return "decompose(%s);" % cmd.target
-    if isinstance(cmd, CmdStructureEqs):
-        return "structure_eqs(%s);" % cmd.target
-    if isinstance(cmd, CmdJet):
-        return "jet(%s, %d);" % (cmd.target, cmd.order)
-    if isinstance(cmd, CmdMoser):
-        return "moser(%s);" % cmd.target
-    if isinstance(cmd, CmdChainMap):
-        return "chain_map(%s, %s);" % (cmd.target, cmd.argument)
-    if isinstance(cmd, CmdMonodromy):
-        if cmd.point is None:
-            return "monodromy(%s);" % cmd.target
-        return "monodromy(%s, [%s]);" % (
-            cmd.target, ", ".join(_pexpr(e) for e in cmd.point))
-    if isinstance(cmd, CmdRatioConstancy):
-        return "ratio_constancy(%s);" % cmd.target
-    if isinstance(cmd, CmdAffine):
-        return "affine(%s);" % cmd.target
-    if isinstance(cmd, CmdIntIdentity):
-        return "int_identity(%s; %s);" % (
-            _pexpr(cmd.func), ", ".join(_pexpr(e) for e in cmd.basis))
-    if isinstance(cmd, CmdEmit):
-        return "emit(%s);" % cmd.target
-    raise TypeError("not a command node: %r" % (cmd,))
+    words, kinds = _WORDS[type(cmd)]
+    return _pentry(words, kinds, tuple(vars(cmd).values())) + ";"
 
 
 def print_program(p):
     """Canonical source text; parse(print_program(p)) reproduces the AST."""
     lines = []
-    parts = ["base:[%s];" % ", ".join(p.chart.base),
-             "fiber:[%s];" % ", ".join(p.chart.fiber)]
-    if p.chart.params:
-        parts.append("params:[%s];" % ", ".join(p.chart.params))
+    parts = ["%s:[%s];" % (word, ", ".join(names))
+             for word, names in vars(p.chart).items()
+             if names or word != "params"]
     lines.append("chart { %s }" % " ".join(parts))
     for b in p.bindings:
         lines.append("let %s = %s;" % (b.name, _prhs(b.rhs)))

@@ -10,6 +10,7 @@ are byte-identical across runs.
 """
 
 import json
+import math
 
 from . import dsl
 from .errors import LeafnormError, LimitExceeded, UnknownIdentifier
@@ -38,11 +39,21 @@ from .vorobjev import (
     chain_map_residual,
 )
 
-__all__ = ["execute", "emit", "Report", "CommandRecord", "MAX_EXPONENT"]
+__all__ = ["execute", "emit", "Report", "CommandRecord", "MAX_EXPONENT",
+           "MAX_POWER_BITS", "MAX_JET_ORDER"]
 
 # Largest |n| in a scalar power f^n.  Repeated squaring of a non-monomial or
 # of a constant builds dense or huge results long before n gets large.
 MAX_EXPONENT = 1000
+
+# Largest bound on the size of a scalar power, in bits (see _power_bits).
+# u^1000 is bounded by about 2.0e6 bits; (1 + u + v)^1000 by 1.5e9.
+MAX_POWER_BITS = 1 << 22
+
+# Highest jet order.  The jet sums every Taylor order up to n, and each order
+# costs more than the last: order 16 of the sphere model takes 1.6 s on a
+# 2-vCPU host, order 32 about 40 s.
+MAX_JET_ORDER = 16
 
 
 class CommandRecord:
@@ -140,13 +151,31 @@ def _apply_binop(op, left, right):
             if abs(ev) > MAX_EXPONENT:
                 raise LimitExceeded("exponent %s exceeds the limit %d"
                                     % (ev, MAX_EXPONENT))
-            return Graded.scalar(left.scalar_value() ** int(ev))
+            base, n = left.scalar_value(), int(ev)
+            bits = _power_bits(base.num, abs(n)) + \
+                _power_bits(base.den, abs(n))
+            if bits > MAX_POWER_BITS:
+                raise LimitExceeded("power may take %d bits, over the limit "
+                                    "%d" % (bits, MAX_POWER_BITS))
+            return Graded.scalar(base ** n)
         if right.is_scalar() and not left.is_scalar():
             e = right.scalar_value()
             if e.is_const():
                 raise _EvalError("cannot raise a wedge to a power")
         return left.wedge(right)
     raise _EvalError("unknown operator %r" % op)
+
+
+def _power_bits(poly, n):
+    """Upper bound on the size of poly^n in bits: at most C(n*deg + v, v)
+    terms in its v variables, each coefficient below (t * 2^b)^n for t terms
+    of at most b bits."""
+    if not poly.terms:
+        return 0
+    nvars = sum(1 for exps in zip(*poly.terms) if any(exps))
+    terms = math.comb(n * poly.total_degree() + nvars, nvars)
+    bits = max(abs(c).bit_length() for c in poly.terms.values())
+    return terms * n * (bits + len(poly.terms).bit_length())
 
 
 def _classify(val):
@@ -247,6 +276,9 @@ def _run_command(cmd, ctx, env):
         rs = structure_equations(gamma)
         return _residual_record(cmd, [str(r) for r in rs])
     if isinstance(cmd, dsl.CmdJet):
+        if cmd.order > MAX_JET_ORDER:
+            raise LimitExceeded("jet order %d exceeds the limit %d"
+                                % (cmd.order, MAX_JET_ORDER))
         gamma = decompose(_lookup(env, cmd.target, Multivector))
         if cmd.order == 1:
             j = first_jet_model(gamma).as_mixed()

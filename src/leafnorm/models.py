@@ -199,10 +199,6 @@ class PeriodModel:
             if den_at.is_zero():
                 raise SingularPoint("period is singular at the base point")
 
-    @property
-    def h2_rank(self):
-        return len(self.periods)
-
     def __str__(self):
         return "period_model(transverse=[%s]; periods=(%s))" % (
             ", ".join(self.transverse),

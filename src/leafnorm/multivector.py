@@ -283,10 +283,6 @@ class _Flat(Graded):
             raise NonHomogeneous("mixed degrees %s" % (degs,))
         return degs[0]
 
-    def degree_part(self, k):
-        return type(self)(self.context,
-                          {m: c for m, c in self.terms.items() if len(m) == k})
-
 
 class Multivector(_Flat):
     """Sparse wedge expansion over d/dx^i, d/dy^a."""

@@ -64,15 +64,6 @@ class ChartContext:
         except KeyError:
             raise UnknownVariable("unknown variable %r" % (name,)) from None
 
-    def is_fiber_index(self, i):
-        return i >= self.nparams + self.p
-
-    def fiber_indices(self):
-        return range(self.nparams + self.p, len(self.vars))
-
-    def base_indices(self):
-        return range(self.nparams, self.nparams + self.p)
-
     def with_param(self, name):
         """Context extended by one formal parameter (appended to params)."""
         if name in self._index:
@@ -171,13 +162,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(m[i] for m in self.terms)
-
-    def fiber_degree(self):
-        """Largest fiber-variable degree of any monomial; -1 for 0."""
-        if not self.terms:
-            return -1
-        lo = self.ctx.nparams + self.ctx.p
-        return max(sum(m[lo:]) for m in self.terms)
 
     def depends_on(self, i):
         return any(m[i] for m in self.terms)
@@ -788,11 +772,6 @@ class RatFunc:
             raise SingularAtZeroSection(
                 "denominator vanishes on the zero section: %s" % (self.den,))
         return d0
-
-    def fiber_zero(self):
-        """Value on the zero section (all fiber variables set to 0)."""
-        d0 = self._check_fiber_regular()
-        return ratfunc_normalize(self.num.eval_fiber_zero(), d0)
 
     def fiber_homogeneous_part(self, d):
         """Fiber-degree-d homogeneous part of the Taylor expansion at y = 0."""

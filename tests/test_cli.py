@@ -156,6 +156,23 @@ def test_expression_depth_limit(tmp_path):
     assert "line 2" in res.stderr
 
 
+def test_hostile_literals_exit_2(tmp_path):
+    # "²" is a digit to str.isdigit, and int() refuses literals beyond
+    # Python's int-to-str digit limit (4300 by default)
+    digits = "9" * 5000
+    f = tmp_path / "literal.lnf"
+    for body, line in (("let a = \u00b2;\n", 2), ("let a = %s;\n" % digits, 2),
+                       ("let p = d/du ^ d/dv;\njet(p, %s);\n" % digits, 3)):
+        f.write_text("chart { base:[u, v]; fiber:[y]; }\n" + body,
+                     encoding="utf-8")
+        res = run_cli(["run", str(f)])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        assert "(line %d, col " % line in res.stderr
+
+
 def test_sphere_pipeline_all_ok():
     path = leafnorm.sphere_pipeline_path()
     res = run_cli(["check", path])

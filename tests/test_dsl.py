@@ -7,7 +7,8 @@ from leafnorm.dsl import (
 from leafnorm.errors import (
     ChartRedeclared, DslSyntaxError, UnknownIdentifier,
 )
-from leafnorm.interp import MAX_EXPONENT, execute
+from leafnorm import interp, rational
+from leafnorm.interp import MAX_EXPONENT, MAX_JET_ORDER, execute
 
 
 SMOKE = """
@@ -147,6 +148,48 @@ emit(c);
         assert not r.ok
         assert r.value.startswith("error: LimitExceeded: exponent ")
     assert records[3].ok and records[3].value == "u^%d" % MAX_EXPONENT
+
+
+def test_power_size_and_jet_order_limits(monkeypatch):
+    # a power or jet past its limit must be refused before any work: the
+    # spies fail, rather than hang, if one of them slipped through
+    power = rational.RatFunc.__pow__
+
+    def guarded_power(f, n):
+        bits = max(abs(c).bit_length() for c in f.num.terms.values())
+        assert abs(n) < 1000 or (len(f.num.terms) == 1 and bits < 2000)
+        return power(f, n)
+
+    def no_decompose(theta):
+        raise AssertionError("decompose ran")
+
+    monkeypatch.setattr(rational.RatFunc, "__pow__", guarded_power)
+    monkeypatch.setattr(interp, "decompose", no_decompose)
+    src = """
+chart { base:[u, v]; fiber:[y]; }
+let a = (1 + u + v)^1000;
+let b = ((2^1000)^1000)^1000;
+let c = u^1000;
+let p = d/du ^ d/dv;
+jet(p, 1000000000);
+emit(c);
+"""
+    records = execute(parse(src)).records
+    assert [r.cmd for r in records] == ["let a", "let b", "jet(p, 1000000000)",
+                                        "emit(c)"]
+    for r in records[:2]:
+        assert not r.ok
+        assert r.value.startswith("error: LimitExceeded: power may take ")
+    assert not records[2].ok
+    assert records[2].value == ("error: LimitExceeded: jet order 1000000000 "
+                                "exceeds the limit %d" % MAX_JET_ORDER)
+    assert records[3].ok and records[3].value == "u^1000"
+
+
+def test_jet_at_order_limit_runs():
+    src = ("chart { base:[u, v]; fiber:[y]; }\nlet p = d/du ^ d/dv;\n"
+           "jet(p, %d);\n" % MAX_JET_ORDER)
+    assert execute(parse(src)).records[0].ok
 
 
 def test_no_float_literals():

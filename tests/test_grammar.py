@@ -1,0 +1,122 @@
+"""The DSL grammar: print_program and parse are inverse on random programs
+that use every catalog entry and command, and the command nodes keep the
+names the benchmark tracer derives its per-command spans from.
+"""
+
+import importlib.util
+import inspect
+import pathlib
+import re
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from leafnorm import dsl, interp
+from leafnorm.dsl import (
+    Binding, Catalog, ChartDecl, CmdAffine, CmdChainMap, CmdCheckDirac,
+    CmdCheckJacobi, CmdDecompose, CmdEmit, CmdIntIdentity, CmdJet,
+    CmdMonodromy, CmdMoser, CmdRatioConstancy, CmdStructureEqs, EBasisForm,
+    EBasisVec, EBin, ENeg, ENum, EVar, Program, parse, print_program,
+)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# identifiers that are not catalog names ("dx" is one only before "[")
+IDS = st.sampled_from(["a", "b", "u", "y1", "PI", "dx", "let", "_t"])
+
+EXPRS = st.recursive(
+    st.one_of(st.builds(ENum, st.integers(0, 10 ** 30)), st.builds(EVar, IDS),
+              st.builds(EBasisVec, IDS), st.builds(EBasisForm, IDS)),
+    lambda sub: st.one_of(st.builds(ENeg, sub),
+                          st.builds(EBin, st.sampled_from("+-*/^"), sub, sub)),
+    max_leaves=8)
+
+
+def _tuples(elements):
+    return st.lists(elements, min_size=1, max_size=3).map(tuple)
+
+
+def _catalog(bound):
+    """Catalog name -> strategy for its arguments, over the bound names."""
+    name = st.sampled_from(bound)
+    return {"so3": st.just(()), "heisenberg3": st.just(()),
+            "sphere_so3": st.tuples(st.booleans()),
+            "product": st.tuples(name, name),
+            "period_model": _tuples(EXPRS)}
+
+
+def _commands(bound):
+    """Command node -> strategy for the node, over the bound names."""
+    name = st.sampled_from(bound)
+    out = {cls: st.builds(cls, name) for cls in (
+        CmdCheckJacobi, CmdCheckDirac, CmdDecompose, CmdStructureEqs,
+        CmdMoser, CmdRatioConstancy, CmdAffine, CmdEmit)}
+    out.update({
+        CmdJet: st.builds(CmdJet, name, st.integers(0, 10 ** 6)),
+        CmdChainMap: st.builds(CmdChainMap, name, name),
+        CmdMonodromy: st.builds(CmdMonodromy, name,
+                                st.none() | _tuples(EXPRS)),
+        CmdIntIdentity: st.builds(CmdIntIdentity, EXPRS, _tuples(EXPRS)),
+    })
+    return out
+
+
+@st.composite
+def programs(draw):
+    """A program with every catalog entry and command, in random order,
+    among random expression bindings and repeated commands."""
+    idlists = st.lists(IDS, unique=True, max_size=3).map(tuple)
+    chart = ChartDecl(draw(idlists), draw(idlists), draw(idlists))
+    names = list(_catalog(["a"]))
+    bindings = [Binding(draw(IDS), draw(EXPRS))]
+    for name in draw(st.permutations(
+            names + draw(st.lists(st.none(), max_size=3)))):
+        bound = [b.name for b in bindings]
+        rhs = draw(EXPRS) if name is None else \
+            Catalog(name, draw(_catalog(bound)[name]))
+        bindings.append(Binding(draw(IDS), rhs))
+    commands = _commands([b.name for b in bindings])
+    nodes = list(commands)
+    nodes += draw(st.lists(st.sampled_from(nodes), max_size=4))
+    return Program(chart, tuple(bindings), tuple(
+        draw(commands[cls]) for cls in draw(st.permutations(nodes))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(programs())
+def test_print_parse_round_trip(program):
+    printed = print_program(program)
+    assert parse(printed) == program
+    assert print_program(parse(printed)) == printed
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grammar_entries_are_generated_and_named_for_the_tracer():
+    tracer = _tracer()
+    commands = [(words, node, kinds) for words, node, kinds in dsl.GRAMMAR
+                if node is not Catalog]
+    assert {w for w, node, _ in dsl.GRAMMAR if node is Catalog} == \
+        set(_catalog(["a"]))
+    assert {node for _, node, _ in commands} == set(_commands(["a"]))
+    # tracer.py names the span of a command by snake-casing its node's
+    # class name without "Cmd", and keeps one metric per span name
+    for words, node, kinds in commands:
+        camel = "".join(w.capitalize() for w in re.split("[ _]", words))
+        assert node.__name__ == "Cmd" + camel
+        assert tracer._cmd_kind(node(*[None] * len(kinds))) == \
+            words.replace(" ", "_")
+    assert set(tracer.CMD_KINDS) == {w.replace(" ", "_")
+                                     for w, _, _ in commands}
+    # the functions the tracer wraps by name
+    for module, name in ((dsl, "tokenize"), (dsl, "parse"),
+                         (interp, "_run_command")):
+        assert inspect.isfunction(vars(module)[name])
