@@ -20,7 +20,7 @@ def _load_program(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("leafnorm: cannot read %s: %s" % (path, exc), file=sys.stderr)
         raise SystemExit(2)
     try:

@@ -15,6 +15,7 @@ one into numerator and denominator and `RatFunc.const_value` joins them.
 """
 
 import math
+import operator
 from fractions import Fraction as Q
 
 from .errors import (
@@ -89,11 +90,11 @@ class ChartContext:
 def _mono_key(mono):
     # graded-lex: total degree, then reversed tuple so later (fiber) variables
     # are more significant on ties
-    return (sum(mono), tuple(reversed(mono)))
+    return (sum(mono), mono[::-1])
 
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 class Poly:
@@ -411,12 +412,20 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (primitive PRS) and exact division
+# multivariate gcd (heuristic, primitive PRS fallback) and exact division
 # ---------------------------------------------------------------------------
 
-def _primitive(polys, lead):
-    """Divide polys by their joint content, signed so that the coefficient
-    `lead` of one of them becomes positive."""
+# evaluation points the heuristic gcd tries before the PRS answers (as sympy)
+_HEU_POINTS = 6
+# the heuristic gives up, and the PRS answers, before it evaluates a variable
+# of degree d at a point xi with d * xi.bit_length() above this: that product
+# bounds the growth of the images' integers, which otherwise compounds over
+# the levels of the recursion (the benchmark workloads stay below 900)
+_HEU_MAX_BITS = 32768
+
+
+def _icontent(polys):
+    """Joint integer content of polys (0 when they are all zero)."""
     # pairwise: passing all coefficients to one math.gcd call builds an
     # argument tuple each time, and CPython's tuple free lists then kept
     # about 1 MB more peak RSS on the so(3)+so(3) workloads
@@ -424,6 +433,15 @@ def _primitive(polys, lead):
     for f in polys:
         for c in f.terms.values():
             g = math.gcd(g, c)
+            if g == 1:
+                return 1
+    return g
+
+
+def _primitive(polys, lead):
+    """Divide polys by their joint content, signed so that the coefficient
+    `lead` of one of them becomes positive."""
+    g = _icontent(polys)
     if lead < 0:
         g = -g
     if g == 1:
@@ -439,38 +457,60 @@ def _iprimitive(f):
     return _primitive([f], f.leading_coeff())[0]
 
 
+def _heap_key(mono):
+    # _mono_key negated, so that heapq pops the graded-lex largest first;
+    # poly_exact_div relies on this order being the one of Poly.leading
+    degree, rest = _mono_key(mono)
+    return (-degree, tuple(map(operator.neg, rest)))
+
+
 def poly_exact_div(f, g):
     """Exact quotient f/g in Z[x], or None when g does not divide f there.
 
     Every caller divides by a primitive `poly_gcd` result or by a polynomial
     by itself; by Gauss's lemma division in Z[x] and in Q[x] agree there.
+    The remainder is walked leading term first through a heap; a monomial
+    whose coefficient cancelled leaves a stale entry that is skipped.
     """
+    # imported here: at module level it would add about 0.5 ms, 2 % of the
+    # set-up time of a small program, to every `import leafnorm`
+    import heapq
+
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
         return Poly.zero(f.ctx)
     gm, gc = g.leading()
+    gtail = [(m, c) for m, c in g.terms.items() if m != gm]
     rem = dict(f.terms)
+    heap = [(_heap_key(m), m) for m in rem]
+    heapq.heapify(heap)
     quo = {}
-    nvars = len(f.ctx.vars)
-    while rem:
-        fm = max(rem, key=_mono_key)
-        fc = rem[fm]
-        qm = tuple(fm[i] - gm[i] for i in range(nvars))
+    while heap:
+        fm = heapq.heappop(heap)[1]
+        fc = rem.pop(fm, 0)
+        if not fc:
+            continue
+        qm = tuple(map(operator.sub, fm, gm))
         if any(e < 0 for e in qm):
             return None
         qc, r = divmod(fc, gc)
         if r:
             return None
-        # the leading monomial of rem strictly decreases, so qm is new
+        # the updates stay below fm, so fm leaves rem for good and qm is new
         quo[qm] = qc
-        for m2, c2 in g.terms.items():
+        for m2, c2 in gtail:
             m = _mono_mul(qm, m2)
-            v = rem.get(m, 0) - qc * c2
-            if v:
-                rem[m] = v
+            v = rem.get(m)
+            if v is None:
+                rem[m] = -qc * c2
+                heapq.heappush(heap, (_heap_key(m), m))
             else:
-                rem.pop(m, None)
+                v -= qc * c2
+                if v:
+                    rem[m] = v
+                else:
+                    del rem[m]
     return Poly(f.ctx, quo)
 
 
@@ -523,18 +563,20 @@ def _content(coeffs):
     for c in coeffs:
         if c.is_zero():
             continue
-        g = c if g is None else poly_gcd(g, c)
+        g = c if g is None else _prs_gcd(g, c)
         if g.is_const():
             break
     return g
 
 
-def poly_gcd(f, g):
-    """Primitive gcd: content 1, positive leading coefficient."""
+def _gcd_operands(f, g):
+    """What both gcd paths share: (m, f, g) with f, g primitive, free of
+    monomial content and sharing a variable, and m their monomial gcd; or
+    (gcd, None, None) when that already settles it."""
     if f.is_zero():
-        return _iprimitive(g) if not g.is_zero() else g
+        return (_iprimitive(g) if not g.is_zero() else g), None, None
     if g.is_zero():
-        return _iprimitive(f)
+        return _iprimitive(f), None, None
     f = _iprimitive(f)
     g = _iprimitive(g)
     nvars = len(f.ctx.vars)
@@ -549,11 +591,40 @@ def poly_gcd(f, g):
         g = Poly(g.ctx, {tuple(e - gmin[i] for i, e in enumerate(m)): c
                          for m, c in g.terms.items()})
     mono_gcd = Poly(f.ctx, {common: 1})
-    if f.is_const() or g.is_const():
+    if f.is_const() or g.is_const() or not any(
+            f.depends_on(i) and g.depends_on(i) for i in range(nvars)):
+        return mono_gcd, None, None
+    return mono_gcd, f, g
+
+
+def poly_gcd(f, g):
+    """Primitive gcd: content 1, positive leading coefficient.
+
+    The heuristic gcd answers first and the primitive PRS when it gives up;
+    both find the gcd up to sign, so the result does not depend on the path.
+    """
+    mono_gcd, f, g = _gcd_operands(f, g)
+    if f is None:
         return mono_gcd
+    h = _heu_gcd(f, g)
+    if h is None:
+        h = _prs(f, g)
+    return _iprimitive(h * mono_gcd)
+
+
+def _prs_gcd(f, g):
+    """`poly_gcd` by the primitive PRS alone."""
+    mono_gcd, f, g = _gcd_operands(f, g)
+    if f is None:
+        return mono_gcd
+    return _iprimitive(_prs(f, g) * mono_gcd)
+
+
+def _prs(f, g):
+    """gcd of primitive f and g that share a variable, up to sign: the
+    primitive PRS in the shared variable of least degree."""
+    nvars = len(f.ctx.vars)
     shared = [i for i in range(nvars) if f.depends_on(i) and g.depends_on(i)]
-    if not shared:
-        return mono_gcd
     main = min(shared, key=lambda i: min(f.degree_in(i), g.degree_in(i)))
     fu = _to_univar(f, main)
     gu = _to_univar(g, main)
@@ -580,8 +651,98 @@ def poly_gcd(f, g):
         if not ca.is_const():
             a = [poly_exact_div(c, ca) for c in a]
         pp = _from_univar(a, main, f.ctx)
-    cont = poly_gcd(cf, cg)
-    return _iprimitive(pp * cont * mono_gcd)
+    return pp * _prs_gcd(cf, cg)
+
+
+def _heu_gcd(f, g):
+    """gcd of nonzero f and g with its integer content, up to sign, by the
+    heuristic gcd (GCDHEU); None when it gives up.
+
+    Char, Geddes and Gonnet (1989): set one variable to an integer xi, take
+    the gcd of the two images recursively, down to `math.gcd`, and read a
+    candidate off the symmetric xi-adic digits of that gcd.  Once the
+    integer content f and g share is taken out, a primitive candidate that
+    divides both is their gcd whenever xi >= 2 min(|f|, |g|) + 2 (Geddes,
+    Czapor and Labahn, Algorithms for Computer Algebra, Thm 7.7), so an
+    accepted answer is exact.
+    """
+    ctx = f.ctx
+    nvars = len(ctx.vars)
+    content = _icontent([f, g])
+    if f.is_const() or g.is_const():
+        return Poly(ctx, {(0,) * nvars: content})
+    if content != 1:
+        f, g = [Poly(ctx, {m: c // content for m, c in p.terms.items()})
+                for p in (f, g)]
+    fdeg, gdeg = _degrees(f), _degrees(g)
+    bound = list(map(min, fdeg, gdeg))
+    # the variable of highest degree first: its images have the fewest terms
+    x = max(range(nvars), key=lambda i: (max(fdeg[i], gdeg[i]), i))
+    xi = 2 * min(max(map(abs, f.terms.values())),
+                 max(map(abs, g.terms.values()))) + 2
+    xdeg = max(fdeg[x], gdeg[x])
+    for _ in range(_HEU_POINTS):
+        if xdeg * xi.bit_length() > _HEU_MAX_BITS:
+            return None
+        fx, gx = _evaluate(f, x, xi), _evaluate(g, x, xi)
+        if not (fx.is_zero() or gx.is_zero()):
+            h = _heu_gcd(fx, gx)
+            # an inner level that gives up ends the heuristic (as sympy):
+            # trying further points here would multiply its cost per level
+            if h is None:
+                return None
+            h = _iprimitive(_xi_adic(h, x, xi))
+            # a divisor has no higher degree in any variable, and the
+            # degrees are far cheaper to compare than a trial division
+            if all(map(operator.le, _degrees(h), bound)) \
+                    and poly_exact_div(f, h) is not None \
+                    and poly_exact_div(g, h) is not None:
+                return Poly(ctx, {m: c * content
+                                  for m, c in h.terms.items()})
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _degrees(f):
+    """Degree of nonzero f in each variable."""
+    return [max(e) for e in zip(*f.terms)]
+
+
+def _evaluate(f, x, xi):
+    """f with variable x set to the integer xi."""
+    out = {}
+    powers = [1]
+    for m, c in f.terms.items():
+        e = m[x]
+        if e:
+            while len(powers) <= e:
+                powers.append(powers[-1] * xi)
+            c *= powers[e]
+            m = m[:x] + (0,) + m[x + 1:]
+        out[m] = out.get(m, 0) + c
+    return Poly(f.ctx, {m: c for m, c in out.items() if c})
+
+
+def _xi_adic(h, x, xi):
+    """The polynomial in x whose coefficients are the symmetric xi-adic
+    digits of h (h free of x), lowest digit at x^0."""
+    out = {}
+    half = xi // 2
+    e = 0
+    terms = h.terms
+    while terms:
+        rest = {}
+        for m, c in terms.items():
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m[:x] + (e,) + m[x + 1:]] = d
+            if c != d:
+                rest[m] = (c - d) // xi
+        terms = rest
+        e += 1
+    return Poly(h.ctx, out)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,17 @@ def test_out_to_missing_directory_exits_2(tmp_path):
     assert "cannot write" in res.stderr
 
 
+def test_non_utf8_program_exits_2(tmp_path):
+    f = tmp_path / "latin1.lnf"
+    f.write_bytes(b"chart { base:[u]; fiber:[y]; }\nlet a = u; # \xff\n")
+    res = run_cli(["run", str(f)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert "cannot read" in res.stderr
+
+
 def _deep_expressions(depth):
     """Each shape that used to overflow the stack, `depth` levels deep."""
     return {"parens": "(" * depth + "u" + ")" * depth,

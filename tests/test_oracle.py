@@ -1,6 +1,7 @@
 """Exactness oracle for the kernel: canonical-form invariants, field laws and
-calculus rules as Hypothesis properties, plus a differential test of
-`ratfunc_normalize` and `poly_gcd` against sympy.
+calculus rules as Hypothesis properties, differential tests of
+`ratfunc_normalize` and `poly_gcd` against sympy and of the heuristic gcd
+against the primitive PRS, and exact division undoing multiplication.
 
 Inputs are random multivariate polynomials with small integer coefficients,
 built through the public constructors.  Numerators and denominators share a
@@ -14,8 +15,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from leafnorm import rational
 from leafnorm.rational import (
-    ChartContext, Poly, Q, RatFunc, poly_gcd, ratfunc_normalize,
+    ChartContext, Poly, Q, RatFunc, _prs_gcd, poly_exact_div, poly_gcd,
+    ratfunc_normalize,
 )
 
 CTX = ChartContext(base=["x"], fiber=["y", "z"])
@@ -133,13 +136,97 @@ def test_normalize_matches_sympy_cancel(nd):
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
-@given(nonzero_polys, polys, polys)
-def test_poly_gcd_matches_sympy(g, a, b):
+@given(nonzero_polys, polys, polys, st.integers(-6, 6).filter(bool))
+def test_poly_gcd_matches_sympy(g, a, b, k):
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols(CTX.vars)
-    a, b = a * g, b * g
+    # an integer multiple and a sign flip: the shared integer content of
+    # the operands must not leak into the primitive gcd
+    a, b = k * g * a, -g * b
     ours = sympy.Poly(_to_sympy(poly_gcd(a, b), syms), *syms)
     theirs = sympy.Poly(
         sympy.gcd(_to_sympy(a, syms), _to_sympy(b, syms)), *syms)
     # sympy keeps the integer content, poly_gcd is primitive
     assert ours in (theirs.primitive()[1], -theirs.primitive()[1])
+
+
+# --- heuristic gcd against the PRS; exact division ---------------------------
+
+@SETTINGS
+@given(nonzero_polys, polys, polys, st.integers(-6, 6).filter(bool))
+def test_poly_gcd_matches_prs(g, a, b, k):
+    a, b = k * g * a, g * b
+    assert poly_gcd(a, b) == _prs_gcd(a, b)
+
+
+def test_poly_gcd_falls_back_to_prs(monkeypatch):
+    x, y, z = (Poly.var(CTX, n) for n in CTX.vars)
+    g = z * z - 3 * x * y - 1
+    pairs = [(g * (x + 2 * z), -2 * g * (y * y - x)),
+             (g * g * (1 + y), 4 * g * (1 - y) * z)]
+    expected = [poly_gcd(a, b) for a, b in pairs]
+    assert expected[0] == g and expected[1] == g
+    gave_up = []
+    monkeypatch.setattr(rational, "_heu_gcd",
+                        lambda f, g: gave_up.append((f, g)))
+    assert [poly_gcd(a, b) for a, b in pairs] == expected
+    assert len(gave_up) == len(pairs)
+
+
+def test_inner_failure_ends_the_heuristic(monkeypatch):
+    x, y, z = (Poly.var(CTX, n) for n in CTX.vars)
+    g = z * z - 3 * x * y - 1
+    a, b = g * (x + 2 * z), -2 * g * (y * y - x)
+    heu, prs = rational._heu_gcd, rational._prs
+    depth, inner, fallbacks = [], [], []
+
+    def top_level_only(f, g):
+        # the recursion looks `_heu_gcd` up in the module: every level below
+        # the top one comes here and gives up
+        if depth:
+            inner.append((f, g))
+            return None
+        depth.append(f)
+        try:
+            return heu(f, g)
+        finally:
+            depth.pop()
+
+    def counted_prs(f, g):
+        fallbacks.append((f, g))
+        return prs(f, g)
+
+    monkeypatch.setattr(rational, "_heu_gcd", top_level_only)
+    monkeypatch.setattr(rational, "_prs", counted_prs)
+    assert poly_gcd(a, b) == g
+    # one failed image ends the heuristic: no further points are tried,
+    # and the PRS answers
+    assert len(inner) == 1
+    assert fallbacks
+
+
+@SETTINGS
+@given(nonzero_polys)
+def test_heap_order_is_the_leading_term_order(p):
+    # poly_exact_div pops the remainder by _heap_key and divides by
+    # g.leading(): the two orders must agree
+    assert min(p.terms, key=rational._heap_key) == p.leading()[0]
+
+
+# dense in few variables, so that products overlap and remainder terms of the
+# division cancel (and sometimes come back)
+dense_polys = _polys(2, 6)
+
+
+@SETTINGS
+@given(dense_polys, dense_polys.filter(lambda b: not b.is_const()),
+       st.integers(-5, 5).filter(bool), st.tuples(
+           *[st.integers(0, 3)] * len(CTX.vars)))
+def test_exact_div_undoes_multiplication(a, b, c, mono):
+    assert poly_exact_div(a * b, b) == a
+    # a nonconstant b divides no nonzero constant, and a monomial term
+    # only when b is a single term dividing it
+    assert poly_exact_div(a * b + 1, b) is None
+    t = Poly(CTX, {mono: c})
+    divisible = len(b.terms) == 1 and poly_exact_div(t, b) is not None
+    assert (poly_exact_div(a * b + t, b) is not None) == divisible

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from leafnorm import rational
 from leafnorm.errors import SingularAtZeroSection, UnknownVariable, ZeroDenominator
 from leafnorm.rational import (
     ChartContext, Poly, Q, RatFunc, fiber_taylor, partial_derive,
@@ -211,6 +212,45 @@ def test_exact_div_detects_non_divisibility():
     # division is in Z[x]: 2x - 2 divides x^2 - 1 only over Q
     assert poly_exact_div(x * x - 1, 2 * x - 2) is None
     assert poly_exact_div(2 * x * x - 2, 2 * x - 2) == x + 1
+
+
+def test_exact_div_remainder_monomial_cancels_and_returns():
+    # dividing a*b by b cancels the remainder's x*y^4 and brings it back
+    # later, leaving a stale heap entry behind
+    x, y = v("x"), v("y")
+    a = 2 * x * y ** 3 + x * y * y - y * y
+    b = x * y * y + y * y - y
+    assert poly_exact_div(a * b, b) == a
+    assert poly_exact_div(a * b + x * y ** 3, b) is None
+
+
+def test_poly_gcd_keeps_integer_content_out_of_the_images():
+    # the images of f at integer points share integer content; the heuristic
+    # gcd must take it out before each evaluation and put it back
+    ctx = ChartContext(base=["u", "v"], fiber=["y1", "y2", "y3"])
+    u, v_, y1, y2, y3 = (Poly.var(ctx, n) for n in ctx.vars)
+    f = (1 + u * u + v_ * v_) ** 2 * (1 + y1 * y1 + y2 * y2 + y3 * y3)
+    assert poly_gcd(f, -f) == f
+    assert poly_gcd(3 * f, 6 * f) == f
+
+
+def test_poly_gcd_bounds_the_heuristic_on_sparse_high_degree(monkeypatch):
+    # the images of f and g at integer points grow with the product of the
+    # degrees over the levels; without a bound the third level would raise
+    # a 20000-bit point to the power 100 and the fourth hang in math.gcd
+    ctx = ChartContext(base=["u", "v"], fiber=["y1", "y2"])
+    u, v_, y1, y2 = (Poly.var(ctx, n) for n in ctx.vars)
+    f = (u * v_ * y1 * y2) ** 100 + 1
+    g = u ** 100 + v_ ** 100 + y1 ** 100 + y2 ** 100
+    evaluate = rational._evaluate
+
+    def bounded(p, x, xi):
+        assert xi.bit_length() * max(m[x] for m in p.terms) < 10 ** 5
+        return evaluate(p, x, xi)
+
+    monkeypatch.setattr(rational, "_evaluate", bounded)
+    assert poly_gcd(f, g) == 1
+    assert poly_gcd(f * (u + y2), g * (u + y2)) == u + y2
 
 
 def test_poly_coefficients_are_integers():
