@@ -28,7 +28,7 @@ from .models import (
 )
 from .multivector import DiffForm, Graded, Multivector, is_poisson
 from .omega import MixedElement, jet_n, ltimes_bracket, validate_membership, INVALID
-from .rational import ChartContext, RatFunc
+from .rational import ChartContext, RatFunc, int_str
 from .vorobjev import (
     decompose,
     first_jet_model,
@@ -172,7 +172,7 @@ def _power_bits(poly, n):
     of at most b bits."""
     if not poly.terms:
         return 0
-    nvars = sum(1 for exps in zip(*poly.terms) if any(exps))
+    nvars = sum(map(poly.depends_on, range(len(poly.ctx.vars))))
     terms = math.comb(n * poly.total_degree() + nvars, nvars)
     bits = max(abs(c).bit_length() for c in poly.terms.values())
     return terms * n * (bits + len(poly.terms).bit_length())
@@ -351,7 +351,7 @@ def _run_command(cmd, ctx, env):
         res = integer_affine_identity(f.scalar_value(),
                                       [b.scalar_value() for b in basis])
         if res.feasible:
-            value = "m = (" + ", ".join(str(m) for m in res.coefficients) + ")"
+            value = "m = (" + ", ".join(map(int_str, res.coefficients)) + ")"
         else:
             value = "infeasible"
         return CommandRecord(_render(cmd), True, None, value)

@@ -188,7 +188,7 @@ class PeriodModel:
             if f.den.depends_on(pi_idx):
                 raise NonRationalInput(
                     "period has the formal symbol in its denominator")
-            for mono in f.num.terms:
+            for mono, _ in f.num.exponents():
                 if mono[pi_idx] != 1:
                     raise NonRationalInput(
                         "period must be homogeneous of degree 1 in %s"
@@ -345,12 +345,15 @@ def integer_affine_identity(f, basis):
     for i, g in enumerate(basis):
         cols.append(g.num * _product_except(
             [h.den for h in [f] + list(basis)], i + 1))
-    monomials = set(lhs.terms)
+    # rows in the order of the exponent tuples, which fixes the Smith system
+    lhs = dict(lhs.exponents())
+    cols = [dict(c.exponents()) for c in cols]
+    monomials = set(lhs)
     for c in cols:
-        monomials.update(c.terms)
+        monomials.update(c)
     monomials = sorted(monomials)
-    rows = [[c.terms.get(mono, 0) for c in cols] for mono in monomials]
-    rhs = [lhs.terms.get(mono, 0) for mono in monomials]
+    rows = [[c.get(mono, 0) for c in cols] for mono in monomials]
+    rhs = [lhs.get(mono, 0) for mono in monomials]
     sol = integer_solve(rows, rhs)
     if sol is None:
         return IntegerIdentity(False, None)
@@ -376,7 +379,7 @@ def affine_in_params(model):
         for i in idxs:
             if f.den.depends_on(i):
                 return False
-        for mono in f.num.terms:
+        for mono, _ in f.num.exponents():
             if sum(mono[i] for i in idxs) > 1:
                 return False
     return True

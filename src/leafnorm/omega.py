@@ -303,7 +303,7 @@ def dilation(u, t):
 
 def _plain_var_name(t):
     if len(t.num.terms) == 1 and t.den.is_const() and t.den.const_value() == 1:
-        (mono, c), = t.num.terms.items()
+        (mono, c), = t.num.exponents()
         if c == 1 and sum(mono) == 1:
             return t.ctx.vars[mono.index(1)]
     return None

@@ -5,20 +5,24 @@ stores RatFunc coefficients, and "identity holds" always means "RatFunc is
 the zero representation".  There is no floating point anywhere.
 
 Variables live in a ChartContext and are ordered params < base < fiber.
-Monomials are exponent tuples over that order; the canonical term order is
-graded lexicographic (total degree first, fiber variables most significant
-on ties).  A RatFunc is kept fully reduced: gcd(num, den) = 1, all
-coefficients integral with joint content 1, and the leading coefficient of
-the denominator positive — so equality is representation equality.
-Rational numbers enter only at the scalar boundary: `RatFunc.const` splits
-one into numerator and denominator and `RatFunc.const_value` joins them.
+A monomial is one packed int (see ChartContext): the total degree in the
+top field, then one field per variable with the last (fiber) variable most
+significant, so int order is the canonical graded lexicographic term order
+and a monomial product is an integer sum.  A RatFunc is kept fully reduced:
+gcd(num, den) = 1, all coefficients integral with joint content 1, and the
+leading coefficient of the denominator positive — so equality is
+representation equality.  Rational numbers enter only at the scalar
+boundary: `RatFunc.const` splits one into numerator and denominator and
+`RatFunc.const_value` joins them.
 """
 
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction as Q
 
 from .errors import (
+    LimitExceeded,
     SingularAtZeroSection,
     UnknownVariable,
     ZeroDenominator,
@@ -32,7 +36,23 @@ __all__ = [
     "ratfunc_normalize",
     "partial_derive",
     "fiber_taylor",
+    "MAX_DEGREE",
+    "int_str",
 ]
+
+# Bits per field of a packed monomial.  The top bit of each field is a guard
+# bit that no valid monomial sets, so a field holds at most MAX_DEGREE.
+_W = 32
+_FIELD = (1 << _W) - 1
+# Largest total degree of a monomial; a product that would pass it raises
+# LimitExceeded instead of carrying into the next field.
+MAX_DEGREE = (1 << (_W - 1)) - 1
+
+
+def _check_degree(degree):
+    if degree > MAX_DEGREE:
+        raise LimitExceeded("total degree %d exceeds the limit %d"
+                            % (degree, MAX_DEGREE))
 
 
 class ChartContext:
@@ -40,9 +60,14 @@ class ChartContext:
 
     Every value in the system is tagged with exactly one context; operations
     across different contexts are rejected by the geometric layers.
+
+    The context also fixes the packing of monomials: the exponent of
+    variable i sits in bits [i*_W, (i+1)*_W) and the total degree in the
+    field above the last variable, at `deg_shift`.
     """
 
-    __slots__ = ("params", "base", "fiber", "vars", "_index", "nparams", "p", "q")
+    __slots__ = ("params", "base", "fiber", "vars", "_index", "nparams", "p",
+                 "q", "_shifts", "deg_shift", "guard", "fiber_mask")
 
     def __init__(self, base, fiber, params=()):
         self.params = tuple(params)
@@ -58,12 +83,41 @@ class ChartContext:
         self.nparams = len(self.params)
         self.p = len(self.base)
         self.q = len(self.fiber)
+        n = len(self.vars)
+        self._shifts = tuple(range(0, n * _W, _W))
+        self.deg_shift = n * _W
+        self.guard = sum(1 << (s + _W - 1) for s in range(0, (n + 1) * _W, _W))
+        self.fiber_mask = sum(_FIELD << s
+                              for s in self._shifts[self.nparams + self.p:])
 
     def var_index(self, name):
         try:
             return self._index[name]
         except KeyError:
             raise UnknownVariable("unknown variable %r" % (name,)) from None
+
+    def var_mono(self, i):
+        """The packed monomial of variable i (adding it multiplies by x_i)."""
+        return (1 << self._shifts[i]) | (1 << self.deg_shift)
+
+    def pack(self, exps):
+        """The packed monomial of an exponent tuple over `vars`."""
+        if len(exps) != len(self.vars) or min(exps, default=0) < 0:
+            raise ValueError("bad exponent vector %r" % (exps,))
+        degree = sum(exps)
+        _check_degree(degree)
+        m = degree << self.deg_shift
+        for e, s in zip(exps, self._shifts):
+            m |= e << s
+        return m
+
+    def unpack(self, m):
+        """The exponent tuple of a packed monomial."""
+        return tuple([(m >> s) & _FIELD for s in self._shifts])
+
+    def fiber_degree(self, m):
+        """Degree of a packed monomial in the fiber variables."""
+        return sum(self.unpack(m)[self.nparams + self.p:])
 
     def with_param(self, name):
         """Context extended by one formal parameter (appended to params)."""
@@ -87,14 +141,9 @@ class ChartContext:
             list(self.base), list(self.fiber), list(self.params))
 
 
-def _mono_key(mono):
-    # graded-lex: total degree, then reversed tuple so later (fiber) variables
-    # are more significant on ties
-    return (sum(mono), mono[::-1])
-
-
-def _mono_mul(a, b):
-    return tuple(map(operator.add, a, b))
+def int_str(n):
+    """Decimal digits of an int, free of the interpreter's digit limit."""
+    return str(Decimal(n))
 
 
 class Poly:
@@ -103,7 +152,7 @@ class Poly:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms):
-        # terms: dict monomial-tuple -> nonzero int; caller guarantees no zeros
+        # terms: dict packed monomial -> nonzero int; caller guarantees no zeros
         self.ctx = ctx
         self.terms = terms
 
@@ -120,18 +169,25 @@ class Poly:
                              "RatFunc.const for rational constants" % (c,))
         if c == 0:
             return Poly(ctx, {})
-        return Poly(ctx, {(0,) * len(ctx.vars): int(c)})
+        return Poly(ctx, {0: int(c)})
 
     @staticmethod
     def var(ctx, name):
-        i = ctx.var_index(name)
-        mono = [0] * len(ctx.vars)
-        mono[i] = 1
-        return Poly(ctx, {tuple(mono): 1})
+        return Poly(ctx, {ctx.var_mono(ctx.var_index(name)): 1})
 
     @staticmethod
     def one(ctx):
         return Poly.const(ctx, 1)
+
+    @staticmethod
+    def from_exponents(ctx, terms):
+        """Poly from {exponent tuple over ctx.vars: nonzero int}."""
+        return Poly(ctx, {ctx.pack(m): c for m, c in terms.items()})
+
+    def exponents(self):
+        """(exponent tuple, coefficient) of every term, in no fixed order."""
+        unpack = self.ctx.unpack
+        return ((unpack(m), c) for m, c in self.terms.items())
 
     # -- queries -------------------------------------------------------
 
@@ -139,40 +195,39 @@ class Poly:
         return not self.terms
 
     def is_const(self):
-        if not self.terms:
-            return True
-        if len(self.terms) == 1:
-            (mono,) = self.terms
-            return not any(mono)
-        return False
+        terms = self.terms
+        return not terms or (len(terms) == 1 and 0 in terms)
 
     def const_value(self):
         if not self.terms:
             return 0
         (mono, c), = self.terms.items()
-        if any(mono):
+        if mono:
             raise ValueError("not a constant polynomial")
         return c
 
     def total_degree(self):
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> self.ctx.deg_shift
 
     def degree_in(self, i):
         if not self.terms:
             return -1
-        return max(m[i] for m in self.terms)
+        s = self.ctx._shifts[i]
+        mask = _FIELD << s
+        return max([m & mask for m in self.terms]) >> s
 
     def depends_on(self, i):
-        return any(m[i] for m in self.terms)
+        mask = _FIELD << self.ctx._shifts[i]
+        return any(m & mask for m in self.terms)
 
     def depends_on_fiber(self):
-        lo = self.ctx.nparams + self.ctx.p
-        return any(any(m[lo:]) for m in self.terms)
+        mask = self.ctx.fiber_mask
+        return any(m & mask for m in self.terms)
 
     def leading(self):
-        mono = max(self.terms, key=_mono_key)
+        mono = max(self.terms)
         return mono, self.terms[mono]
 
     def leading_coeff(self):
@@ -212,20 +267,25 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.ctx, other)
+        a, b = self.terms, other.terms
+        if not (a and b):
+            return Poly(self.ctx, {})
+        # every field of a product stays below its guard bit when the
+        # largest total degree does
+        s = self.ctx.deg_shift
+        _check_degree((max(a) >> s) + (max(b) >> s))
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                v = out.get(m)
-                if v is None:
-                    out[m] = c
-                else:
-                    v = v + c
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
+                if m in out:
+                    v = out[m] + c1 * c2
                     if v:
                         out[m] = v
                     else:
                         del out[m]
+                else:
+                    out[m] = c1 * c2
         return Poly(self.ctx, out)
 
     __rmul__ = __mul__
@@ -255,24 +315,14 @@ class Poly:
     # -- calculus & substitution ---------------------------------------
 
     def derivative(self, i):
+        # distinct monomials stay distinct, so no two terms meet
+        s = self.ctx._shifts[i]
+        step = self.ctx.var_mono(i)
         out = {}
         for m, c in self.terms.items():
-            e = m[i]
-            if not e:
-                continue
-            m2 = list(m)
-            m2[i] = e - 1
-            m2 = tuple(m2)
-            v = out.get(m2)
-            nc = c * e
-            if v is None:
-                out[m2] = nc
-            else:
-                v = v + nc
-                if v:
-                    out[m2] = v
-                else:
-                    del out[m2]
+            e = (m >> s) & _FIELD
+            if e:
+                out[m - step] = c * e
         return Poly(self.ctx, out)
 
     def substitute(self, mapping):
@@ -288,7 +338,7 @@ class Poly:
                 values[i] = RatFunc.const(ctx, v)
         total = RatFunc.zero(ctx)
         pow_cache = {}
-        for m, c in self.terms.items():
+        for m, c in self.exponents():
             term = RatFunc.const(ctx, c)
             for i, e in enumerate(m):
                 if not e:
@@ -301,41 +351,30 @@ class Poly:
                         pow_cache[key] = p
                     term = term * p
                 else:
-                    m2 = [0] * len(ctx.vars)
-                    m2[i] = e
-                    term = term * Poly(ctx, {tuple(m2): 1})
+                    term = term * Poly(ctx, {e * ctx.var_mono(i): 1})
             total = total + term
         return total
 
     def eval_fiber_zero(self):
         """Restriction to the zero section (all fiber variables = 0)."""
-        lo = self.ctx.nparams + self.ctx.p
-        out = {}
-        for m, c in self.terms.items():
-            if any(m[lo:]):
-                continue
-            out[m] = c
-        return Poly(self.ctx, out)
+        mask = self.ctx.fiber_mask
+        return Poly(self.ctx,
+                    {m: c for m, c in self.terms.items() if not m & mask})
 
     def fiber_part(self, d):
         """Monomials of fiber-degree exactly d."""
-        lo = self.ctx.nparams + self.ctx.p
-        out = {}
-        for m, c in self.terms.items():
-            if sum(m[lo:]) == d:
-                out[m] = c
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, {m: c for m, c in self.terms.items()
+                               if self.ctx.fiber_degree(m) == d})
 
     def scale_fiber(self, factor_index):
         """Substitute y -> t*y for every fiber variable y, t = vars[factor_index]."""
-        lo = self.ctx.nparams + self.ctx.p
+        step = self.ctx.var_mono(factor_index)
+        s = self.ctx.deg_shift
         out = {}
         for m, c in self.terms.items():
-            d = sum(m[lo:])
-            if d:
-                m2 = list(m)
-                m2[factor_index] += d
-                m = tuple(m2)
+            d = self.ctx.fiber_degree(m)
+            _check_degree((m >> s) + d)
+            m += d * step
             v = out.get(m)
             if v is None:
                 out[m] = c
@@ -345,26 +384,19 @@ class Poly:
 
     def cast(self, new_ctx):
         """Re-tag into a context containing at least the same variables."""
-        old_vars = self.ctx.vars
-        pos = [new_ctx.var_index(v) for v in old_vars]
-        n = len(new_ctx.vars)
-        out = {}
-        for m, c in self.terms.items():
-            m2 = [0] * n
-            for i, e in enumerate(m):
-                if e:
-                    m2[pos[i]] = e
-            out[tuple(m2)] = c
-        return Poly(new_ctx, out)
+        return self._repack(
+            new_ctx, [new_ctx.var_index(v) for v in self.ctx.vars])
 
     def restrict(self, new_ctx):
         """Re-tag into a smaller context; fails if a dropped variable occurs."""
-        pos = []
-        for v in self.ctx.vars:
-            pos.append(new_ctx._index.get(v, -1))
+        return self._repack(
+            new_ctx, [new_ctx._index.get(v, -1) for v in self.ctx.vars])
+
+    def _repack(self, new_ctx, pos):
+        # pos[i]: index in new_ctx of variable i, or -1 where it has none
         n = len(new_ctx.vars)
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.exponents():
             m2 = [0] * n
             for i, e in enumerate(m):
                 if not e:
@@ -375,7 +407,7 @@ class Poly:
                         "variable %r does not exist in target context"
                         % (self.ctx.vars[i],))
                 m2[j] = e
-            out[tuple(m2)] = c
+            out[new_ctx.pack(m2)] = c
         return Poly(new_ctx, out)
 
     # -- printing --------------------------------------------------------
@@ -384,21 +416,22 @@ class Poly:
         if not self.terms:
             return "0"
         names = self.ctx.vars
+        unpack = self.ctx.unpack
         parts = []
-        for m in sorted(self.terms, key=_mono_key, reverse=True):
+        for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
             factors = []
-            for i, e in enumerate(m):
+            for i, e in enumerate(unpack(m)):
                 if e == 1:
                     factors.append(names[i])
                 elif e > 1:
                     factors.append("%s^%d" % (names[i], e))
             mono = "*".join(factors)
             neg = c < 0
-            ac = -c if neg else c
+            ac = int_str(-c if neg else c)
             if not mono:
-                body = str(ac)
-            elif ac == 1:
+                body = ac
+            elif ac == "1":
                 body = mono
             else:
                 body = "%s*%s" % (ac, mono)
@@ -457,20 +490,14 @@ def _iprimitive(f):
     return _primitive([f], f.leading_coeff())[0]
 
 
-def _heap_key(mono):
-    # _mono_key negated, so that heapq pops the graded-lex largest first;
-    # poly_exact_div relies on this order being the one of Poly.leading
-    degree, rest = _mono_key(mono)
-    return (-degree, tuple(map(operator.neg, rest)))
-
-
 def poly_exact_div(f, g):
     """Exact quotient f/g in Z[x], or None when g does not divide f there.
 
     Every caller divides by a primitive `poly_gcd` result or by a polynomial
     by itself; by Gauss's lemma division in Z[x] and in Q[x] agree there.
-    The remainder is walked leading term first through a heap; a monomial
-    whose coefficient cancelled leaves a stale entry that is skipped.
+    The remainder is walked leading term first through a heap of negated
+    monomials; a monomial whose coefficient cancelled leaves a stale entry
+    that is skipped.
     """
     # imported here: at module level it would add about 0.5 ms, 2 % of the
     # set-up time of a small program, to every `import leafnorm`
@@ -481,18 +508,20 @@ def poly_exact_div(f, g):
     if f.is_zero():
         return Poly.zero(f.ctx)
     gm, gc = g.leading()
+    guard = f.ctx.guard
     gtail = [(m, c) for m, c in g.terms.items() if m != gm]
     rem = dict(f.terms)
-    heap = [(_heap_key(m), m) for m in rem]
+    heap = [-m for m in rem]
     heapq.heapify(heap)
     quo = {}
     while heap:
-        fm = heapq.heappop(heap)[1]
+        fm = -heapq.heappop(heap)
         fc = rem.pop(fm, 0)
         if not fc:
             continue
-        qm = tuple(map(operator.sub, fm, gm))
-        if any(e < 0 for e in qm):
+        qm = fm - gm
+        # gm divides fm iff no field of fm - gm borrows from its guard bit
+        if (qm + guard) & guard != guard:
             return None
         qc, r = divmod(fc, gc)
         if r:
@@ -500,39 +529,36 @@ def poly_exact_div(f, g):
         # the updates stay below fm, so fm leaves rem for good and qm is new
         quo[qm] = qc
         for m2, c2 in gtail:
-            m = _mono_mul(qm, m2)
-            v = rem.get(m)
-            if v is None:
-                rem[m] = -qc * c2
-                heapq.heappush(heap, (_heap_key(m), m))
-            else:
-                v -= qc * c2
+            m = qm + m2
+            if m in rem:
+                v = rem[m] - qc * c2
                 if v:
                     rem[m] = v
                 else:
                     del rem[m]
+            else:
+                rem[m] = -qc * c2
+                heapq.heappush(heap, -m)
     return Poly(f.ctx, quo)
 
 
 def _to_univar(f, i):
     """Dense coefficient list of f in variable i (coeffs are Polys without i)."""
-    d = f.degree_in(i)
-    coeffs = [dict() for _ in range(d + 1)]
+    s = f.ctx._shifts[i]
+    step = f.ctx.var_mono(i)
+    coeffs = [dict() for _ in range(f.degree_in(i) + 1)]
     for m, c in f.terms.items():
-        e = m[i]
-        m2 = list(m)
-        m2[i] = 0
-        coeffs[e][tuple(m2)] = c
+        e = (m >> s) & _FIELD
+        coeffs[e][m - e * step] = c
     return [Poly(f.ctx, t) for t in coeffs]
 
 
 def _from_univar(coeffs, i, ctx):
+    step = ctx.var_mono(i)
     out = {}
     for e, p in enumerate(coeffs):
         for m, c in p.terms.items():
-            m2 = list(m)
-            m2[i] = m2[i] + e
-            out[tuple(m2)] = c
+            out[m + e * step] = c
     return Poly(ctx, out)
 
 
@@ -577,20 +603,24 @@ def _gcd_operands(f, g):
         return (_iprimitive(g) if not g.is_zero() else g), None, None
     if g.is_zero():
         return _iprimitive(f), None, None
+    ctx = f.ctx
+    if f.is_const() or g.is_const():
+        return Poly.one(ctx), None, None
     f = _iprimitive(f)
     g = _iprimitive(g)
-    nvars = len(f.ctx.vars)
-    # monomial content
-    fmin = [min(m[i] for m in f.terms) for i in range(nvars)]
-    gmin = [min(m[i] for m in g.terms) for i in range(nvars)]
-    common = tuple(min(a, b) for a, b in zip(fmin, gmin))
+    nvars = len(ctx.vars)
+    # monomial content (a constant term makes every minimum zero); each field
+    # of a monomial is at least its minimum, so subtracting the packed
+    # minimum borrows nowhere
+    fmin = [0] * nvars if 0 in f.terms else _fieldwise(min, f)
+    gmin = [0] * nvars if 0 in g.terms else _fieldwise(min, g)
     if any(fmin):
-        f = Poly(f.ctx, {tuple(e - fmin[i] for i, e in enumerate(m)): c
-                         for m, c in f.terms.items()})
+        low = ctx.pack(fmin)
+        f = Poly(ctx, {m - low: c for m, c in f.terms.items()})
     if any(gmin):
-        g = Poly(g.ctx, {tuple(e - gmin[i] for i, e in enumerate(m)): c
-                         for m, c in g.terms.items()})
-    mono_gcd = Poly(f.ctx, {common: 1})
+        low = ctx.pack(gmin)
+        g = Poly(ctx, {m - low: c for m, c in g.terms.items()})
+    mono_gcd = Poly(ctx, {ctx.pack(list(map(min, fmin, gmin))): 1})
     if f.is_const() or g.is_const() or not any(
             f.depends_on(i) and g.depends_on(i) for i in range(nvars)):
         return mono_gcd, None, None
@@ -670,11 +700,11 @@ def _heu_gcd(f, g):
     nvars = len(ctx.vars)
     content = _icontent([f, g])
     if f.is_const() or g.is_const():
-        return Poly(ctx, {(0,) * nvars: content})
+        return Poly(ctx, {0: content})
     if content != 1:
         f, g = [Poly(ctx, {m: c // content for m, c in p.terms.items()})
                 for p in (f, g)]
-    fdeg, gdeg = _degrees(f), _degrees(g)
+    fdeg, gdeg = _fieldwise(max, f), _fieldwise(max, g)
     bound = list(map(min, fdeg, gdeg))
     # the variable of highest degree first: its images have the fewest terms
     x = max(range(nvars), key=lambda i: (max(fdeg[i], gdeg[i]), i))
@@ -694,7 +724,7 @@ def _heu_gcd(f, g):
             h = _iprimitive(_xi_adic(h, x, xi))
             # a divisor has no higher degree in any variable, and the
             # degrees are far cheaper to compare than a trial division
-            if all(map(operator.le, _degrees(h), bound)) \
+            if all(map(operator.le, _fieldwise(max, h), bound)) \
                     and poly_exact_div(f, h) is not None \
                     and poly_exact_div(g, h) is not None:
                 return Poly(ctx, {m: c * content
@@ -703,22 +733,27 @@ def _heu_gcd(f, g):
     return None
 
 
-def _degrees(f):
-    """Degree of nonzero f in each variable."""
-    return [max(e) for e in zip(*f.terms)]
+def _fieldwise(pick, f):
+    """`pick` (min or max) of the exponents of each variable over the terms
+    of nonzero f: the least exponents or the degrees."""
+    terms = list(f.terms)
+    return [pick([m & (_FIELD << s) for m in terms]) >> s
+            for s in f.ctx._shifts]
 
 
 def _evaluate(f, x, xi):
     """f with variable x set to the integer xi."""
+    s = f.ctx._shifts[x]
+    step = f.ctx.var_mono(x)
     out = {}
     powers = [1]
     for m, c in f.terms.items():
-        e = m[x]
+        e = (m >> s) & _FIELD
         if e:
             while len(powers) <= e:
                 powers.append(powers[-1] * xi)
             c *= powers[e]
-            m = m[:x] + (0,) + m[x + 1:]
+            m -= e * step
         out[m] = out.get(m, 0) + c
     return Poly(f.ctx, {m: c for m, c in out.items() if c})
 
@@ -726,22 +761,26 @@ def _evaluate(f, x, xi):
 def _xi_adic(h, x, xi):
     """The polynomial in x whose coefficients are the symmetric xi-adic
     digits of h (h free of x), lowest digit at x^0."""
+    step = h.ctx.var_mono(x)
+    degree = h.total_degree()
     out = {}
     half = xi // 2
-    e = 0
+    xe = 0  # x^e, packed
     terms = h.terms
     while terms:
+        _check_degree(degree)
         rest = {}
         for m, c in terms.items():
             d = c % xi
             if d > half:
                 d -= xi
             if d:
-                out[m[:x] + (e,) + m[x + 1:]] = d
+                out[m + xe] = d
             if c != d:
                 rest[m] = (c - d) // xi
         terms = rest
-        e += 1
+        xe += step
+        degree += 1
     return Poly(h.ctx, out)
 
 
@@ -979,7 +1018,7 @@ class RatFunc:
 def _den_needs_parens(den):
     # single-term denominators need parens unless they are a bare constant
     # or a bare variable power (so the printed string re-parses to the same value)
-    (mono, c), = den.terms.items()
+    (mono, c), = den.exponents()
     nfac = sum(1 for e in mono if e)
     if nfac == 0:
         return False

@@ -50,19 +50,55 @@ def test_run_json_schema(tmp_path):
     assert rec["ms"] == 0
 
 
+# runs the CLI with the first command raising an exception that leafnorm
+# does not anticipate
+FIRST_COMMAND_FAILS = """
+import sys
+from leafnorm import cli, interp
+run_command, calls = interp._run_command, []
+def first_fails(cmd, ctx, env):
+    calls.append(cmd)
+    if len(calls) == 1:
+        raise RuntimeError("unanticipated")
+    return run_command(cmd, ctx, env)
+interp._run_command = first_fails
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_any_exception_recorded_in_its_command(tmp_path):
-    # printing 10^5000 exceeds Python's int-to-str digit limit (ValueError)
-    f = tmp_path / "big.lnf"
+    f = tmp_path / "two.lnf"
     f.write_text("chart { base:[u]; fiber:[y]; }\n"
-                 "let a = (10^100)^50;\nlet b = 2;\nemit(a);\nemit(b);\n")
-    res = run_cli(["run", str(f)])
+                 "let a = 1;\nlet b = 2;\nemit(a);\nemit(b);\n")
+
+    def run(args):
+        return subprocess.run([sys.executable, "-c", FIRST_COMMAND_FAILS]
+                              + args, capture_output=True, text=True)
+
+    res = run(["run", str(f)])
     assert res.returncode == 0
     assert "Traceback" not in res.stderr
     first, second = json.loads(res.stdout)["commands"]
     assert first["ok"] is False
-    assert first["value"].startswith("error: ValueError: ")
+    assert first["value"].startswith("error: RuntimeError: ")
     assert second["ok"] is True and second["value"] == "2"
-    assert run_cli(["check", str(f)]).returncode == 1
+    assert run(["check", str(f)]).returncode == 1
+
+
+def test_integers_past_the_digit_limit_print_in_full(tmp_path):
+    # 5001 digits, over the 4300 that str() of an int allows by default
+    f = tmp_path / "big.lnf"
+    f.write_text("chart { base:[u]; fiber:[y]; }\n"
+                 "let a = (10^100)^50;\nlet b = -(10^100)^50*u/3;\n"
+                 "emit(a);\nemit(b);\nint_identity((10^100)^50; 1);\n")
+    res = run_cli(["run", str(f)])
+    assert res.returncode == 0
+    first, second, third = json.loads(res.stdout)["commands"]
+    assert first["ok"] is True and first["value"] == "1" + "0" * 5000
+    assert second["ok"] is True
+    assert second["value"] == "-1" + "0" * 5000 + "*u/3"
+    assert third["ok"] is True and third["value"] == "m = (1%s)" % ("0" * 5000)
+    assert run_cli(["check", str(f)]).returncode == 0
 
 
 def test_empty_program_report(tmp_path):

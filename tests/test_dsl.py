@@ -150,6 +150,29 @@ emit(c);
     assert records[3].ok and records[3].value == "u^%d" % MAX_EXPONENT
 
 
+def test_degree_overflow_recorded_in_its_command(monkeypatch):
+    # u^1000 squared ten times is within MAX_POWER_BITS and far below the
+    # degree limit of the packed monomials
+    def squared(k):
+        return "(" * k + "u^1000" + ")^2" * k
+
+    src = ("chart { base:[u]; fiber:[y]; }\n"
+           "let a = %s;\nlet b = %s;\nemit(a);\nemit(b);\n"
+           % (squared(9), squared(10)))
+    records = execute(parse(src)).records
+    assert [(r.ok, r.value) for r in records] == [(True, "u^512000"),
+                                                  (True, "u^1024000")]
+    # with the limit lowered below that degree, the product that would pass
+    # it is refused in its own binding and leaves the other one intact
+    monkeypatch.setattr(rational, "MAX_DEGREE", 600000)
+    overflow, below, unbound = execute(parse(src)).records
+    assert overflow.cmd == "let b" and not overflow.ok
+    assert overflow.value == ("error: LimitExceeded: total degree 1024000 "
+                              "exceeds the limit 600000")
+    assert below.ok and below.value == "u^512000"
+    assert not unbound.ok
+
+
 def test_power_size_and_jet_order_limits(monkeypatch):
     # a power or jet past its limit must be refused before any work: the
     # spies fail, rather than hang, if one of them slipped through

@@ -1,7 +1,8 @@
 """Exactness oracle for the kernel: canonical-form invariants, field laws and
 calculus rules as Hypothesis properties, differential tests of
 `ratfunc_normalize` and `poly_gcd` against sympy and of the heuristic gcd
-against the primitive PRS, and exact division undoing multiplication.
+against the primitive PRS, exact division undoing multiplication, and
+packed monomials against their exponent tuples.
 
 Inputs are random multivariate polynomials with small integer coefficients,
 built through the public constructors.  Numerators and denominators share a
@@ -117,7 +118,7 @@ def test_leibniz_and_quotient_rules(a, b, var):
 def _to_sympy(p, syms):
     import sympy
     return sympy.Add(*[c * sympy.Mul(*[s ** e for s, e in zip(syms, m)])
-                       for m, c in p.terms.items()])
+                       for m, c in p.exponents()])
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
@@ -205,12 +206,41 @@ def test_inner_failure_ends_the_heuristic(monkeypatch):
     assert fallbacks
 
 
+def _graded_key(mono):
+    # the graded order on exponent tuples, independent of the packing:
+    # total degree, then the later (fiber) variables more significant
+    return (sum(mono), mono[::-1])
+
+
 @SETTINGS
 @given(nonzero_polys)
 def test_heap_order_is_the_leading_term_order(p):
-    # poly_exact_div pops the remainder by _heap_key and divides by
-    # g.leading(): the two orders must agree
-    assert min(p.terms, key=rational._heap_key) == p.leading()[0]
+    # poly_exact_div pops the remainder largest int first and divides by
+    # g.leading(): the two orders must agree, and be the graded order
+    assert max(p.terms) == p.leading()[0]
+    lead = max((m for m, _ in p.exponents()), key=_graded_key)
+    assert CTX.pack(lead) == p.leading()[0]
+
+
+# as large as two of them may be while their product stays within the limit,
+# so the high bits of every field are exercised
+exponent_tuples = st.tuples(
+    *[st.integers(0, rational.MAX_DEGREE // (2 * len(CTX.vars)))]
+    * len(CTX.vars))
+
+
+@SETTINGS
+@given(exponent_tuples, exponent_tuples)
+def test_packed_monomials(a, b):
+    pa, pb = CTX.pack(a), CTX.pack(b)
+    assert CTX.unpack(pa) == a
+    assert (pa < pb) == (_graded_key(a) < _graded_key(b))
+    assert (pa == pb) == (a == b)
+    assert pa + pb == CTX.pack(tuple(x + y for x, y in zip(a, b)))
+    # the guard-bit test in poly_exact_div decides divisibility of monomials
+    divides = all(x <= y for x, y in zip(a, b))
+    ta, tb = (Poly.from_exponents(CTX, {m: 1}) for m in (a, b))
+    assert (poly_exact_div(tb, ta) is not None) == divides
 
 
 # dense in few variables, so that products overlap and remainder terms of the
@@ -227,6 +257,6 @@ def test_exact_div_undoes_multiplication(a, b, c, mono):
     # a nonconstant b divides no nonzero constant, and a monomial term
     # only when b is a single term dividing it
     assert poly_exact_div(a * b + 1, b) is None
-    t = Poly(CTX, {mono: c})
+    t = Poly.from_exponents(CTX, {mono: c})
     divisible = len(b.terms) == 1 and poly_exact_div(t, b) is not None
     assert (poly_exact_div(a * b + t, b) is not None) == divisible

@@ -1,11 +1,14 @@
 import random
+import sys
 
 import pytest
 
 from leafnorm import rational
-from leafnorm.errors import SingularAtZeroSection, UnknownVariable, ZeroDenominator
+from leafnorm.errors import (
+    LimitExceeded, SingularAtZeroSection, UnknownVariable, ZeroDenominator,
+)
 from leafnorm.rational import (
-    ChartContext, Poly, Q, RatFunc, fiber_taylor, partial_derive,
+    MAX_DEGREE, ChartContext, Poly, Q, RatFunc, fiber_taylor, partial_derive,
     poly_exact_div, poly_gcd, ratfunc_normalize,
 )
 
@@ -175,7 +178,7 @@ def test_fiber_taylor_tail_order_property():
             continue
         f = rf(numv, den)
         diff = fiber_taylor(f, n) - f
-        for mono in diff.num.terms:
+        for mono, _ in diff.num.exponents():
             lo = CTX.nparams + CTX.p
             assert sum(mono[lo:]) > n
 
@@ -245,7 +248,8 @@ def test_poly_gcd_bounds_the_heuristic_on_sparse_high_degree(monkeypatch):
     evaluate = rational._evaluate
 
     def bounded(p, x, xi):
-        assert xi.bit_length() * max(m[x] for m in p.terms) < 10 ** 5
+        assert xi.bit_length() * max(m[x] for m, _ in p.exponents()) \
+            < 10 ** 5
         return evaluate(p, x, xi)
 
     monkeypatch.setattr(rational, "_evaluate", bounded)
@@ -296,3 +300,54 @@ def test_print_determinism_and_reparse_shape():
     s2 = str(rf(-2 * x * y + y, (1 + x * x) ** 2))
     assert s1 == s2
     assert "/" in s1 and "(" in s1
+
+
+def test_degree_limit_boundary():
+    ctx = ChartContext(base=["u"], fiber=["y"])
+    u, y = Poly.var(ctx, "u"), Poly.var(ctx, "y")
+    below = Poly.from_exponents(ctx, {(MAX_DEGREE - 1, 0): 1})
+    # degree one below the limit multiplies, and y's field stays clear
+    top = below * u
+    assert top.total_degree() == MAX_DEGREE
+    assert dict(top.exponents()) == {(MAX_DEGREE, 0): 1}
+    assert not top.depends_on(1)
+    assert dict((below * y).exponents()) == {(MAX_DEGREE - 1, 1): 1}
+    # a product reaching the limit raises, whichever field it would fill
+    for factor in (u, y, 1 + y):
+        with pytest.raises(LimitExceeded):
+            top * factor
+    with pytest.raises(LimitExceeded):
+        (below * y).scale_fiber(0)
+    with pytest.raises(LimitExceeded):
+        Poly.from_exponents(ctx, {(MAX_DEGREE, 1): 1})
+    with pytest.raises(LimitExceeded):
+        RatFunc.from_poly(top) * RatFunc.var(ctx, "y")
+
+
+def test_poly_gcd_exits_early_on_a_constant_operand(monkeypatch):
+    x = v("x")
+    f = 6 * x * x + 4
+    calls = []
+    primitive = rational._iprimitive
+
+    def counted(p):
+        calls.append(p)
+        return primitive(p)
+
+    monkeypatch.setattr(rational, "_iprimitive", counted)
+    for a, b in ((f, Poly.const(CTX, 4)), (Poly.const(CTX, -3), f),
+                 (Poly.const(CTX, 2), Poly.const(CTX, 8))):
+        assert poly_gcd(a, b) == 1
+    assert not calls
+    assert poly_gcd(f, Poly.zero(CTX)) == 3 * x * x + 2
+
+
+def test_printing_ignores_the_int_digit_limit():
+    big = Poly.const(CTX, -(10 ** 700)) * v("x")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = str(big)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == "-1" + "0" * 700 + "*x"
