@@ -21,8 +21,9 @@ Grammar (one chart per program, bindings before commands):
     exprs     := expr ("," expr)*
 
 NAME is an ID bound by an earlier binding, INT is [0-9]+, and an ID is a
-letter or "_" followed by letters, digits and "_".  GRAMMAR declares each
-catalog entry and command once; the parser and the printer both read it.
+letter or "_" followed by letters, digits and "_"; a chart lists each ID at
+most once.  GRAMMAR declares each catalog entry and command once; the parser
+and the printer both read it.
 
 Expressions are rational arithmetic (integer literals only; rationals are
 quotients) over identifiers and the basis symbols `d/dX` (contravariant) and
@@ -31,8 +32,6 @@ of scalars.  `#` starts a line comment.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from .errors import ChartRedeclared, DslSyntaxError, UnknownIdentifier
 
@@ -47,126 +46,69 @@ __all__ = [
 
 # --- AST -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ENum:
-    value: int
+class _Node:
+    """An immutable AST node: its fields are the __slots__ of its class, set
+    positionally, and it equals a node of its class with equal fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._setters):
+            raise TypeError("%s takes %d fields, not %d" % (
+                type(self).__name__, len(self._setters), len(values)))
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def fields(self):
+        """Field name -> value, in declaration order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.fields() == other.fields()
+
+    def __hash__(self):
+        return hash(tuple(self.fields().values()))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in self.fields().items()))
 
 
-@dataclass(frozen=True)
-class EVar:
-    name: str
+def _node(name, fields):
+    """A _Node class with the given space-separated field names."""
+    cls = type(name, (_Node,), {"__slots__": tuple(fields.split())})
+    # slot setters go round the refusing __setattr__, faster than by name
+    cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+    return cls
 
 
-@dataclass(frozen=True)
-class EBasisVec:
-    name: str
-
-
-@dataclass(frozen=True)
-class EBasisForm:
-    name: str
-
-
-@dataclass(frozen=True)
-class ENeg:
-    arg: "object"
-
-
-@dataclass(frozen=True)
-class EBin:
-    op: str
-    left: "object"
-    right: "object"
-
-
-@dataclass(frozen=True)
-class Catalog:
-    name: str
-    args: Tuple
-
-
-@dataclass(frozen=True)
-class ChartDecl:
-    base: Tuple[str, ...]
-    fiber: Tuple[str, ...]
-    params: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Binding:
-    name: str
-    rhs: "object"
-
-
-@dataclass(frozen=True)
-class CmdCheckJacobi:
-    target: str
-
-
-@dataclass(frozen=True)
-class CmdCheckDirac:
-    target: str
-
-
-@dataclass(frozen=True)
-class CmdDecompose:
-    target: str
-
-
-@dataclass(frozen=True)
-class CmdStructureEqs:
-    target: str
-
-
-@dataclass(frozen=True)
-class CmdJet:
-    target: str
-    order: int
-
-
-@dataclass(frozen=True)
-class CmdMoser:
-    target: str
-
-
-@dataclass(frozen=True)
-class CmdChainMap:
-    target: str
-    argument: str
-
-
-@dataclass(frozen=True)
-class CmdMonodromy:
-    target: str
-    point: Optional[Tuple]
-
-
-@dataclass(frozen=True)
-class CmdRatioConstancy:
-    target: str
-
-
-@dataclass(frozen=True)
-class CmdAffine:
-    target: str
-
-
-@dataclass(frozen=True)
-class CmdIntIdentity:
-    func: "object"
-    basis: Tuple
-
-
-@dataclass(frozen=True)
-class CmdEmit:
-    target: str
-
-
-@dataclass(frozen=True)
-class Program:
-    chart: ChartDecl
-    bindings: Tuple[Binding, ...]
-    commands: Tuple
+# expressions: value an int, names strs, op one of + - * / ^
+ENum = _node("ENum", "value")
+EVar = _node("EVar", "name")
+EBasisVec = _node("EBasisVec", "name")
+EBasisForm = _node("EBasisForm", "name")
+ENeg = _node("ENeg", "arg")
+EBin = _node("EBin", "op left right")
+Catalog = _node("Catalog", "name args")  # words, tuple of arguments
+ChartDecl = _node("ChartDecl", "base fiber params")  # tuples of names
+Binding = _node("Binding", "name rhs")
+# commands: target and argument are bound names, point None or a tuple
+CmdCheckJacobi = _node("CmdCheckJacobi", "target")
+CmdCheckDirac = _node("CmdCheckDirac", "target")
+CmdDecompose = _node("CmdDecompose", "target")
+CmdStructureEqs = _node("CmdStructureEqs", "target")
+CmdJet = _node("CmdJet", "target order")
+CmdMoser = _node("CmdMoser", "target")
+CmdChainMap = _node("CmdChainMap", "target argument")
+CmdMonodromy = _node("CmdMonodromy", "target point")
+CmdRatioConstancy = _node("CmdRatioConstancy", "target")
+CmdAffine = _node("CmdAffine", "target")
+CmdIntIdentity = _node("CmdIntIdentity", "func basis")  # expr, tuple
+CmdEmit = _node("CmdEmit", "target")
+Program = _node("Program", "chart bindings commands")
 
 
 # Every catalog entry and command: its words, its AST node and one argument
@@ -336,7 +278,16 @@ class _Parser:
     def chart_decl(self):
         self.expect_word("chart")
         self.expect("{")
-        lists = []
+        lists, seen = [], set()
+
+        def name():     # each name once, across base, fiber and params
+            tok = self.expect("IDENT", "identifier")
+            if tok.text in seen:
+                raise DslSyntaxError("chart repeats the name %r" % tok.text,
+                                     tok.line, tok.col)
+            seen.add(tok.text)
+            return tok.text
+
         for word in ("base", "fiber", "params"):
             tok = self.peek()
             if word == "params" and (tok.kind, tok.text) != ("IDENT", word):
@@ -344,8 +295,7 @@ class _Parser:
                 continue
             self.expect_word(word)
             self.expect(":")
-            lists.append(self.bracketed(
-                lambda: self.expect("IDENT", "identifier").text, empty=True))
+            lists.append(self.bracketed(name, empty=True))
             self.expect(";")
         self.expect("}")
         return ChartDecl(*lists)
@@ -591,14 +541,14 @@ def _prhs(rhs):
 
 def _pcmd(cmd):
     words, kinds = _WORDS[type(cmd)]
-    return _pentry(words, kinds, tuple(vars(cmd).values())) + ";"
+    return _pentry(words, kinds, tuple(cmd.fields().values())) + ";"
 
 
 def print_program(p):
     """Canonical source text; parse(print_program(p)) reproduces the AST."""
     lines = []
     parts = ["%s:[%s];" % (word, ", ".join(names))
-             for word, names in vars(p.chart).items()
+             for word, names in p.chart.fields().items()
              if names or word != "params"]
     lines.append("chart { %s }" % " ".join(parts))
     for b in p.bindings:

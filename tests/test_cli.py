@@ -170,6 +170,41 @@ def test_non_utf8_program_exits_2(tmp_path):
     assert "cannot read" in res.stderr
 
 
+def test_repeated_chart_name_exits_2(tmp_path):
+    f = tmp_path / "repeat.lnf"
+    for chart, col in (("chart { base:[u, u]; fiber:[y]; }", 18),
+                       ("chart { base:[u]; fiber:[y, u]; }", 29),
+                       ("chart { base:[u]; fiber:[y]; params:[u]; }", 38)):
+        f.write_text(chart + "\nlet a = u;\nemit(a);\n")
+        res = run_cli(["run", str(f)])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        assert "'u'" in res.stderr and "(line 1, col %d)" % col in res.stderr
+
+
+# prints the modules that `import leafnorm` loads beyond those loaded at
+# start-up, with src/ first on the path
+NEW_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import leafnorm
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_introspection_modules():
+    src = pathlib.Path(leafnorm.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-E", "-s", "-c", NEW_MODULES,
+                          str(src)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert "leafnorm.dsl" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+
+
 def _deep_expressions(depth):
     """Each shape that used to overflow the stack, `depth` levels deep."""
     return {"parens": "(" * depth + "u" + ")" * depth,

@@ -2,7 +2,8 @@ import pytest
 
 from leafnorm import dsl
 from leafnorm.dsl import (
-    Catalog, ChartDecl, CmdCheckJacobi, parse, print_program,
+    Catalog, ChartDecl, CmdCheckJacobi, CmdDecompose, CmdEmit, CmdJet, parse,
+    print_program,
 )
 from leafnorm.errors import (
     ChartRedeclared, DslSyntaxError, UnknownIdentifier,
@@ -50,6 +51,26 @@ def test_chart_redeclared():
            "emit(u);")
     with pytest.raises(ChartRedeclared):
         parse(src)
+
+
+def test_ast_nodes_are_immutable_values():
+    assert CmdJet("p", 2) == CmdJet("p", 2)
+    assert hash(CmdJet("p", 2)) == hash(CmdJet("p", 2))
+    assert CmdJet("p", 2) != CmdJet("p", 3)
+    assert CmdEmit("p") != CmdDecompose("p")
+    assert CmdEmit("p") != "p"
+    node = CmdJet("p", 2)
+    with pytest.raises(AttributeError):
+        node.order = 3
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert node.order == 2
+    for args in (("p",), ("p", 2, 3)):
+        with pytest.raises(TypeError):
+            CmdJet(*args)
+    assert repr(CmdJet("p", 2)) == "CmdJet(target='p', order=2)"
+    assert repr(ChartDecl(("u",), (), ())) == \
+        "ChartDecl(base=('u',), fiber=(), params=())"
 
 
 def test_binding_after_command_rejected():

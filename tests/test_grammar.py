@@ -67,8 +67,12 @@ def _commands(bound):
 def programs(draw):
     """A program with every catalog entry and command, in random order,
     among random expression bindings and repeated commands."""
-    idlists = st.lists(IDS, unique=True, max_size=3).map(tuple)
-    chart = ChartDecl(draw(idlists), draw(idlists), draw(idlists))
+    # a chart names each variable once: one list split into three
+    ids = draw(st.lists(IDS, unique=True, max_size=8))
+    cut = sorted(draw(st.lists(st.integers(0, len(ids)), min_size=2,
+                               max_size=2)))
+    chart = ChartDecl(tuple(ids[:cut[0]]), tuple(ids[cut[0]:cut[1]]),
+                      tuple(ids[cut[1]:]))
     names = list(_catalog(["a"]))
     bindings = [Binding(draw(IDS), draw(EXPRS))]
     for name in draw(st.permutations(
