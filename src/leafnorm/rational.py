@@ -628,18 +628,50 @@ def _gcd_operands(f, g):
 
 
 def poly_gcd(f, g):
-    """Primitive gcd: content 1, positive leading coefficient.
+    """(h, f/h, g/h): the primitive gcd h (content 1, positive leading
+    coefficient) and the two cofactors.
 
     The heuristic gcd answers first and the primitive PRS when it gives up;
     both find the gcd up to sign, so the result does not depend on the path.
+    The heuristic's cofactors are the quotients of the trial divisions that
+    verified it, so the exact divisions of a gcd run once.
     """
-    mono_gcd, f, g = _gcd_operands(f, g)
-    if f is None:
-        return mono_gcd
-    h = _heu_gcd(f, g)
-    if h is None:
-        h = _prs(f, g)
-    return _iprimitive(h * mono_gcd)
+    mono_gcd, F, G = _gcd_operands(f, g)
+    if F is None:
+        return _divided(mono_gcd, f, g)
+    found = _heu_gcd(F, G)
+    if found is None:
+        return _divided(_iprimitive(_prs(F, G) * mono_gcd), f, g)
+    h, qf, qg = found
+    # F and G are primitive, so h is too, with a positive leading
+    # coefficient; multiplying it by the monomial gcd is a shift
+    (low,) = mono_gcd.terms
+    if low:
+        h = Poly(h.ctx, {m + low: c for m, c in h.terms.items()})
+    if h.is_const():
+        return h, f, g
+    return h, _cofactor(qf, f, F, low), _cofactor(qg, g, G, low)
+
+
+def _divided(h, f, g):
+    """(h, f/h, g/h) by exact division; f and g themselves when h is 0 or 1."""
+    if h.is_const():
+        return h, f, g
+    return h, poly_exact_div(f, h), poly_exact_div(g, h)
+
+
+def _cofactor(q, f, F, low):
+    """f/h from q = F/H, where F is f made primitive and stripped of its
+    monomial content and h = x^low H: f = c x^a F, so f/h = c x^(a-low) q,
+    with c the ratio of the leading coefficients and x^a the ratio of the
+    leading monomials."""
+    fm, fc = f.leading()
+    Fm, Fc = F.leading()
+    c = fc // Fc
+    shift = fm - Fm - low
+    if c == 1 and not shift:
+        return q
+    return Poly(q.ctx, {m + shift: v * c for m, v in q.terms.items()})
 
 
 def _prs_gcd(f, g):
@@ -685,8 +717,9 @@ def _prs(f, g):
 
 
 def _heu_gcd(f, g):
-    """gcd of nonzero f and g with its integer content, up to sign, by the
-    heuristic gcd (GCDHEU); None when it gives up.
+    """(h, f/h, g/h) for nonzero f and g, with h their gcd with its integer
+    content, up to sign, by the heuristic gcd (GCDHEU); None when it gives
+    up.  At the integer leaf the cofactors are None: no caller reads them.
 
     Char, Geddes and Gonnet (1989): set one variable to an integer xi, take
     the gcd of the two images recursively, down to `math.gcd`, and read a
@@ -700,7 +733,7 @@ def _heu_gcd(f, g):
     nvars = len(ctx.vars)
     content = _icontent([f, g])
     if f.is_const() or g.is_const():
-        return Poly(ctx, {0: content})
+        return Poly(ctx, {0: content}), None, None
     if content != 1:
         f, g = [Poly(ctx, {m: c // content for m, c in p.terms.items()})
                 for p in (f, g)]
@@ -716,19 +749,20 @@ def _heu_gcd(f, g):
             return None
         fx, gx = _evaluate(f, x, xi), _evaluate(g, x, xi)
         if not (fx.is_zero() or gx.is_zero()):
-            h = _heu_gcd(fx, gx)
+            image = _heu_gcd(fx, gx)
             # an inner level that gives up ends the heuristic (as sympy):
             # trying further points here would multiply its cost per level
-            if h is None:
+            if image is None:
                 return None
-            h = _iprimitive(_xi_adic(h, x, xi))
+            h = _iprimitive(_xi_adic(image[0], x, xi))
             # a divisor has no higher degree in any variable, and the
-            # degrees are far cheaper to compare than a trial division
+            # degrees are far cheaper to compare than a trial division;
+            # the quotients of the trial divisions are the cofactors
             if all(map(operator.le, _fieldwise(max, h), bound)) \
-                    and poly_exact_div(f, h) is not None \
-                    and poly_exact_div(g, h) is not None:
+                    and (qf := poly_exact_div(f, h)) is not None \
+                    and (qg := poly_exact_div(g, h)) is not None:
                 return Poly(ctx, {m: c * content
-                                  for m, c in h.terms.items()})
+                                  for m, c in h.terms.items()}), qf, qg
         xi = xi * 73794 // 27011
     return None
 
@@ -736,8 +770,8 @@ def _heu_gcd(f, g):
 def _fieldwise(pick, f):
     """`pick` (min or max) of the exponents of each variable over the terms
     of nonzero f: the least exponents or the degrees."""
-    terms = list(f.terms)
-    return [pick([m & (_FIELD << s) for m in terms]) >> s
+    terms = f.terms
+    return [pick(map((_FIELD << s).__and__, terms)) >> s
             for s in f.ctx._shifts]
 
 
@@ -873,12 +907,8 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         # cross-cancel first to keep gcd inputs small
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_const() else poly_exact_div(self.num, g1)
-        d2 = other.den if g1.is_const() else poly_exact_div(other.den, g1)
-        n2 = other.num if g2.is_const() else poly_exact_div(other.num, g2)
-        d1 = self.den if g2.is_const() else poly_exact_div(self.den, g2)
+        _, n1, d2 = poly_gcd(self.num, other.den)
+        _, n2, d1 = poly_gcd(other.num, self.den)
         return ratfunc_normalize(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -1032,10 +1062,7 @@ def ratfunc_normalize(num, den):
     if num.is_zero():
         return RatFunc(Poly.zero(num.ctx), Poly.one(num.ctx))
     if not den.is_const():
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num = poly_exact_div(num, g)
-            den = poly_exact_div(den, g)
+        _, num, den = poly_gcd(num, den)
     return _canonical_scale(num, den)
 
 

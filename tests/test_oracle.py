@@ -1,8 +1,8 @@
 """Exactness oracle for the kernel: canonical-form invariants, field laws and
 calculus rules as Hypothesis properties, differential tests of
 `ratfunc_normalize` and `poly_gcd` against sympy and of the heuristic gcd
-against the primitive PRS, exact division undoing multiplication, and
-packed monomials against their exponent tuples.
+against the primitive PRS, gcd cofactors, exact division undoing
+multiplication, and packed monomials against their exponent tuples.
 
 Inputs are random multivariate polynomials with small integer coefficients,
 built through the public constructors.  Numerators and denominators share a
@@ -74,7 +74,7 @@ def _coeffs(f):
 def test_normalize_canonical_form(nd):
     num, den = nd
     f = ratfunc_normalize(num, den)
-    assert poly_gcd(f.num, f.den).is_const()
+    assert poly_gcd(f.num, f.den)[0].is_const()
     coeffs = _coeffs(f)
     assert all(Q(c).denominator == 1 for c in coeffs)
     assert math.gcd(*(int(c) for c in coeffs)) == 1
@@ -144,7 +144,7 @@ def test_poly_gcd_matches_sympy(g, a, b, k):
     # an integer multiple and a sign flip: the shared integer content of
     # the operands must not leak into the primitive gcd
     a, b = k * g * a, -g * b
-    ours = sympy.Poly(_to_sympy(poly_gcd(a, b), syms), *syms)
+    ours = sympy.Poly(_to_sympy(poly_gcd(a, b)[0], syms), *syms)
     theirs = sympy.Poly(
         sympy.gcd(_to_sympy(a, syms), _to_sympy(b, syms)), *syms)
     # sympy keeps the integer content, poly_gcd is primitive
@@ -154,10 +154,16 @@ def test_poly_gcd_matches_sympy(g, a, b, k):
 # --- heuristic gcd against the PRS; exact division ---------------------------
 
 @SETTINGS
-@given(nonzero_polys, polys, polys, st.integers(-6, 6).filter(bool))
-def test_poly_gcd_matches_prs(g, a, b, k):
-    a, b = k * g * a, g * b
-    assert poly_gcd(a, b) == _prs_gcd(a, b)
+@given(nonzero_polys, polys, polys, st.integers(-6, 6).filter(bool),
+       st.tuples(*[st.integers(0, 2)] * len(CTX.vars)))
+def test_poly_gcd_matches_prs(g, a, b, k, mono):
+    # integer and monomial content and a sign flip, which the cofactors
+    # must restore; a or b may be zero
+    a = k * Poly.from_exponents(CTX, {mono: 1}) * g * a
+    b = -g * b
+    h, ca, cb = poly_gcd(a, b)
+    assert h == _prs_gcd(a, b)
+    assert h * ca == a and h * cb == b
 
 
 def test_poly_gcd_falls_back_to_prs(monkeypatch):
@@ -166,12 +172,16 @@ def test_poly_gcd_falls_back_to_prs(monkeypatch):
     pairs = [(g * (x + 2 * z), -2 * g * (y * y - x)),
              (g * g * (1 + y), 4 * g * (1 - y) * z)]
     expected = [poly_gcd(a, b) for a, b in pairs]
-    assert expected[0] == g and expected[1] == g
+    assert expected[0][0] == g and expected[1][0] == g
     gave_up = []
     monkeypatch.setattr(rational, "_heu_gcd",
                         lambda f, g: gave_up.append((f, g)))
-    assert [poly_gcd(a, b) for a, b in pairs] == expected
+    fallback = [poly_gcd(a, b) for a, b in pairs]
+    assert fallback == expected
     assert len(gave_up) == len(pairs)
+    # the fallback's cofactors divide by the gcd it found
+    for (a, b), (h, ca, cb) in zip(pairs, fallback):
+        assert h * ca == a and h * cb == b
 
 
 def test_inner_failure_ends_the_heuristic(monkeypatch):
@@ -199,7 +209,7 @@ def test_inner_failure_ends_the_heuristic(monkeypatch):
 
     monkeypatch.setattr(rational, "_heu_gcd", top_level_only)
     monkeypatch.setattr(rational, "_prs", counted_prs)
-    assert poly_gcd(a, b) == g
+    assert poly_gcd(a, b)[0] == g
     # one failed image ends the heuristic: no further points are tried,
     # and the PRS answers
     assert len(inner) == 1

@@ -201,9 +201,9 @@ def test_poly_gcd_random_products():
         g = random_poly(rng, CTX, deg=1, nterms=2)
         if a.is_zero() or b.is_zero() or g.is_zero():
             continue
-        d = poly_gcd(a * g, b * g)
+        d = poly_gcd(a * g, b * g)[0]
         # g divides the gcd
-        assert poly_exact_div(d, poly_gcd(d, g)) is not None
+        assert poly_exact_div(d, poly_gcd(d, g)[0]) is not None
         assert poly_exact_div(a * g, d) is not None
         assert poly_exact_div(b * g, d) is not None
 
@@ -233,8 +233,8 @@ def test_poly_gcd_keeps_integer_content_out_of_the_images():
     ctx = ChartContext(base=["u", "v"], fiber=["y1", "y2", "y3"])
     u, v_, y1, y2, y3 = (Poly.var(ctx, n) for n in ctx.vars)
     f = (1 + u * u + v_ * v_) ** 2 * (1 + y1 * y1 + y2 * y2 + y3 * y3)
-    assert poly_gcd(f, -f) == f
-    assert poly_gcd(3 * f, 6 * f) == f
+    assert poly_gcd(f, -f) == (f, 1, -1)
+    assert poly_gcd(3 * f, 6 * f) == (f, 3, 6)
 
 
 def test_poly_gcd_bounds_the_heuristic_on_sparse_high_degree(monkeypatch):
@@ -253,8 +253,8 @@ def test_poly_gcd_bounds_the_heuristic_on_sparse_high_degree(monkeypatch):
         return evaluate(p, x, xi)
 
     monkeypatch.setattr(rational, "_evaluate", bounded)
-    assert poly_gcd(f, g) == 1
-    assert poly_gcd(f * (u + y2), g * (u + y2)) == u + y2
+    assert poly_gcd(f, g) == (1, f, g)
+    assert poly_gcd(f * (u + y2), g * (u + y2)) == (u + y2, f, g)
 
 
 def test_poly_coefficients_are_integers():
@@ -337,9 +337,58 @@ def test_poly_gcd_exits_early_on_a_constant_operand(monkeypatch):
     monkeypatch.setattr(rational, "_iprimitive", counted)
     for a, b in ((f, Poly.const(CTX, 4)), (Poly.const(CTX, -3), f),
                  (Poly.const(CTX, 2), Poly.const(CTX, 8))):
-        assert poly_gcd(a, b) == 1
+        h, ca, cb = poly_gcd(a, b)
+        assert h == 1 and ca is a and cb is b
     assert not calls
-    assert poly_gcd(f, Poly.zero(CTX)) == 3 * x * x + 2
+    assert poly_gcd(f, Poly.zero(CTX)) == (3 * x * x + 2, 2, 0)
+
+
+def test_poly_gcd_cofactors_of_zero_operands():
+    x = v("x")
+    f = -6 * x * x - 4
+    zero = Poly.zero(CTX)
+    # the cofactor of the nonzero operand is its signed integer content
+    assert poly_gcd(zero, f) == (3 * x * x + 2, 0, -2)
+    assert poly_gcd(f, zero) == (3 * x * x + 2, -2, 0)
+    assert poly_gcd(zero, Poly.const(CTX, -5)) == (1, 0, -5)
+    h, ca, cb = poly_gcd(zero, zero)
+    assert h.is_zero() and ca.is_zero() and cb.is_zero()
+
+
+def test_poly_gcd_cofactors_restore_monomial_and_integer_content():
+    ctx = ChartContext(base=["u"], fiber=["y1", "y2"])
+    u, y1, y2 = (Poly.var(ctx, n) for n in ctx.vars)
+    f = -6 * u * u * y1 * (u + y2)
+    g = 4 * u * y1 ** 3 * (u + y2)
+    assert poly_gcd(f, g) == (u * y1 * (u + y2), -6 * u, 4 * y1 * y1)
+    assert poly_gcd(g, f) == (u * y1 * (u + y2), 4 * y1 * y1, -6 * u)
+    # only monomial content in common: the early exit divides
+    assert poly_gcd(f, 2 * u * y1 * (1 + y2)) == (u * y1, -6 * u * (u + y2),
+                                                  2 + 2 * y2)
+
+
+def test_normalize_and_multiply_leave_division_to_poly_gcd(monkeypatch):
+    # the heuristic's trial divisions are the cofactors: ratfunc_normalize
+    # and RatFunc.__mul__ divide nothing themselves
+    x, y, y1 = v("x"), v("y"), v("y1")
+    g = x * y + y1 + 2
+    callers = []
+    exact_div = rational.poly_exact_div
+
+    def spy(f, h):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return exact_div(f, h)
+
+    monkeypatch.setattr(rational, "poly_exact_div", spy)
+    a = ratfunc_normalize(3 * g * (x - y1), -6 * g * (y + 1))
+    b = ratfunc_normalize(g * y1 * (y + 1), 2 * x * (x - y1))
+    ab = a * b
+    assert callers and set(callers) <= {"_heu_gcd", "_divided"}
+    assert not {"ratfunc_normalize", "__mul__"} & set(callers)
+    monkeypatch.undo()
+    assert a == rf(x - y1, -2 * y - 2)
+    assert b == rf(-g * y1 * (y + 1), 2 * x * (y1 - x))
+    assert ab == rf(g * y1, -4 * x)
 
 
 def test_printing_ignores_the_int_digit_limit():
