@@ -234,12 +234,13 @@ def monodromy(model, at=None):
     for row in rows:
         vals = []
         for entry in row:
-            den_at = entry.den.substitute(
-                {entry.ctx.var_index(k): RatFunc.const(entry.ctx, v)
-                 for k, v in subs.items()})
+            imap = {entry.ctx.var_index(k): RatFunc.const(entry.ctx, v)
+                    for k, v in subs.items()}
+            den_at = entry.den.substitute(imap)
             if den_at.is_zero():
                 raise SingularPoint("monodromy generator singular at %s" % (at,))
-            vals.append(entry.substitute(subs))
+            # entry.substitute(subs), reusing the denominator's value
+            vals.append(entry.num.substitute(imap) / den_at)
         out.append(vals)
     return out
 

@@ -177,7 +177,7 @@ class Poly:
 
     @staticmethod
     def one(ctx):
-        return Poly.const(ctx, 1)
+        return Poly(ctx, {0: 1})
 
     @staticmethod
     def from_exponents(ctx, terms):
@@ -270,6 +270,11 @@ class Poly:
         a, b = self.terms, other.terms
         if not (a and b):
             return Poly(self.ctx, {})
+        # a constant operand scales the other one's terms
+        if len(b) == 1 and 0 in b:
+            return _scaled(self.ctx, a, b[0])
+        if len(a) == 1 and 0 in a:
+            return _scaled(self.ctx, b, a[0])
         # every field of a product stays below its guard bit when the
         # largest total degree does
         s = self.ctx.deg_shift
@@ -442,6 +447,14 @@ class Poly:
         return "".join(parts)
 
     __repr__ = __str__
+
+
+def _scaled(ctx, terms, k):
+    """The Poly with terms times the nonzero int k; a factor of 1 keeps the
+    terms dict itself (no operation changes the terms of its operands)."""
+    if k == 1:
+        return Poly(ctx, terms)
+    return Poly(ctx, {m: c * k for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +649,10 @@ def poly_gcd(f, g):
     The heuristic's cofactors are the quotients of the trial divisions that
     verified it, so the exact divisions of a gcd run once.
     """
+    # a nonzero constant operand: the gcd is 1 (most calls on small inputs)
+    a, b = f.terms, g.terms
+    if (len(a) == 1 and 0 in a) or (len(b) == 1 and 0 in b):
+        return Poly(f.ctx, {0: 1}), f, g
     mono_gcd, F, G = _gcd_operands(f, g)
     if F is None:
         return _divided(mono_gcd, f, g)
@@ -755,6 +772,9 @@ def _heu_gcd(f, g):
             if image is None:
                 return None
             h = _iprimitive(_xi_adic(image[0], x, xi))
+            # a unit divides both, and the cofactors are f and g themselves
+            if h.is_const():
+                return Poly(ctx, {0: content}), f, g
             # a divisor has no higher degree in any variable, and the
             # degrees are far cheaper to compare than a trial division;
             # the quotients of the trial divisions are the cofactors
@@ -844,9 +864,14 @@ class RatFunc:
 
     @staticmethod
     def const(ctx, c):
-        c = Q(c)
-        return ratfunc_normalize(Poly.const(ctx, c.numerator),
-                                 Poly.const(ctx, c.denominator))
+        # a Fraction is reduced with a positive denominator, so n/d is
+        # already canonical
+        if not isinstance(c, (int, Q)):
+            c = Q(c)
+        if not c:
+            return RatFunc.zero(ctx)
+        return RatFunc(Poly(ctx, {0: c.numerator}),
+                       Poly(ctx, {0: c.denominator}))
 
     @staticmethod
     def zero(ctx):
@@ -1070,7 +1095,12 @@ def _canonical_scale(num, den):
     """Joint integral scaling with content 1 and positive leading denominator."""
     if num.is_zero():
         return RatFunc(Poly.zero(num.ctx), Poly.one(num.ctx))
-    num, den = _primitive([num, den], den.leading_coeff())
+    terms = den.terms
+    if len(terms) == 1 and terms.get(0) == 1:
+        return RatFunc(num, den)
+    # the denominator first: it is usually the smaller one, so the content
+    # reaches 1 sooner
+    den, num = _primitive([den, num], den.leading_coeff())
     return RatFunc(num, den)
 
 

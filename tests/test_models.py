@@ -195,6 +195,35 @@ def test_monodromy_singular_point():
     del m
 
 
+def test_monodromy_substitutes_each_denominator_once(monkeypatch):
+    ctx = ChartContext(base=[], fiber=[], params=("t1", "t2", "PI"))
+    t1 = RatFunc.var(ctx, "t1")
+    t2 = RatFunc.var(ctx, "t2")
+    pi = RatFunc.var(ctx, "PI")
+    m = PeriodModel(ctx, ["t1", "t2"],
+                    [pi / (1 + t1 * t1), pi * t2 / (2 - t1 * t2),
+                     pi * (t1 + t2) / (3 + t2 * t2)])
+    subs = {"t1": Q(1, 3), "t2": Q(-2)}
+    expect = [[entry.substitute(subs) for entry in row]
+              for row in monodromy(m)]
+    calls = []
+    substitute = Poly.substitute
+
+    def spy(self, mapping):
+        calls.append(self)
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(Poly, "substitute", spy)
+    vals = monodromy(m, at=subs)
+    # one substitution of the numerator and one of the denominator per
+    # entry (entry.substitute would add a second one of the denominator)
+    assert len(calls) == 2 * 3 * 2
+    assert vals == expect
+    # a denominator vanishing at the point is still refused
+    with pytest.raises(SingularPoint):
+        monodromy(m, at={"t1": Q(1), "t2": Q(2)})
+
+
 def test_lattice_discreteness():
     res = lattice_discreteness([[Q(1)], [Q(3, 7)]], 1)
     assert res.discrete and res.rank == 1

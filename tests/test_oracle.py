@@ -2,7 +2,9 @@
 calculus rules as Hypothesis properties, differential tests of
 `ratfunc_normalize` and `poly_gcd` against sympy and of the heuristic gcd
 against the primitive PRS, gcd cofactors, exact division undoing
-multiplication, and packed monomials against their exponent tuples.
+multiplication, packed monomials against their exponent tuples, the
+small-operand shortcuts against the general path, and operands that no
+operation changes.
 
 Inputs are random multivariate polynomials with small integer coefficients,
 built through the public constructors.  Numerators and denominators share a
@@ -14,12 +16,12 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leafnorm import rational
 from leafnorm.rational import (
-    ChartContext, Poly, Q, RatFunc, _prs_gcd, poly_exact_div, poly_gcd,
-    ratfunc_normalize,
+    ChartContext, Poly, Q, RatFunc, _canonical_scale, _primitive, _prs_gcd,
+    poly_exact_div, poly_gcd, ratfunc_normalize,
 )
 
 CTX = ChartContext(base=["x"], fiber=["y", "z"])
@@ -270,3 +272,99 @@ def test_exact_div_undoes_multiplication(a, b, c, mono):
     t = Poly.from_exponents(CTX, {mono: c})
     divisible = len(b.terms) == 1 and poly_exact_div(t, b) is not None
     assert (poly_exact_div(a * b + t, b) is not None) == divisible
+
+
+# --- small operands: the shortcuts against the general path ------------------
+
+def _term_product(a, b):
+    """a * b by the double loop over the terms."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return Poly(CTX, {m: c for m, c in out.items() if c})
+
+
+@SETTINGS
+@given(st.integers(-40, 40), st.integers(-40, 40).filter(bool))
+@example(0, 7)
+@example(-12, -18)
+def test_ratfunc_const_is_the_normalized_fraction(n, d):
+    # n/d need not be reduced, and d may be negative
+    for c, (num, den) in ((Q(n, d), (n, d)), (n, (n, 1))):
+        f = RatFunc.const(CTX, c)
+        general = ratfunc_normalize(Poly.const(CTX, num),
+                                    Poly.const(CTX, den))
+        assert f.num.terms == general.num.terms
+        assert f.den.terms == general.den.terms
+        assert all(type(v) is int for v in _coeffs(f))
+        assert f.const_value() == c
+
+
+@SETTINGS
+@given(polys, st.sampled_from([0, 1, -1, 2, -3, 7]))
+def test_constant_factor_is_the_term_product(p, k):
+    expect = _term_product(p, Poly.const(CTX, k))
+    assert (p * k).terms == expect.terms
+    assert (k * p).terms == expect.terms
+    assert (p * Poly.const(CTX, k)).terms == expect.terms
+    assert (Poly.const(CTX, k) * p).terms == expect.terms
+
+
+@SETTINGS
+@given(polys, st.integers(-6, 6), st.booleans())
+def test_poly_gcd_with_a_constant_operand(p, k, swap):
+    f, g = Poly.const(CTX, k), p
+    if swap:
+        f, g = g, f
+    h = _prs_gcd(f, g)
+    expect = (h, f, g) if h.is_zero() else \
+        (h, poly_exact_div(f, h), poly_exact_div(g, h))
+    assert poly_gcd(f, g) == expect
+
+
+@SETTINGS
+@given(polys, nonzero_polys, st.integers(-6, 6).filter(bool))
+def test_canonical_scale_shortcut(num, den, k):
+    for n, d in ((num, Poly.one(CTX)), (num * k, Poly.const(CTX, k)),
+                 (num * k, den)):
+        f = _canonical_scale(n, d)
+        if n.is_zero():
+            assert f == RatFunc.zero(CTX)
+            continue
+        # the general path: joint content out, leading denominator positive
+        gn, gd = _primitive([n, d], d.leading_coeff())
+        assert f.num.terms == gn.terms and f.den.terms == gd.terms
+
+
+# --- no operation changes its operands ---------------------------------------
+
+def _snapshot(*values):
+    polys = []
+    for v in values:
+        polys += [v.num, v.den] if isinstance(v, RatFunc) else [v]
+    return [dict(p.terms) for p in polys]
+
+
+@SETTINGS
+@given(polys, polys, st.integers(-3, 3), st.integers(1, 4))
+def test_operations_leave_operands_unchanged(a, b, k, d):
+    c = Poly.const(CTX, k)
+    for f, g in ((a, b), (a, c), (c, a), (a, Poly.one(CTX))):
+        before = _snapshot(f, g)
+        results = [f + g, f - g, f * g, g * f, f ** 2, f ** 0, *poly_gcd(f, g)]
+        if not g.is_zero():
+            results.append(ratfunc_normalize(f, g))
+        # the results of the shortcuts may share terms with the operands
+        for r in results:
+            r * r + r - f
+        assert _snapshot(f, g) == before
+    q = RatFunc.const(CTX, Q(k, d))
+    r = ratfunc_normalize(a, b) if not b.is_zero() else RatFunc.one(CTX)
+    before = _snapshot(q, r)
+    results = [q + r, q - r, q * r, r * q, q ** 2, r ** 2, q * k, k * r]
+    if not q.is_zero():
+        results += [r / q, q ** -1]
+    for s in results:
+        s * s + s - q
+    assert _snapshot(q, r) == before
