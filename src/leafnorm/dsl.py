@@ -33,7 +33,7 @@ of scalars.  `#` starts a line comment.
 
 import re
 
-from .errors import ChartRedeclared, DslSyntaxError, UnknownIdentifier
+from .errors import ChartRedeclared, DslSyntaxError, Record, UnknownIdentifier
 
 __all__ = [
     "tokenize", "parse", "print_program", "GRAMMAR", "Program", "ChartDecl",
@@ -46,43 +46,9 @@ __all__ = [
 
 # --- AST -----------------------------------------------------------------------
 
-class _Node:
-    """An immutable AST node: its fields are the __slots__ of its class, set
-    positionally, and it equals a node of its class with equal fields."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self._setters):
-            raise TypeError("%s takes %d fields, not %d" % (
-                type(self).__name__, len(self._setters), len(values)))
-        for set_field, value in zip(self._setters, values):
-            set_field(self, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def fields(self):
-        """Field name -> value, in declaration order."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.fields() == other.fields()
-
-    def __hash__(self):
-        return hash(tuple(self.fields().values()))
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % item for item in self.fields().items()))
-
-
 def _node(name, fields):
-    """A _Node class with the given space-separated field names."""
-    cls = type(name, (_Node,), {"__slots__": tuple(fields.split())})
-    # slot setters go round the refusing __setattr__, faster than by name
-    cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
-    return cls
+    """A Record class with the given space-separated field names."""
+    return type(name, (Record,), {"__slots__": tuple(fields.split())})
 
 
 # expressions: value an int, names strs, op one of + - * / ^

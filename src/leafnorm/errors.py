@@ -1,9 +1,57 @@
-"""Exception types raised by the engine.
+"""Exception types raised by the engine, and the immutable record base of its
+results and AST nodes.
 
 Every failure mode of the public operations has its own class so callers
 (and the DSL interpreter, which records errors per command) can dispatch on
 the exact condition.
 """
+
+
+class Record:
+    """An immutable value: its fields are the __slots__ of its class, set
+    positionally, and it equals a record of its class with equal fields.  A
+    subclass declares only __slots__; one that validates calls
+    super().__init__ with the checked values."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # slot setters go round the refusing __setattr__, faster than by name
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def __init__(self, *values):
+        if len(values) != len(self._setters):
+            raise TypeError("%s takes %d fields, not %d" % (
+                type(self).__name__, len(self._setters), len(values)))
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def fields(self):
+        """Field name -> value, in declaration order."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.fields() == other.fields()
+
+    def __hash__(self):
+        return hash(tuple(self.fields().values()))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in self.fields().items()))
+
+
+class Verdict(Record):
+    """A record whose truth value is its first field (ok, feasible)."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return getattr(self, self.__slots__[0])
 
 
 class LeafnormError(Exception):

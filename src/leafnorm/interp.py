@@ -13,7 +13,7 @@ import json
 import math
 
 from . import dsl
-from .errors import LeafnormError, LimitExceeded, UnknownIdentifier
+from .errors import LeafnormError, LimitExceeded, Record, UnknownIdentifier
 from .models import (
     PeriodModel,
     affine_in_params,
@@ -56,23 +56,16 @@ MAX_POWER_BITS = 1 << 22
 MAX_JET_ORDER = 16
 
 
-class CommandRecord:
+class CommandRecord(Record):
     __slots__ = ("cmd", "ok", "residual", "value")
-
-    def __init__(self, cmd, ok, residual, value):
-        self.cmd = cmd
-        self.ok = ok
-        self.residual = residual
-        self.value = value
 
     def as_dict(self):
         return {"cmd": self.cmd, "ok": self.ok, "residual": self.residual,
                 "value": self.value, "ms": 0}
 
 
-class Report:
-    def __init__(self, records):
-        self.records = list(records)
+class Report(Record):
+    __slots__ = ("records",)  # a tuple of CommandRecords
 
     @property
     def all_ok(self):
@@ -251,13 +244,13 @@ def _render(cmd):
     return dsl._pcmd(cmd)[:-1]  # drop the trailing semicolon
 
 
-def _residual_record(cmd, residual_strs):
+def _residual_record(cmd, residual_strs, value=None):
     ok = all(s == "0" for s in residual_strs)
     if len(residual_strs) == 1:
         res = residual_strs[0]
     else:
         res = "0" if ok else "[" + "; ".join(residual_strs) + "]"
-    return CommandRecord(_render(cmd), ok, res, None)
+    return CommandRecord(_render(cmd), ok, res, value)
 
 
 def _run_command(cmd, ctx, env):
@@ -285,9 +278,7 @@ def _run_command(cmd, ctx, env):
         else:
             j = jet_n(gamma.as_mixed(), cmd.order)
         resid = ltimes_bracket(j, j)
-        rec = _residual_record(cmd, [str(resid)])
-        rec.value = str(j)
-        return rec
+        return _residual_record(cmd, [str(resid)], str(j))
     if isinstance(cmd, dsl.CmdMoser):
         gamma = decompose(_lookup(env, cmd.target, Multivector))
         path = moser_path(gamma)
@@ -384,7 +375,7 @@ def execute(program):
             records.append(CommandRecord(
                 _render(cmd), False, None,
                 "error: %s: %s" % (type(exc).__name__, exc)))
-    return Report(records)
+    return Report(tuple(records))
 
 
 def emit(report, fmt="json"):

@@ -11,8 +11,11 @@ in the test suite and recorded here.
 from .errors import (
     JacobiFailed,
     NonRationalInput,
+    Record,
     SingularPoint,
+    Verdict,
     VariableOverlap,
+    ZeroDenominator,
     ZeroGenerator,
 )
 from .multivector import DiffForm, Multivector
@@ -165,25 +168,20 @@ def sphere_example(deformed, ctx=None):
 # period models and monodromy
 # ---------------------------------------------------------------------------
 
-class PeriodModel:
+class PeriodModel(Record):
     """Leafwise symplectic periods as rational functions of the transverse
-    parameters, each a degree-one multiple of the formal period symbol."""
+    parameters, each a degree-one multiple of the formal period symbol PI."""
 
-    def __init__(self, ctx, transverse, periods, pi_symbol="PI",
-                 base_point=None):
-        self.ctx = ctx
-        self.transverse = tuple(transverse)
-        self.pi_symbol = pi_symbol
-        self.periods = list(periods)
-        for name in self.transverse + (pi_symbol,):
+    __slots__ = ("ctx", "transverse", "periods")
+
+    def __init__(self, ctx, transverse, periods):
+        super().__init__(ctx, tuple(transverse), tuple(periods))
+        for name in self.transverse + ("PI",):
             ctx.var_index(name)
-        if base_point is None:
-            base_point = {name: Q(0) for name in self.transverse}
-        self.base_point = dict(base_point)
         self._validate()
 
     def _validate(self):
-        pi_idx = self.ctx.var_index(self.pi_symbol)
+        pi_idx = self.ctx.var_index("PI")
         for f in self.periods:
             if f.den.depends_on(pi_idx):
                 raise NonRationalInput(
@@ -191,11 +189,11 @@ class PeriodModel:
             for mono, _ in f.num.exponents():
                 if mono[pi_idx] != 1:
                     raise NonRationalInput(
-                        "period must be homogeneous of degree 1 in %s"
-                        % self.pi_symbol)
+                        "period must be homogeneous of degree 1 in PI")
+            # the base point is the origin of the transverse parameters
             den_at = f.den.substitute(
-                {self.ctx.var_index(k): RatFunc.const(self.ctx, v)
-                 for k, v in self.base_point.items()})
+                {self.ctx.var_index(k): RatFunc.const(self.ctx, Q(0))
+                 for k in self.transverse})
             if den_at.is_zero():
                 raise SingularPoint("period is singular at the base point")
 
@@ -203,8 +201,6 @@ class PeriodModel:
         return "period_model(transverse=[%s]; periods=(%s))" % (
             ", ".join(self.transverse),
             ", ".join(str(p) for p in self.periods))
-
-    __repr__ = __str__
 
 
 def sphere_period_model():
@@ -229,31 +225,16 @@ def monodromy(model, at=None):
         rows.append(row)
     if at is None:
         return rows
-    subs = {k: Q(v) for k, v in at.items()}
-    out = []
-    for row in rows:
-        vals = []
-        for entry in row:
-            imap = {entry.ctx.var_index(k): RatFunc.const(entry.ctx, v)
-                    for k, v in subs.items()}
-            den_at = entry.den.substitute(imap)
-            if den_at.is_zero():
-                raise SingularPoint("monodromy generator singular at %s" % (at,))
-            # entry.substitute(subs), reusing the denominator's value
-            vals.append(entry.num.substitute(imap) / den_at)
-        out.append(vals)
-    return out
+    subs = {k: RatFunc.const(model.ctx, Q(v)) for k, v in at.items()}
+    try:
+        return [[entry.substitute(subs) for entry in row] for row in rows]
+    except ZeroDenominator:
+        raise SingularPoint(
+            "monodromy generator singular at %s" % (at,)) from None
 
 
-class LatticeResult:
+class LatticeResult(Record):
     __slots__ = ("discrete", "rank")
-
-    def __init__(self, discrete, rank):
-        self.discrete = discrete
-        self.rank = rank
-
-    def __repr__(self):
-        return "LatticeResult(discrete=%r, rank=%d)" % (self.discrete, self.rank)
 
 
 def lattice_discreteness(generators, dimension):
@@ -318,20 +299,8 @@ def _proportional_constant(row_a, row_b):
     return ratio.is_const()
 
 
-class IntegerIdentity:
+class IntegerIdentity(Verdict):
     __slots__ = ("feasible", "coefficients")
-
-    def __init__(self, feasible, coefficients):
-        self.feasible = feasible
-        self.coefficients = coefficients
-
-    def __bool__(self):
-        return self.feasible
-
-    def __repr__(self):
-        if self.feasible:
-            return "IntegerIdentity(m=%r)" % (self.coefficients,)
-        return "IntegerIdentity(infeasible)"
 
 
 def integer_affine_identity(f, basis):

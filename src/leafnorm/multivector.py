@@ -20,7 +20,7 @@ X(f) on (vector field, function), and is pinned by the invariant suite
 """
 
 from .rational import Q, RatFunc
-from .errors import ContextMismatch, NonHomogeneous, WrongDegree
+from .errors import ContextMismatch, NonHomogeneous, Verdict, WrongDegree
 
 __all__ = [
     "Multivector", "DiffForm", "schouten", "exterior_derivative",
@@ -460,15 +460,8 @@ def cotangent_bracket(pi, alpha, beta):
     return lie_derivative(xa, beta) - lie_derivative(xb, alpha) - d_scalar(pab)
 
 
-class PoissonCheck:
+class PoissonCheck(Verdict):
     __slots__ = ("ok", "residual")
-
-    def __init__(self, ok, residual):
-        self.ok = ok
-        self.residual = residual
-
-    def __bool__(self):
-        return self.ok
 
 
 def is_poisson(pi):

@@ -18,6 +18,9 @@ from .errors import (
     NotDivisibleByT,
     NotFirstOrder,
     NotHorizontallyNondegenerate,
+    Record,
+    SingularMatrix,
+    Verdict,
     WrongDegree,
 )
 from .linalg import MatrixRF, matrix_inverse
@@ -52,10 +55,10 @@ __all__ = [
 ]
 
 
-class DiracElement:
+class DiracElement(Record):
     """Triple (vertical bivector, connection, two-form component)."""
 
-    __slots__ = ("v_part", "conn_part", "f_part", "_dirac_checked")
+    __slots__ = ("v_part", "conn_part", "f_part")
 
     def __init__(self, v_part, conn_part, f_part):
         ctx = conn_part.context
@@ -73,10 +76,7 @@ class DiracElement:
         for (I, J, K) in conn_part.terms:
             if not J and (len(I) != 1 or len(K) != 1):
                 raise InvalidElement("connection part must be of bidegree (1,1)")
-        self.v_part = v_part
-        self.conn_part = conn_part
-        self.f_part = f_part
-        self._dirac_checked = None
+        super().__init__(v_part, conn_part, f_part)
 
     @classmethod
     def from_mixed(cls, g):
@@ -96,26 +96,14 @@ class DiracElement:
         return ltimes_bracket(g, g)
 
     def is_dirac(self):
-        if self._dirac_checked is None:
-            self._dirac_checked = self.dirac_residual().is_zero()
-        return self._dirac_checked
-
-    def __eq__(self, other):
-        return (isinstance(other, DiracElement)
-                and self.v_part == other.v_part
-                and self.conn_part == other.conn_part
-                and self.f_part == other.f_part)
-
-    __hash__ = None
+        return self.dirac_residual().is_zero()
 
     def __str__(self):
         return "(v = %s, conn = %s, f = %s)" % (
             self.v_part, self.conn_part, self.f_part)
 
-    __repr__ = __str__
 
-
-class HorizontalData:
+class HorizontalData(Record):
     """The three blocks of a degree-2 multivector on the chart."""
 
     __slots__ = ("A", "B", "C")
@@ -123,9 +111,7 @@ class HorizontalData:
     def __init__(self, A, B, C):
         if not A.is_antisymmetric() or not C.is_antisymmetric():
             raise InvalidElement("A and C blocks must be antisymmetric")
-        self.A = A
-        self.B = B
-        self.C = C
+        super().__init__(A, B, C)
 
 
 def _antisymmetric(ctx, n, entries):
@@ -165,16 +151,8 @@ def horizontal_blocks(theta):
                           _antisymmetric(ctx, q, C))
 
 
-class HorizontalCheck:
+class HorizontalCheck(Verdict):
     __slots__ = ("ok", "det", "nonzero_at_leaf")
-
-    def __init__(self, ok, det, nonzero_at_leaf):
-        self.ok = ok
-        self.det = det
-        self.nonzero_at_leaf = nonzero_at_leaf
-
-    def __bool__(self):
-        return self.ok
 
 
 def is_horizontally_nondegenerate(theta):
@@ -211,10 +189,11 @@ def assemble(gamma):
     p, q = ctx.p, ctx.q
     F = _antisymmetric(ctx, p, ((I, c) for (I, _, _), c
                                 in gamma.f_part.terms.items()))
-    if F.det().is_zero():
-        raise DegenerateFPart(
-            "two-form component is degenerate as a rational-function matrix")
-    A = matrix_inverse(F)
+    try:
+        A = matrix_inverse(F)
+    except SingularMatrix:
+        raise DegenerateFPart("two-form component is degenerate as a "
+                              "rational-function matrix") from None
     z = RatFunc.zero(ctx)
     W = [[z for _ in range(q)] for _ in range(p)]
     for (I, J, K), c in gamma.conn_part.terms.items():
@@ -347,15 +326,8 @@ def chain_map_residual(theta, u):
 # leaves, jets, the Moser path
 # ---------------------------------------------------------------------------
 
-class LeafCheck:
+class LeafCheck(Verdict):
     __slots__ = ("ok", "omega")
-
-    def __init__(self, ok, omega):
-        self.ok = ok
-        self.omega = omega
-
-    def __bool__(self):
-        return self.ok
 
 
 def leaf_check(gamma):
@@ -383,16 +355,14 @@ def first_jet_model(gamma):
     return out
 
 
-class MoserPath:
+class MoserPath(Record):
     """The family gamma_t = gamma|_S + (t phi_t(gamma) - gamma|_S)/t."""
 
-    __slots__ = ("gamma_t", "param", "context", "base_context")
+    __slots__ = ("gamma_t", "param", "base_context")
 
-    def __init__(self, gamma_t, param, base_context):
-        self.gamma_t = gamma_t
-        self.param = param
-        self.context = gamma_t.context
-        self.base_context = base_context
+    @property
+    def context(self):
+        return self.gamma_t.context
 
 
 def moser_path(gamma, param="t", truncation_order=None):
@@ -462,70 +432,51 @@ def linearization_cocycle(theta, omega):
 # the induced algebroid on TS + E*
 # ---------------------------------------------------------------------------
 
-class AlgebroidSection:
+class AlgebroidSection(Record):
     """Section X + alpha of TS + E*: base vector coefficients and the
-    coefficients of the fiber-linear function representing alpha."""
+    coefficients of the fiber-linear function representing alpha, both
+    tuples."""
 
     __slots__ = ("x", "eps")
 
-    def __init__(self, x, eps):
-        self.x = list(x)
-        self.eps = list(eps)
-
     def __add__(self, other):
-        return AlgebroidSection([a + b for a, b in zip(self.x, other.x)],
-                                [a + b for a, b in zip(self.eps, other.eps)])
+        return AlgebroidSection(
+            tuple(a + b for a, b in zip(self.x, other.x)),
+            tuple(a + b for a, b in zip(self.eps, other.eps)))
 
     def __sub__(self, other):
-        return AlgebroidSection([a - b for a, b in zip(self.x, other.x)],
-                                [a - b for a, b in zip(self.eps, other.eps)])
+        return AlgebroidSection(
+            tuple(a - b for a, b in zip(self.x, other.x)),
+            tuple(a - b for a, b in zip(self.eps, other.eps)))
 
     def scale(self, f):
-        return AlgebroidSection([a * f for a in self.x],
-                                [a * f for a in self.eps])
+        return AlgebroidSection(tuple(a * f for a in self.x),
+                                tuple(a * f for a in self.eps))
 
     def is_zero(self):
         return all(a.is_zero() for a in self.x) and \
             all(a.is_zero() for a in self.eps)
 
-    def __eq__(self, other):
-        return (isinstance(other, AlgebroidSection)
-                and self.x == other.x and self.eps == other.eps)
 
-    __hash__ = None
-
-    def __repr__(self):
-        return "AlgebroidSection(x=%r, eps=%r)" % (self.x, self.eps)
-
-
-class AlgebroidData:
+class AlgebroidData(Record):
     """Bracket, anchor and verification helpers for the first-jet algebroid."""
 
-    def __init__(self, context, v_part, conn_part, sigma):
-        self.context = context
-        self.v_part = v_part
-        self.conn_part = conn_part
-        self.sigma = sigma
+    __slots__ = ("context", "v_part", "conn_part", "sigma")
 
     # -- frame -----------------------------------------------------------
 
     def zero_section(self):
         ctx = self.context
         z = RatFunc.zero(ctx)
-        return AlgebroidSection([z] * ctx.p, [z] * ctx.q)
+        return AlgebroidSection((z,) * ctx.p, (z,) * ctx.q)
 
     def frame(self):
+        """The unit sections, base directions first."""
         ctx = self.context
-        out = []
-        for i in range(ctx.p):
-            s = self.zero_section()
-            s.x[i] = RatFunc.one(ctx)
-            out.append(s)
-        for a in range(ctx.q):
-            s = self.zero_section()
-            s.eps[a] = RatFunc.one(ctx)
-            out.append(s)
-        return out
+        z, one = RatFunc.zero(ctx), RatFunc.one(ctx)
+        units = [tuple(one if k == i else z for k in range(ctx.p + ctx.q))
+                 for i in range(ctx.p + ctx.q)]
+        return [AlgebroidSection(u[:ctx.p], u[ctx.p:]) for u in units]
 
     def anchor(self, s):
         return list(s.x)
@@ -594,7 +545,7 @@ class AlgebroidData:
             rebuilt = rebuilt + eps[a] * RatFunc.var(ctx, name)
         if rebuilt != hc:
             raise NotFirstOrder("bracket left the fiber-linear sections")
-        return AlgebroidSection(xout, eps)
+        return AlgebroidSection(tuple(xout), tuple(eps))
 
     # -- verification -----------------------------------------------------------
 
@@ -634,14 +585,10 @@ def algebroid_from_jet(gamma1):
 # the graded differential on gr_l
 # ---------------------------------------------------------------------------
 
-class GradedDifferential:
+class GradedDifferential(Record):
     """u |-> [delta, u] restricted to the homogeneity-l part of Omega_E."""
 
     __slots__ = ("delta", "level")
-
-    def __init__(self, delta, level):
-        self.delta = delta
-        self.level = level
 
     def __call__(self, u):
         from .omega import is_homogeneous

@@ -6,10 +6,21 @@ from leafnorm.dsl import (
     print_program,
 )
 from leafnorm.errors import (
-    ChartRedeclared, DslSyntaxError, UnknownIdentifier,
+    ChartRedeclared, DslSyntaxError, UnknownIdentifier, Verdict,
 )
 from leafnorm import interp, rational
 from leafnorm.interp import MAX_EXPONENT, MAX_JET_ORDER, execute
+from leafnorm.models import (
+    integer_affine_identity, lattice_discreteness, sphere_context,
+    sphere_example, sphere_period_model,
+)
+from leafnorm.multivector import is_poisson
+from leafnorm.omega import ds_n
+from leafnorm.rational import Q, RatFunc
+from leafnorm.vorobjev import (
+    algebroid_from_jet, decompose, first_jet_model, graded_differential,
+    horizontal_blocks, is_horizontally_nondegenerate, leaf_check, moser_path,
+)
 
 
 SMOKE = """
@@ -71,6 +82,59 @@ def test_ast_nodes_are_immutable_values():
     assert repr(CmdJet("p", 2)) == "CmdJet(target='p', order=2)"
     assert repr(ChartDecl(("u",), (), ())) == \
         "ChartDecl(base=('u',), fiber=(), params=())"
+
+
+@pytest.fixture(scope="module")
+def engine_records():
+    """One record of each engine class, each from a real call."""
+    theta = sphere_example(False)
+    gamma = decompose(theta)
+    algebroid = algebroid_from_jet(first_jet_model(gamma))
+    u = RatFunc.var(sphere_context(), "u")
+    report = execute(parse(SMOKE))
+    return {
+        "PoissonCheck": is_poisson(theta),
+        "HorizontalCheck": is_horizontally_nondegenerate(theta),
+        "LeafCheck": leaf_check(gamma),
+        "IntegerIdentity": integer_affine_identity(u * 2, [u]),
+        "IntegerIdentity-infeasible": integer_affine_identity(u / 2, [u]),
+        "DiracElement": gamma,
+        "HorizontalData": horizontal_blocks(theta),
+        "MoserPath": moser_path(gamma),
+        "AlgebroidSection": algebroid.frame()[0],
+        "AlgebroidData": algebroid,
+        "GradedDifferential": graded_differential(
+            ds_n(gamma.as_mixed(), 1), 1),
+        "LatticeResult": lattice_discreteness([[Q(1)], [Q(3, 7)]], 1),
+        "PeriodModel": sphere_period_model(),
+        "CommandRecord": report.records[0],
+        "Report": report,
+    }
+
+
+VERDICTS = {"PoissonCheck", "HorizontalCheck", "LeafCheck", "IntegerIdentity"}
+
+
+@pytest.mark.parametrize("name", [
+    "PoissonCheck", "HorizontalCheck", "LeafCheck", "IntegerIdentity",
+    "IntegerIdentity-infeasible", "DiracElement", "HorizontalData",
+    "MoserPath", "AlgebroidSection", "AlgebroidData", "GradedDifferential",
+    "LatticeResult", "PeriodModel", "CommandRecord", "Report"])
+def test_engine_records_are_immutable_values(engine_records, name):
+    rec = engine_records[name]
+    cls = type(rec)
+    assert cls.__name__ == name.split("-")[0]
+    fields = rec.fields()
+    for field, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(rec, field, value)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert cls(*fields.values()) == rec
+    assert isinstance(rec, Verdict) == (cls.__name__ in VERDICTS)
+    if isinstance(rec, Verdict):
+        truth = fields["ok"] if "ok" in fields else fields["feasible"]
+        assert bool(rec) is truth
 
 
 def test_binding_after_command_rejected():

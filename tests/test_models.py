@@ -189,8 +189,7 @@ def test_monodromy_singular_point():
         ctx = ChartContext(base=[], fiber=[], params=("t", "PI"))
         t = Poly.var(ctx, "t")
         pi = RatFunc.var(ctx, "PI")
-        bad = PeriodModel(ctx, ["t"],
-                          [pi / RatFunc.from_poly(1 - t)], base_point={"t": 0})
+        bad = PeriodModel(ctx, ["t"], [pi / RatFunc.from_poly(1 - t)])
         monodromy(bad, at={"t": 1})
     del m
 

@@ -6,6 +6,7 @@ from leafnorm.errors import (
     DegenerateFPart, LeafCheckFailed, NotFirstOrder,
     NotHorizontallyNondegenerate,
 )
+from leafnorm.linalg import MatrixRF
 from leafnorm.models import linear_poisson, so3
 from leafnorm.multivector import DiffForm, Multivector, is_poisson, schouten
 from leafnorm.omega import (
@@ -137,6 +138,22 @@ def test_assemble_frozen_example():
     f = MixedElement(CTX, {((0, 1), (), ()): -RatFunc.one(CTX)})
     gamma = DiracElement(z, gamma_S(CTX), f)
     assert assemble(gamma) == symplectic_2d(CTX)
+
+
+def test_assemble_computes_one_determinant(monkeypatch):
+    theta = sphere_bivector(CTX3, True)
+    gamma = decompose(theta)
+    calls = []
+    det = MatrixRF.det
+
+    def spy(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(MatrixRF, "det", spy)
+    assert assemble(gamma) == theta
+    # the inverse's own determinant doubles as the degeneracy test
+    assert len(calls) == 1
 
 
 def test_assemble_degenerate_f_rejected():
