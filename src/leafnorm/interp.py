@@ -27,11 +27,13 @@ from .models import (
     sphere_example,
 )
 from .multivector import DiffForm, Graded, Multivector, is_poisson
-from .omega import MixedElement, jet_n, ltimes_bracket, validate_membership, INVALID
+from .omega import (INVALID, MixedElement, dilation, jet_n, ltimes_bracket,
+                    validate_membership)
 from .rational import ChartContext, RatFunc, int_str
 from .vorobjev import (
     decompose,
     first_jet_model,
+    gamma_dot_1,
     moser_at,
     moser_gamma_dot,
     moser_path,
@@ -290,8 +292,6 @@ def _run_command(cmd, ctx, env):
         residuals.append(str(end1))
         residuals.append(str(end0))
         # auxiliary identity t^-1 phi_t(gdot_1) = gdot_t
-        from .omega import dilation
-        from .vorobjev import gamma_dot_1
         ctx_t = path.context
         t = RatFunc.var(ctx_t, path.param)
         gd1 = gamma_dot_1(gamma).cast(ctx_t)
@@ -313,10 +313,11 @@ def _run_command(cmd, ctx, env):
                     % (len(model.transverse), len(cmd.point)))
             at = {}
             for name, e in zip(model.transverse, cmd.point):
-                v = _eval_expr(e, ctx).scalar_value()
-                if not v.is_const():
+                v = _eval_expr(e, ctx)
+                c = v.scalar_value()
+                if not v.is_scalar() or not c.is_const():
                     raise _EvalError("evaluation point must be rational")
-                at[name] = v.const_value()
+                at[name] = c.const_value()
         gens = monodromy(model, at=at)
         if all(len(row) == 1 for row in gens):
             value = "(" + ", ".join(str(row[0]) for row in gens) + ")"

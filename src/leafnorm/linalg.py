@@ -1,9 +1,10 @@
 """Matrices over the rational-function field with exact elimination.
 
-Determinant and inverse run Bareiss-style fraction-free elimination: every
-division performed is exact, so the results are canonical RatFuncs with no
-spurious blowup.  Sizes here are small (the horizontal block of a bivector),
-so clarity wins over asymptotics.
+The determinant runs Bareiss fraction-free elimination, whose every
+division is exact; `solve`, and with it the inverse, is Gauss-Jordan
+elimination over the field of rational functions.  Every entry stays a
+canonical RatFunc.  Sizes here are small (the horizontal block of a
+bivector), so clarity wins over asymptotics.
 """
 
 from .errors import SingularMatrix
@@ -86,15 +87,6 @@ class MatrixRF:
         return MatrixRF(self.ctx, [[self.entries[i][j]
                                     for i in range(self.rows)]
                                    for j in range(self.cols)], self.rows)
-
-    def is_antisymmetric(self):
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(self.rows):
-                if not (self.entries[i][j] + self.entries[j][i]).is_zero():
-                    return False
-        return True
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""

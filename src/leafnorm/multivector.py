@@ -29,35 +29,10 @@ __all__ = [
 ]
 
 
-def _merge_sorted(a, b):
-    """Merge two strictly increasing tuples; (None, 0) when they intersect.
-
-    Returns (merged tuple, sign) with sugar sign from sorting a+b.
-    """
-    out = []
-    sign = 1
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining la - i elements of a
-            if (la - i) & 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
 def _sort_block(block):
     """(sorted tuple, sign of the sorting permutation); (None, 0) when an
-    index repeats."""
+    index repeats.  This is the one Koszul sign rule: the wedge of
+    generator blocks is their concatenation sorted by it."""
     sblock = tuple(sorted(block))
     if len(set(sblock)) != len(sblock):
         return None, 0
@@ -108,14 +83,14 @@ class Graded:
         return blocks
 
     @classmethod
-    def _blockwise(cls, fn, *keys):
-        """Apply fn, which returns (block, sign) or (None, 0), to the blocks
-        of the keys in turn; the resulting key and the product of the signs,
-        or (None, 0)."""
+    def _blockwise(cls, *keys):
+        """Join the blocks of the keys position by position and sort each
+        one; the resulting key and the product of the sort signs, or
+        (None, 0) when a generator repeats within a block."""
         blocks = []
         sign = 1
         for parts in zip(*map(cls._blocks, keys)):
-            block, s = fn(*parts)
+            block, s = _sort_block(sum(parts, ()))
             if block is None:
                 return None, 0
             blocks.append(block)
@@ -139,7 +114,7 @@ class Graded:
         for key, coeff in items:
             if coeff.is_zero():
                 continue
-            key, sign = cls._blockwise(_sort_block, key)
+            key, sign = cls._blockwise(key)
             if key is not None:
                 _accumulate(out, key, coeff if sign > 0 else -coeff)
         return cls(context, out)
@@ -181,7 +156,7 @@ class Graded:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key, sign = self._blockwise(_merge_sorted, m1, m2)
+                key, sign = self._blockwise(m1, m2)
                 if key is not None:
                     c = c1 * c2
                     _accumulate(out, key, c if sign > 0 else -c)
@@ -197,11 +172,6 @@ class Graded:
     def cast(self, new_ctx):
         return type(self)(new_ctx,
                           {m: c.cast(new_ctx) for m, c in self.terms.items()})
-
-    def restrict(self, new_ctx):
-        return type(self)(new_ctx,
-                          {m: c.restrict(new_ctx)
-                           for m, c in self.terms.items()})
 
     def map_coeffs(self, fn):
         out = {}
@@ -329,7 +299,7 @@ def _d_half(u, v, gens):
             if dc.is_zero():
                 continue
             for m1, c1 in du.terms.items():
-                key, sign = _merge_sorted(m1, m2)
+                key, sign = _sort_block(m1 + m2)
                 if key is None:
                     continue
                 c = c1 * dc
@@ -374,7 +344,7 @@ def exterior_derivative(omega):
             dc = c.derivative(ctx.vars[ctx.nparams + i])
             if dc.is_zero():
                 continue
-            key, sign = _merge_sorted((i,), m)
+            key, sign = _sort_block((i,) + m)
             if key is None:
                 continue
             items.append((key, dc if sign > 0 else -dc))

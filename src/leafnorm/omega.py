@@ -27,7 +27,7 @@ from .errors import (
     NotFiberPolynomial,
     ZeroParameter,
 )
-from .multivector import Graded, Multivector, _merge_sorted, schouten
+from .multivector import DiffForm, Graded, Multivector, _sort_block, schouten
 from .rational import Poly, Q, RatFunc
 
 __all__ = [
@@ -113,7 +113,7 @@ def _lie_fn(ctx, a, I1, j, c, I2):
     out = []
     dc = c.derivative(_base_var(ctx, j))
     if not dc.is_zero():
-        key, s = _merge_sorted(I1, I2)
+        key, s = _sort_block(I1 + I2)
         if key is not None:
             v = a * dc
             out.append((key, v if s > 0 else -v))
@@ -128,14 +128,11 @@ def _lie_fn(ctx, a, I1, j, c, I2):
         da = a.derivative(_base_var(ctx, m))
         if da.is_zero():
             continue
-        f1, s1 = _merge_sorted((m,), I1)
-        if f1 is None:
-            continue
-        key, s3 = _merge_sorted(f1, I2c)
+        key, s1 = _sort_block((m,) + I1 + I2c)
         if key is None:
             continue
         v = da * c
-        s = sign0 * s1 * sign2 * s3
+        s = sign0 * s1 * sign2
         out.append((key, v if s > 0 else -v))
     return out
 
@@ -143,7 +140,7 @@ def _lie_fn(ctx, a, I1, j, c, I2):
 def _vv_pair(ctx, t1, c1, t2, c2, items):
     I1, _, K1 = t1
     I2, _, K2 = t2
-    form, fsign = _merge_sorted(I1, I2)
+    form, fsign = _sort_block(I1 + I2)
     if form is None:
         return
     u = Multivector(ctx, {K1: c1})
@@ -257,7 +254,6 @@ def mixed_from_base_form(omega):
 
 def base_form_of(e):
     """Inverse of mixed_from_base_form on pure (p, 0) elements."""
-    from .multivector import DiffForm
     out = {}
     for (I, J, K), c in e.terms.items():
         if J or K:

@@ -388,17 +388,10 @@ class Poly:
         return Poly(self.ctx, {m: c for m, c in out.items() if c})
 
     def cast(self, new_ctx):
-        """Re-tag into a context containing at least the same variables."""
-        return self._repack(
-            new_ctx, [new_ctx.var_index(v) for v in self.ctx.vars])
-
-    def restrict(self, new_ctx):
-        """Re-tag into a smaller context; fails if a dropped variable occurs."""
-        return self._repack(
-            new_ctx, [new_ctx._index.get(v, -1) for v in self.ctx.vars])
-
-    def _repack(self, new_ctx, pos):
+        """Re-tag into another context by variable name; fails only when a
+        variable that occurs is missing from it."""
         # pos[i]: index in new_ctx of variable i, or -1 where it has none
+        pos = [new_ctx._index.get(v, -1) for v in self.ctx.vars]
         n = len(new_ctx.vars)
         out = {}
         for m, c in self.exponents():
@@ -1014,10 +1007,6 @@ class RatFunc:
         # gcd/content survive renaming, but the graded-lex leading term of the
         # denominator can change with the variable order, so re-fix the sign
         return _canonical_scale(self.num.cast(new_ctx), self.den.cast(new_ctx))
-
-    def restrict(self, new_ctx):
-        return _canonical_scale(
-            self.num.restrict(new_ctx), self.den.restrict(new_ctx))
 
     # -- fiber expansion ---------------------------------------------------
 

@@ -27,9 +27,10 @@ from .linalg import MatrixRF, matrix_inverse
 from .multivector import (
     DiffForm,
     Multivector,
-    _merge_sorted,
+    _sort_block,
     exterior_derivative,
     schouten,
+    sharp,
 )
 from .omega import (
     MixedElement,
@@ -38,6 +39,7 @@ from .omega import (
     dilation,
     euler_field,
     gamma_S,
+    is_homogeneous,
     jet_n,
     ltimes_bracket,
     p_S,
@@ -107,11 +109,6 @@ class HorizontalData(Record):
     """The three blocks of a degree-2 multivector on the chart."""
 
     __slots__ = ("A", "B", "C")
-
-    def __init__(self, A, B, C):
-        if not A.is_antisymmetric() or not C.is_antisymmetric():
-            raise InvalidElement("A and C blocks must be antisymmetric")
-        super().__init__(A, B, C)
 
 
 def _antisymmetric(ctx, n, entries):
@@ -236,7 +233,7 @@ def _expand(gens, c, repl):
         new_parts = []
         for tup, cc in parts:
             for h, ch in repl.get(g, ((g, None),)):
-                merged, s = _merge_sorted(tup, (h,))
+                merged, s = _sort_block(tup + (h,))
                 if merged is None:
                     continue
                 v = cc if ch is None else cc * ch
@@ -305,7 +302,7 @@ def tau_inverse(theta, e):
             raise InvalidElement("tau inverse expects an element with no "
                                  "horizontal lift terms")
         for tup, cc in _expand(I, c, to_frame):
-            merged, s = _merge_sorted(tup, K)
+            merged, s = _sort_block(tup + K)
             if merged is None:
                 continue
             items.append((merged, cc if s > 0 else -cc))
@@ -365,10 +362,15 @@ class MoserPath(Record):
         return self.gamma_t.context
 
 
-def moser_path(gamma, param="t", truncation_order=None):
+def moser_path(gamma, truncation_order=None):
     if not leaf_check(gamma).ok:
         raise LeafCheckFailed("the zero section is not a symplectic leaf")
     base_ctx = gamma.context
+    # the path parameter: the first of t, t1, t2, ... that the chart lacks
+    param, k = "t", 0
+    while param in base_ctx.vars:
+        k += 1
+        param = "t%d" % k
     g = gamma.as_mixed()
     if truncation_order is not None:
         g = jet_n(g, truncation_order)
@@ -394,7 +396,7 @@ def moser_path(gamma, param="t", truncation_order=None):
 def moser_at(path, value):
     """Evaluate the path at a rational parameter value, back on the chart."""
     g = path.gamma_t.as_mixed().substitute({path.param: Q(value)})
-    return DiracElement.from_mixed(g.restrict(path.base_context))
+    return DiracElement.from_mixed(g.cast(path.base_context))
 
 
 def moser_gamma_dot(path):
@@ -415,7 +417,6 @@ def gamma_dot_1(gamma):
 
 def linearization_cocycle(theta, omega):
     """theta - wedge^2 theta^#(omega), verified closed for d_theta."""
-    from .multivector import sharp
     ctx = theta.context
     total = Multivector.zero(ctx)
     for (i, j), c in omega.terms.items():
@@ -591,7 +592,6 @@ class GradedDifferential(Record):
     __slots__ = ("delta", "level")
 
     def __call__(self, u):
-        from .omega import is_homogeneous
         if not is_homogeneous(u, self.level):
             raise InvalidElement(
                 "argument is not homogeneous of degree %d" % self.level)

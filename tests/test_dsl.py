@@ -324,6 +324,31 @@ monodromy(m, [1/2]);
     assert rec.value == "(-16*PI/25, PI)"
 
 
+def test_monodromy_point_must_be_scalar():
+    # a non-scalar entry used to be read as its scalar part: [d/du] as 0
+    src = """
+chart { base:[u, v]; fiber:[y1, y2, y3]; params:[r, PI]; }
+let m = period_model(PI/(1 + r^2), PI*r);
+monodromy(m, [d/du]);
+monodromy(m, [dx[u] + 1]);
+"""
+    for rec in execute(parse(src)).records:
+        assert not rec.ok
+        assert rec.value == ("error: _EvalError: evaluation point must be "
+                             "rational")
+
+
+def test_moser_on_a_chart_that_names_t():
+    # the path parameter is the first of t, t1, ... the chart leaves free
+    src = """
+chart { base:[u, t]; fiber:[y1, y2, y3]; }
+let p = sphere_so3(true);
+moser(p);
+"""
+    rec = execute(parse(src)).records[0]
+    assert rec.ok and rec.residual == "0"
+
+
 def test_wedge_vs_power_dispatch():
     src = ("chart { base:[u]; fiber:[y]; }\n"
            "let a = (1 + u)^2;\n"

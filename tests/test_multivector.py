@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from leafnorm.errors import ContextMismatch, NonHomogeneous, WrongDegree
 from leafnorm.multivector import (
     DiffForm, Multivector, cotangent_bracket, d_scalar,
     exterior_derivative, hamiltonian, interior_form, is_poisson,
-    lie_derivative, pairing, poisson_bracket, schouten, sharp,
+    _sort_block, lie_derivative, pairing, poisson_bracket, schouten, sharp,
 )
 from leafnorm.rational import ChartContext, Poly, Q, RatFunc
 
@@ -29,6 +30,45 @@ def so3_linear(ctx=CTX):
     y2 = coeff(Poly.var(ctx, "y2"))
     y3 = coeff(Poly.var(ctx, "y3"))
     return Multivector.from_terms(ctx, [((3, 4), y1), ((4, 2), y2), ((2, 3), y3)])
+
+
+def _cycle_parity_sign(block):
+    """Sign of the permutation that sorts a block of distinct indices,
+    found among all permutations and signed by its cycle count."""
+    target = tuple(sorted(block))
+    n = len(block)
+    perm = next(q for q in itertools.permutations(range(n))
+                if tuple(target[j] for j in q) == block)
+    seen, cycles = set(), 0
+    for i in range(n):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if (n - cycles) % 2 else 1
+
+
+def test_sort_block_matches_brute_force_parity():
+    for n in range(6):
+        for block in itertools.product(range(5), repeat=n):
+            if len(set(block)) < n:
+                assert _sort_block(block) == (None, 0)
+            else:
+                assert _sort_block(block) == (tuple(sorted(block)),
+                                              _cycle_parity_sign(block))
+
+
+def test_sort_block_of_two_increasing_blocks_is_the_shuffle_sign():
+    blocks = [c for k in range(6) for c in itertools.combinations(range(5), k)]
+    for a in blocks:
+        for b in blocks:
+            if set(a) & set(b):
+                assert _sort_block(a + b) == (None, 0)
+                continue
+            crossings = sum(1 for x in a for y in b if x > y)
+            assert _sort_block(a + b) == (tuple(sorted(a + b)),
+                                          -1 if crossings % 2 else 1)
 
 
 def test_schouten_two_functions():

@@ -277,11 +277,11 @@ def test_cast_and_restrict_roundtrip():
     x = v("x")
     f = rf(x + 1, x - 2)
     g = f.cast(ctx2)
-    assert g.restrict(CTX) == f
+    assert g.cast(CTX) == f
     t = RatFunc.var(ctx2, "t")
     h = g * t
     with pytest.raises(UnknownVariable):
-        h.restrict(CTX)
+        h.cast(CTX)
 
 
 def test_scale_fiber():
