@@ -29,6 +29,10 @@ Expressions are rational arithmetic (integer literals only; rationals are
 quotients) over identifiers and the basis symbols `d/dX` (contravariant) and
 `dx[X]` (covariant); `^` is the wedge of basis factors and the integer power
 of scalars.  `#` starts a line comment.
+
+tokenize gives the token texts, from one regex scan of the whole source, and
+"" for the end of input; a token's kind follows from its text.  Line and
+column are worked out, by scanning again, only for an error.
 """
 
 import re
@@ -113,64 +117,81 @@ _WORDS = {node: (words, kinds) for words, (node, kinds) in _COMMANDS.items()}
 # this depth all three stay well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
-# Blanks, then one token, or a comment or the end of the line (no group).
-# [^\W\d] also matches numerals such as "²", so names after d/d (D) and
-# names that start outside ASCII (U) must pass str.isalpha.  (A verbose
-# pattern would take longer to compile, in every process that parses.)
-_TOKEN = re.compile(r"[ \t\r]*(?:"
-                    r"(?P<P>[-+*/^{}\[\]();,=:])"
-                    r"|d/d(?P<D>[^\W\d]\w*)"
-                    r"|(?P<INT>[0-9]+)"
-                    r"|(?P<IDENT>[A-Za-z_]\w*)"
-                    r"|\#.*|$"
-                    r"|(?P<U>[^\W\d]\w*|.))")
+# Blanks and comments, then one token: punctuation, d/dX, an integer, an
+# ASCII identifier, a name that starts outside ASCII, any other character,
+# or "" at the end.  No token starts with "#", so taking comments first
+# changes no match.  The token group always matches, so the blanks never
+# backtrack.  [^\W\d] also matches numerals such as "²", so names after d/d
+# and names that start outside ASCII must pass str.isalpha (see tokenize).
+# (A verbose pattern would take longer to compile, in every process that
+# parses.)
+_TOKEN = re.compile(r"(?:[ \t\r\n]|\#.*)*("
+                    r"[-+*/^{}\[\]();,=:]"
+                    r"|d/d[^\W\d]\w*"
+                    r"|[0-9]+"
+                    r"|[A-Za-z_]\w*"
+                    r"|[^\W\d]\w*|.|\Z)")
+
+_PUNCT = frozenset("-+*/^{}[]();,=:")
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return "Token(%s, %r, %d:%d)" % (self.kind, self.text, self.line,
-                                         self.col)
+def _kind(text):
+    """A token's kind, from its text: punctuation is itself and "" ends the
+    input; digits make an INT and d/d a DDVAR; anything else is an IDENT."""
+    if not text or text in _PUNCT:
+        return text
+    if text.isdigit():
+        return "INT"
+    return "DDVAR" if text.startswith("d/d") else "IDENT"
 
 
 def tokenize(source):
-    tokens = []
-    append = tokens.append
-    lines = source.split("\n")
-    for line, text in enumerate(lines, 1):
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind is None:
-                continue
-            name = m.group(kind)
-            col = m.start(kind) + 1
-            if kind == "P":
-                kind = name
-            elif kind == "D" or kind == "U":
-                if not (name[0].isalpha() or name[0] == "_"):
-                    raise DslSyntaxError("unexpected character %r" % name[0],
-                                         line, col)
-                if kind == "D":
-                    kind, col = "DDVAR", col - 3
-                else:
-                    kind = "IDENT"
-            append(Token(kind, name, line, col))
-    # a trailing comment does not move the end of input
-    append(Token("EOF", "", len(lines), len(lines[-1].split("#", 1)[0]) + 1))
+    """The texts of the tokens of source, blanks and comments dropped, then
+    "" for the end of input."""
+    tokens = _TOKEN.findall(source)
+    if tokens[-2:] == ["", ""]:
+        # trailing blanks or a comment: the match that takes them gives "",
+        # and so does the empty match findall tries at the end
+        tokens.pop()
+    # a name, after d/d or not, starts with a letter or "_", and every
+    # other token with punctuation or a digit: any other start is an error
+    bad = []
+    for text in set(tokens):
+        c = text[3:4] if text.startswith("d/d") else text[:1]
+        if c and not (c.isalpha() or c == "_" or c in _PUNCT
+                      or c in "0123456789"):
+            bad.append(text)
+    if bad:
+        index = min(map(tokens.index, bad))
+        text = tokens[index]
+        skip = 3 if text.startswith("d/d") else 0
+        line, col = _position(source, index)
+        raise DslSyntaxError("unexpected character %r" % text[skip],
+                             line, col + skip)
     return tokens
+
+
+def _position(source, index):
+    """(line, col) of token `index` of tokenize(source), found by scanning
+    again; a trailing comment does not move the end of input."""
+    for i, m in enumerate(_TOKEN.finditer(source)):
+        if i == index:
+            break
+    start = m.start(1)
+    line_start = source.rfind("\n", 0, start) + 1
+    if not m.group(1):
+        start = line_start + len(source[line_start:].split("#", 1)[0])
+    return source.count("\n", 0, start) + 1, start - line_start + 1
 
 
 # --- parser -------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens):
+    """Recursive descent over the token texts: tokens[pos] is the next one.
+    The tokens end with "", and pos never moves past it."""
+
+    def __init__(self, source, tokens):
+        self.source = source
         self.tokens = tokens
         self.pos = 0
         self.bound = set()
@@ -179,44 +200,41 @@ class _Parser:
         self.ops = 0
         self.parens = 0
 
-    def peek(self):
-        # the tokens end with EOF, and next() never moves past it
-        return self.tokens[self.pos]
+    def fail(self, message, index, error=DslSyntaxError):
+        """Raise error at the position of token `index`."""
+        raise error(message, *_position(self.source, index))
 
-    def next(self):
+    def found(self):
+        """The next token, as an error message names it."""
+        return self.tokens[self.pos] or "end of input"
+
+    def expect(self, text):
+        if self.tokens[self.pos] != text:
+            self.fail("expected %s, found %r" % (
+                text if text in _PUNCT else repr(text), self.found()),
+                self.pos)
+        self.pos += 1
+
+    def take(self, kind, what):
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        if _kind(tok) != kind:
+            self.fail("expected %s, found %r" % (what, self.found()),
+                      self.pos)
+        self.pos += 1
         return tok
-
-    def expect(self, kind, what=None):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise DslSyntaxError(
-                "expected %s, found %r" % (what or kind, tok.text or "end of "
-                                           "input"), tok.line, tok.col)
-        return self.next()
-
-    def expect_word(self, word):
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise DslSyntaxError("expected %r, found %r"
-                                 % (word, tok.text or "end of input"),
-                                 tok.line, tok.col)
-        return self.next()
 
     def comma_list(self, item):
         """item ("," item)*, as a tuple."""
         items = [item()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             items.append(item())
         return tuple(items)
 
     def bracketed(self, item, empty=False):
         """A list [item, item, ...] as a tuple; "[]" only if empty is set."""
         self.expect("[")
-        items = () if empty and self.peek().kind == "]" else \
+        items = () if empty and self.tokens[self.pos] == "]" else \
             self.comma_list(item)
         self.expect("]")
         return items
@@ -227,39 +245,36 @@ class _Parser:
         chart = self.chart_decl()
         bindings = []
         commands = []
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.text == "chart":
-                raise ChartRedeclared("only one chart per program",
-                                      tok.line, tok.col)
-            if tok.kind == "IDENT" and tok.text == "let":
+        while self.tokens[self.pos]:
+            tok = self.tokens[self.pos]
+            if tok == "chart":
+                self.fail("only one chart per program", self.pos,
+                          ChartRedeclared)
+            if tok == "let":
                 if commands:
-                    raise DslSyntaxError(
-                        "bindings must precede commands", tok.line, tok.col)
+                    self.fail("bindings must precede commands", self.pos)
                 bindings.append(self.binding())
             else:
                 commands.append(self.command())
         return Program(chart, tuple(bindings), tuple(commands))
 
     def chart_decl(self):
-        self.expect_word("chart")
+        self.expect("chart")
         self.expect("{")
         lists, seen = [], set()
 
         def name():     # each name once, across base, fiber and params
-            tok = self.expect("IDENT", "identifier")
-            if tok.text in seen:
-                raise DslSyntaxError("chart repeats the name %r" % tok.text,
-                                     tok.line, tok.col)
-            seen.add(tok.text)
-            return tok.text
+            tok = self.take("IDENT", "identifier")
+            if tok in seen:
+                self.fail("chart repeats the name %r" % tok, self.pos - 1)
+            seen.add(tok)
+            return tok
 
         for word in ("base", "fiber", "params"):
-            tok = self.peek()
-            if word == "params" and (tok.kind, tok.text) != ("IDENT", word):
+            if word == "params" and self.tokens[self.pos] != word:
                 lists.append(())
                 continue
-            self.expect_word(word)
+            self.expect(word)
             self.expect(":")
             lists.append(self.bracketed(name, empty=True))
             self.expect(";")
@@ -267,8 +282,8 @@ class _Parser:
         return ChartDecl(*lists)
 
     def binding(self):
-        self.expect_word("let")
-        name = self.expect("IDENT", "binding name").text
+        self.expect("let")
+        name = self.take("IDENT", "binding name")
         self.expect("=")
         rhs = self.rhs()
         self.expect(";")
@@ -276,21 +291,21 @@ class _Parser:
         return Binding(name, rhs)
 
     def rhs(self):
-        tok = self.peek()
-        kinds = _CATALOG.get(tok.text) if tok.kind == "IDENT" else None
+        tok = self.tokens[self.pos]
+        kinds = _CATALOG.get(tok)
         if kinds is None:
             return self.expr()
-        self.next()
-        return Catalog(tok.text, tuple(self.arguments(kinds)))
+        self.pos += 1
+        return Catalog(tok, tuple(self.arguments(kinds)))
 
     def command(self):
-        tok = self.expect("IDENT", "command")
-        words, second = tok.text, self.peek()
-        if second.kind == "IDENT" and words + " " + second.text in _COMMANDS:
-            words += " " + self.next().text     # a two-word command
+        start = self.pos
+        words = self.take("IDENT", "command")
+        if words + " " + self.tokens[self.pos] in _COMMANDS:
+            words += " " + self.tokens[self.pos]    # a two-word command
+            self.pos += 1
         if words not in _COMMANDS:
-            raise DslSyntaxError("unknown command %r" % words, tok.line,
-                                 tok.col)
+            self.fail("unknown command %r" % words, start)
         node, kinds = _COMMANDS[words]
         out = node(*self.arguments(kinds))
         self.expect(";")
@@ -300,12 +315,12 @@ class _Parser:
         """The argument list of a GRAMMAR entry, one value per argument.
         An entry without arguments may leave out the parentheses."""
         values = []
-        if not kinds and self.peek().kind != "(":
+        if not kinds and self.tokens[self.pos] != "(":
             return values
         self.expect("(")
         for i, kind in enumerate(kinds):
             sep, read, _ = _ARGS[kind]
-            if kind == "point" and self.peek().kind != sep:
+            if kind == "point" and self.tokens[self.pos] != sep:
                 values.append(None)     # optional, and absent
                 continue
             if i:
@@ -318,18 +333,26 @@ class _Parser:
         return values
 
     def bound_name(self):
-        tok = self.expect("IDENT", "bound name")
-        if tok.text not in self.bound:
-            raise UnknownIdentifier("name %r is not bound" % tok.text,
-                                    tok.line, tok.col)
-        return tok.text
+        tok = self.take("IDENT", "bound name")
+        if tok not in self.bound:
+            self.fail("name %r is not bound" % tok, self.pos - 1,
+                      UnknownIdentifier)
+        return tok
 
     def boolean(self):
-        flag = self.expect("IDENT", "true or false")
-        if flag.text not in ("true", "false"):
-            raise DslSyntaxError("expected true or false, found %r"
-                                 % flag.text, flag.line, flag.col)
-        return flag.text == "true"
+        flag = self.take("IDENT", "true or false")
+        if flag not in ("true", "false"):
+            self.fail("expected true or false, found %r" % flag,
+                      self.pos - 1)
+        return flag == "true"
+
+    def integer(self, tok):
+        """The value of tok, the INT token just taken."""
+        try:
+            return int(tok)
+        except ValueError:      # beyond Python's int-to-str digit limit
+            self.fail("integer literal of %d digits is too long" % len(tok),
+                      self.pos - 1)
 
     def exprs(self):
         return self.comma_list(self.expr)
@@ -339,94 +362,79 @@ class _Parser:
     def expr(self):
         # a tree with at most MAX_DEPTH tokens is at most that deep, so only
         # longer expressions pay for the walk
-        tok = self.peek()
         start = self.pos
         node = self._sum()
         if self.pos - start > MAX_DEPTH and _depth(node) > MAX_DEPTH:
-            self._too_deep(tok)
+            self._too_deep(start)
         return node
 
-    def _too_deep(self, tok):
-        raise DslSyntaxError("expression nested deeper than %d levels"
-                             % MAX_DEPTH, tok.line, tok.col)
+    def _too_deep(self, index):
+        self.fail("expression nested deeper than %d levels" % MAX_DEPTH,
+                  index)
 
     def _sum(self):
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        while self.tokens[self.pos] in ("+", "-"):
+            op = self.tokens[self.pos]
+            self.pos += 1
             node = EBin(op, node, self.term())
         return node
 
     def term(self):
         node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
+        while self.tokens[self.pos] in ("*", "/"):
+            op = self.tokens[self.pos]
+            self.pos += 1
             node = EBin(op, node, self.unary())
         return node
 
     def unary(self):
-        tok = self.peek()
-        while tok.kind == "+":
-            self.next()
-            tok = self.peek()
-        if tok.kind != "-":
-            return self.power()
-        self.next()
-        self.ops += 1
-        if self.ops > MAX_DEPTH:
-            self._too_deep(tok)
-        node = ENeg(self.unary())
-        self.ops -= 1
-        return node
-
-    def power(self):
-        node = self.atom()
-        while self.peek().kind == "^":
-            tok = self.next()
+        """Signs, then a power: atom ("^" unary)*."""
+        tokens = self.tokens
+        while tokens[self.pos] == "+":
+            self.pos += 1
+        if tokens[self.pos] == "-":
+            self.pos += 1
             self.ops += 1
             if self.ops > MAX_DEPTH:
-                self._too_deep(tok)
+                self._too_deep(self.pos - 1)
+            node = ENeg(self.unary())
+            self.ops -= 1
+            return node
+        node = self.atom()
+        while tokens[self.pos] == "^":
+            self.pos += 1
+            self.ops += 1
+            if self.ops > MAX_DEPTH:
+                self._too_deep(self.pos - 1)
             node = EBin("^", node, self.unary())
             self.ops -= 1
         return node
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            return ENum(_int(tok))
-        if tok.kind == "DDVAR":
-            self.next()
-            return EBasisVec(tok.text)
-        if tok.kind == "IDENT":
-            if tok.text == "dx" and self.tokens[self.pos + 1].kind == "[":
-                self.next()
-                self.next()
-                name = self.expect("IDENT", "variable name").text
-                self.expect("]")
-                return EBasisForm(name)
-            self.next()
-            return EVar(tok.text)
-        if tok.kind == "(":
-            self.next()
-            self.parens += 1
-            if self.parens > MAX_DEPTH:
-                self._too_deep(tok)
-            node = self._sum()
-            self.parens -= 1
-            self.expect(")")
-            return node
-        raise DslSyntaxError("unexpected token %r"
-                             % (tok.text or "end of input"),
-                             tok.line, tok.col)
-
-
-def _int(tok):
-    try:
-        return int(tok.text)
-    except ValueError:      # beyond Python's int-to-str digit limit
-        raise DslSyntaxError("integer literal of %d digits is too long"
-                             % len(tok.text), tok.line, tok.col) from None
+        tok = self.tokens[self.pos]
+        kind = _kind(tok)
+        if kind not in ("IDENT", "INT", "DDVAR", "("):
+            self.fail("unexpected token %r" % self.found(), self.pos)
+        self.pos += 1
+        if kind == "IDENT":
+            if tok != "dx" or self.tokens[self.pos] != "[":
+                return EVar(tok)
+            self.pos += 1
+            name = self.take("IDENT", "variable name")
+            self.expect("]")
+            return EBasisForm(name)
+        if kind == "INT":
+            return ENum(self.integer(tok))
+        if kind == "DDVAR":
+            return EBasisVec(tok[3:])
+        self.parens += 1
+        if self.parens > MAX_DEPTH:
+            self._too_deep(self.pos - 1)
+        node = self._sum()
+        self.parens -= 1
+        self.expect(")")
+        return node
 
 
 def _depth(node):
@@ -445,7 +453,7 @@ def _depth(node):
 
 def parse(source):
     """Parse DSL text into a Program; positions are carried by errors."""
-    return _Parser(tokenize(source)).program()
+    return _Parser(source, tokenize(source)).program()
 
 
 # --- pretty printer -----------------------------------------------------------------
@@ -475,7 +483,7 @@ def _pexprs(exprs):
 # remaining arguments, one expression each.
 _ARGS = {
     "name": (",", _Parser.bound_name, str),
-    "int": (",", lambda p: _int(p.expect("INT", "integer")), str),
+    "int": (",", lambda p: p.integer(p.take("INT", "integer")), str),
     "bool": (",", _Parser.boolean, lambda b: "true" if b else "false"),
     "expr": (",", _Parser.expr, _pexpr),
     "exprs": (",", _Parser.exprs, _pexprs),

@@ -19,6 +19,10 @@ class Record:
         super().__init_subclass__(**kwargs)
         # slot setters go round the refusing __setattr__, faster than by name
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+        if "__init__" not in vars(cls) and len(cls._setters) in _EXACT:
+            init = _EXACT[len(cls._setters)](*cls._setters)
+            init.__qualname__ = cls.__qualname__ + ".__init__"
+            cls.__init__ = init
 
     def __init__(self, *values):
         if len(values) != len(self._setters):
@@ -43,6 +47,32 @@ class Record:
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
             "%s=%r" % item for item in self.fields().items()))
+
+
+def _init1(set_a):
+    def __init__(self, a, /):
+        set_a(self, a)
+    return __init__
+
+
+def _init2(set_a, set_b):
+    def __init__(self, a, b, /):
+        set_a(self, a)
+        set_b(self, b)
+    return __init__
+
+
+def _init3(set_a, set_b, set_c):
+    def __init__(self, a, b, c, /):
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+    return __init__
+
+
+# field count -> an __init__ of that arity over the slot setters, without
+# Record.__init__'s loop, which records of other sizes keep
+_EXACT = {1: _init1, 2: _init2, 3: _init3}
 
 
 class Verdict(Record):

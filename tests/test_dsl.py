@@ -2,24 +2,28 @@ import pytest
 
 from leafnorm import dsl
 from leafnorm.dsl import (
-    Catalog, ChartDecl, CmdCheckJacobi, CmdDecompose, CmdEmit, CmdJet, parse,
-    print_program,
+    Binding, Catalog, ChartDecl, CmdCheckJacobi, CmdDecompose, CmdEmit,
+    CmdJet, EBin, ENum, EVar, parse, print_program,
 )
 from leafnorm.errors import (
-    ChartRedeclared, DslSyntaxError, UnknownIdentifier, Verdict,
+    ChartRedeclared, DslError, DslSyntaxError, InvalidElement,
+    NonRationalInput, UnknownIdentifier, Verdict,
 )
 from leafnorm import interp, rational
-from leafnorm.interp import MAX_EXPONENT, MAX_JET_ORDER, execute
+from leafnorm.interp import (
+    MAX_EXPONENT, MAX_JET_ORDER, CommandRecord, execute,
+)
 from leafnorm.models import (
-    integer_affine_identity, lattice_discreteness, sphere_context,
-    sphere_example, sphere_period_model,
+    PeriodModel, integer_affine_identity, lattice_discreteness,
+    sphere_context, sphere_example, sphere_period_model,
 )
 from leafnorm.multivector import is_poisson
 from leafnorm.omega import ds_n
 from leafnorm.rational import Q, RatFunc
 from leafnorm.vorobjev import (
-    algebroid_from_jet, decompose, first_jet_model, graded_differential,
-    horizontal_blocks, is_horizontally_nondegenerate, leaf_check, moser_path,
+    DiracElement, algebroid_from_jet, decompose, first_jet_model,
+    graded_differential, horizontal_blocks, is_horizontally_nondegenerate,
+    leaf_check, moser_path,
 )
 
 
@@ -135,6 +139,104 @@ def test_engine_records_are_immutable_values(engine_records, name):
     if isinstance(rec, Verdict):
         truth = fields["ok"] if "ok" in fields else fields["feasible"]
         assert bool(rec) is truth
+
+
+@pytest.mark.parametrize("cls, values", [
+    (EVar, ("u",)),
+    (Binding, ("a", EVar("u"))),
+    (EBin, ("+", ENum(1), EVar("u"))),
+    (CommandRecord, ("emit(a)", True, None, "u")),
+], ids=["EVar", "Binding", "EBin", "CommandRecord"])
+def test_records_take_exactly_their_fields(cls, values):
+    rec = cls(*values)
+    assert tuple(rec.fields().values()) == values
+    assert rec == cls(*values) and hash(rec) == hash(cls(*values))
+    assert rec != cls(*values[:-1], "other")
+    for wrong in (values[:-1], values + (None,)):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+    with pytest.raises(TypeError):
+        cls(**rec.fields())
+    for field in rec.fields():
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+
+
+def test_validating_records_still_check_their_fields():
+    model = sphere_period_model()
+    one = RatFunc.const(model.ctx, Q(1))
+    with pytest.raises(NonRationalInput):
+        PeriodModel(model.ctx, ["r"], [one / RatFunc.var(model.ctx, "PI")])
+    assert PeriodModel(*model.fields().values()) == model
+    gamma = decompose(sphere_example(False))
+    with pytest.raises(InvalidElement):
+        DiracElement(gamma.f_part, gamma.conn_part, gamma.v_part)
+    assert DiracElement(*gamma.fields().values()) == gamma
+
+
+CHART = "chart { base:[u]; fiber:[y]; }"
+
+
+# hostile sources, with the error class, message and position that the
+# per-line lexer and its Token-based parser reported
+@pytest.mark.parametrize("source, error, message, line, col", [
+    (CHART + "\f\nlet a = u;\n", DslSyntaxError,
+     "unexpected character '\\x0c'", 1, 31),
+    (CHART + "\nlet a = u\u00a0+ 1;\n", DslSyntaxError,
+     "unexpected character '\\xa0'", 2, 10),
+    ("\ufeff" + CHART + "\n", DslSyntaxError,
+     "unexpected character '\\ufeff'", 1, 1),
+    (CHART + "\nlet a = d/d\u00b2;\n", DslSyntaxError,
+     "unexpected character '\u00b2'", 2, 12),
+    (CHART + "\nlet a = $;\n", DslSyntaxError,
+     "unexpected character '$'", 2, 9),
+    (CHART + "\nlet a = \t@;\n", DslSyntaxError,
+     "unexpected character '@'", 2, 10),
+    (CHART + "\nlet a = ;\nlet b = $;\n", DslSyntaxError,
+     "unexpected character '$'", 3, 9),
+    (CHART + "\r\nlet a = u +;\r\n", DslSyntaxError,
+     "unexpected token ';'", 2, 12),
+    (CHART + "\nlet a = u # hi", DslSyntaxError,
+     "expected ;, found 'end of input'", 2, 11),
+    (CHART + "\nlet a = u \r", DslSyntaxError,
+     "expected ;, found 'end of input'", 2, 12),
+    (CHART + "\nlet a = u\n", DslSyntaxError,
+     "expected ;, found 'end of input'", 3, 1),
+    ("", DslSyntaxError, "expected 'chart', found 'end of input'", 1, 1),
+    ("# only", DslSyntaxError,
+     "expected 'chart', found 'end of input'", 1, 1),
+    ("# only\n", DslSyntaxError,
+     "expected 'chart', found 'end of input'", 2, 1),
+    ("  \n \t ", DslSyntaxError,
+     "expected 'chart', found 'end of input'", 2, 4),
+    (CHART + "\nlet a = " + "-" * 150 + "u;\n", DslSyntaxError,
+     "expression nested deeper than 100 levels", 2, 109),
+    (CHART + "\nlet a = " + "(" * 150 + "u" + ")" * 150 + ";\n",
+     DslSyntaxError, "expression nested deeper than 100 levels", 2, 109),
+    (CHART + "\nlet a = dx[", DslSyntaxError,
+     "expected variable name, found 'end of input'", 2, 12),
+    ("chart { base:[u]; fiber:[y, u]; }\n", DslSyntaxError,
+     "chart repeats the name 'u'", 1, 29),
+    (CHART + "\nchart { base:[v]; fiber:[z]; }\n", ChartRedeclared,
+     "only one chart per program", 2, 1),
+    (CHART + "\nlet a = u;\nemit(b);\n", UnknownIdentifier,
+     "name 'b' is not bound", 3, 6),
+    (CHART + "\nlet a = u;\nfrobnicate(a);\n", DslSyntaxError,
+     "unknown command 'frobnicate'", 3, 1),
+    (CHART + "\nlet a = " + "9" * 5000 + ";\n", DslSyntaxError,
+     "integer literal of 5000 digits is too long", 2, 9),
+], ids=["form-feed", "nbsp", "bom", "dd-superscript", "dollar", "tab-at",
+        "lexical-before-syntax", "crlf", "trailing-comment", "trailing-cr",
+        "trailing-newline", "empty", "comment-only", "comment-line",
+        "blank-only", "minus-150", "paren-150", "dx-bracket-at-end",
+        "repeated-chart-name", "second-chart", "unbound", "unknown-command",
+        "long-integer"])
+def test_error_positions(source, error, message, line, col):
+    with pytest.raises(DslError) as info:
+        parse(source)
+    assert type(info.value) is error
+    assert info.value.args == (message,)
+    assert (info.value.line, info.value.col) == (line, col)
 
 
 def test_binding_after_command_rejected():

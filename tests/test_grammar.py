@@ -1,6 +1,7 @@
 """The DSL grammar: print_program and parse are inverse on random programs
-that use every catalog entry and command, and the command nodes keep the
-names the benchmark tracer derives its per-command spans from.
+that use every catalog entry and command, the command nodes keep the names
+the benchmark tracer derives its per-command spans from, and the lexer
+agrees with a per-line reference lexer on random texts.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from leafnorm import dsl, interp
+from leafnorm.errors import DslSyntaxError
 from leafnorm.dsl import (
     Binding, Catalog, ChartDecl, CmdAffine, CmdChainMap, CmdCheckDirac,
     CmdCheckJacobi, CmdDecompose, CmdEmit, CmdIntIdentity, CmdJet,
@@ -124,3 +126,64 @@ def test_grammar_entries_are_generated_and_named_for_the_tracer():
     for module, name in ((dsl, "tokenize"), (dsl, "parse"),
                          (interp, "_run_command")):
         assert inspect.isfunction(vars(module)[name])
+
+
+# --- the lexer against a reference -------------------------------------------
+
+# The lexer dsl.tokenize replaced: one match per token within each line,
+# with its line and column taken from the match.
+_LINE_TOKEN = re.compile(r"[ \t\r]*(?:"
+                         r"(?P<P>[-+*/^{}\[\]();,=:])"
+                         r"|d/d(?P<D>[^\W\d]\w*)"
+                         r"|(?P<INT>[0-9]+)"
+                         r"|(?P<IDENT>[A-Za-z_]\w*)"
+                         r"|\#.*|$"
+                         r"|(?P<U>[^\W\d]\w*|.))")
+
+
+def _reference_tokens(source):
+    """(text, line, col) of each token, then ("", line, col) at the end."""
+    tokens = []
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        for m in _LINE_TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            name, col = m.group(kind), m.start(kind) + 1
+            if kind in ("D", "U") and not (name[0].isalpha()
+                                           or name[0] == "_"):
+                raise DslSyntaxError("unexpected character %r" % name[0],
+                                     line, col)
+            if kind == "D":
+                name, col = "d/d" + name, col - 3
+            tokens.append((name, line, col))
+    # a trailing comment does not move the end of input
+    tokens.append(("", len(lines), len(lines[-1].split("#", 1)[0]) + 1))
+    return tokens
+
+
+CLEAN = ["-", "+", "*", "/", "^", "{", "}", "[", "]", "(", ")", ";", ",",
+         "=", ":", "d/dx", "d/d_y", "d/d", "d/d2", "d", "dx", "0", "12",
+         "u", "x2", "_t", "PI", "\u00e9t\u00e9", "x\u00b2", " ", "\t",
+         "\r", "\n", "\r\n", "#", "# c $ \u00b2", "#\n"]
+HOSTILE = ["\u00b2", "d/d\u00b2", "\u00a0", "\f", "\v", "\ufeff", "$",
+           "@", "\u216b", "\u0663", "\x85", "\u2028", "\x00"]
+TEXTS = st.lists(st.sampled_from(CLEAN), max_size=30).map("".join) | \
+    st.lists(st.sampled_from(CLEAN + HOSTILE), max_size=30).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(TEXTS)
+def test_tokenize_matches_the_per_line_lexer(source):
+    try:
+        expected = _reference_tokens(source)
+    except DslSyntaxError as error:
+        with pytest.raises(DslSyntaxError) as info:
+            dsl.tokenize(source)
+        assert (info.value.args, info.value.line, info.value.col) == \
+            (error.args, error.line, error.col)
+        return
+    assert dsl.tokenize(source) == [text for text, _, _ in expected]
+    for index, (_, line, col) in enumerate(expected):
+        assert dsl._position(source, index) == (line, col)
