@@ -452,7 +452,9 @@ def _depth(node):
 
 
 def parse(source):
-    """Parse DSL text into a Program; positions are carried by errors."""
+    """Parse DSL text into a Program; positions are carried by errors.
+    "\r\n" and "\r" end a line as "\n" does, as in a file read as text."""
+    source = source.replace("\r\n", "\n").replace("\r", "\n")
     return _Parser(source, tokenize(source)).program()
 
 

@@ -243,7 +243,7 @@ def lattice_discreteness(generators, dimension):
 
     Each generator is a length-`dimension` vector of rationals (coefficients
     of the period symbol).  A finitely generated subgroup of PI * Q^q is
-    always discrete; the rank comes out of integer (Smith-style) reduction.
+    always discrete; the rank comes out of its integer column echelon form.
     Symbolic entries must be evaluated first.
     """
     vectors = []
@@ -307,7 +307,7 @@ def integer_affine_identity(f, basis):
     """Decide integers m_i with f = sum m_i g_i as rational functions.
 
     Clears denominators, compares coefficients, and solves the resulting
-    linear system over the integers (Smith reduction), so it is sound and
+    linear system over the integers (column echelon form), so it is sound and
     complete.
     """
     lhs = f.num * _product_except([g.den for g in [f] + list(basis)], 0)
@@ -315,7 +315,7 @@ def integer_affine_identity(f, basis):
     for i, g in enumerate(basis):
         cols.append(g.num * _product_except(
             [h.den for h in [f] + list(basis)], i + 1))
-    # rows in the order of the exponent tuples, which fixes the Smith system
+    # rows in the order of the exponent tuples, which fixes the integer system
     lhs = dict(lhs.exponents())
     cols = [dict(c.exponents()) for c in cols]
     monomials = set(lhs)

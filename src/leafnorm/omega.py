@@ -282,27 +282,14 @@ def dilation(u, t):
         raise ZeroParameter("dilation parameter must be nonzero")
     if t.ctx != ctx:
         raise ContextMismatch("parameter lives on a different chart")
-    tname = _plain_var_name(t)
     items = []
     for (I, J, K), c in u.terms.items():
-        if tname is not None:
-            c2 = c.scale_fiber_by_var(tname)
-        else:
-            mapping = {name: t * RatFunc.var(ctx, name) for name in ctx.fiber}
-            c2 = c.substitute(mapping)
+        c2 = c.scale_fiber(t)
         e = len(J) - 1
         if e:
             c2 = c2 * t ** e
         items.append(((I, J, K), c2))
     return MixedElement.from_terms(ctx, items)
-
-
-def _plain_var_name(t):
-    if len(t.num.terms) == 1 and t.den.is_const() and t.den.const_value() == 1:
-        (mono, c), = t.num.exponents()
-        if c == 1 and sum(mono) == 1:
-            return t.ctx.vars[mono.index(1)]
-    return None
 
 
 def ds_n(u, n):

@@ -211,13 +211,6 @@ class Poly:
             return -1
         return max(self.terms) >> self.ctx.deg_shift
 
-    def degree_in(self, i):
-        if not self.terms:
-            return -1
-        s = self.ctx._shifts[i]
-        mask = _FIELD << s
-        return max([m & mask for m in self.terms]) >> s
-
     def depends_on(self, i):
         mask = _FIELD << self.ctx._shifts[i]
         return any(m & mask for m in self.terms)
@@ -360,32 +353,13 @@ class Poly:
             total = total + term
         return total
 
-    def eval_fiber_zero(self):
-        """Restriction to the zero section (all fiber variables = 0)."""
-        mask = self.ctx.fiber_mask
-        return Poly(self.ctx,
-                    {m: c for m, c in self.terms.items() if not m & mask})
-
-    def fiber_part(self, d):
-        """Monomials of fiber-degree exactly d."""
-        return Poly(self.ctx, {m: c for m, c in self.terms.items()
-                               if self.ctx.fiber_degree(m) == d})
-
-    def scale_fiber(self, factor_index):
-        """Substitute y -> t*y for every fiber variable y, t = vars[factor_index]."""
-        step = self.ctx.var_mono(factor_index)
-        s = self.ctx.deg_shift
-        out = {}
+    def fiber_parts(self):
+        """{fiber degree d: the monomials of fiber degree d}, in one pass."""
+        fiber_degree = self.ctx.fiber_degree
+        parts = {}
         for m, c in self.terms.items():
-            d = self.ctx.fiber_degree(m)
-            _check_degree((m >> s) + d)
-            m += d * step
-            v = out.get(m)
-            if v is None:
-                out[m] = c
-            else:
-                out[m] = v + c
-        return Poly(self.ctx, {m: c for m, c in out.items() if c})
+            parts.setdefault(fiber_degree(m), {})[m] = c
+        return {d: Poly(self.ctx, t) for d, t in parts.items()}
 
     def cast(self, new_ctx):
         """Re-tag into another context by variable name; fails only when a
@@ -552,7 +526,7 @@ def _to_univar(f, i):
     """Dense coefficient list of f in variable i (coeffs are Polys without i)."""
     s = f.ctx._shifts[i]
     step = f.ctx.var_mono(i)
-    coeffs = [dict() for _ in range(f.degree_in(i) + 1)]
+    coeffs = [dict() for _ in range(_fieldwise(max, f)[i] + 1)]
     for m, c in f.terms.items():
         e = (m >> s) & _FIELD
         coeffs[e][m - e * step] = c
@@ -695,9 +669,9 @@ def _prs_gcd(f, g):
 def _prs(f, g):
     """gcd of primitive f and g that share a variable, up to sign: the
     primitive PRS in the shared variable of least degree."""
-    nvars = len(f.ctx.vars)
-    shared = [i for i in range(nvars) if f.depends_on(i) and g.depends_on(i)]
-    main = min(shared, key=lambda i: min(f.degree_in(i), g.degree_in(i)))
+    fdeg, gdeg = _fieldwise(max, f), _fieldwise(max, g)
+    shared = [i for i, (df, dg) in enumerate(zip(fdeg, gdeg)) if df and dg]
+    main = min(shared, key=lambda i: min(fdeg[i], gdeg[i]))
     fu = _to_univar(f, main)
     gu = _to_univar(g, main)
     cf = _content(fu)
@@ -997,11 +971,19 @@ class RatFunc:
             raise ZeroDenominator("substitution makes denominator vanish")
         return num / den
 
-    def scale_fiber_by_var(self, name):
-        """Exact substitution y -> t*y for all fiber variables, t a context var."""
-        i = self.ctx.var_index(name)
-        return ratfunc_normalize(
-            self.num.scale_fiber(i), self.den.scale_fiber(i))
+    def scale_fiber(self, t):
+        """Exact substitution y -> t*y for all fiber variables, t = a/b a
+        RatFunc.  With top the highest fiber degree in num and den, each
+        becomes the sum of part_d * a^d * b^(top - d); the common factor
+        b^top cancels, so one normalisation gives the quotient."""
+        a, b = t.num, t.den
+        splits = (self.num.fiber_parts(), self.den.fiber_parts())
+        top = max(max(split, default=0) for split in splits)
+        num, den = (
+            sum((p * a ** d * b ** (top - d) for d, p in split.items()),
+                Poly.zero(self.ctx))
+            for split in splits)
+        return ratfunc_normalize(num, den)
 
     def cast(self, new_ctx):
         # gcd/content survive renaming, but the graded-lex leading term of the
@@ -1010,27 +992,24 @@ class RatFunc:
 
     # -- fiber expansion ---------------------------------------------------
 
-    def _check_fiber_regular(self):
-        d0 = self.den.eval_fiber_zero()
-        if d0.is_zero():
-            raise SingularAtZeroSection(
-                "denominator vanishes on the zero section: %s" % (self.den,))
-        return d0
-
     def fiber_homogeneous_part(self, d):
         """Fiber-degree-d homogeneous part of the Taylor expansion at y = 0."""
         return self._fiber_parts(d)[d]
 
     def _fiber_parts(self, n):
         """Taylor parts h_0..h_n solving num = f*den order by order."""
-        d0 = self._check_fiber_regular()
-        inv0 = ratfunc_normalize(Poly.one(self.ctx), d0)
+        nparts, dparts = self.num.fiber_parts(), self.den.fiber_parts()
+        if 0 not in dparts:
+            raise SingularAtZeroSection(
+                "denominator vanishes on the zero section: %s" % (self.den,))
+        inv0 = ratfunc_normalize(Poly.one(self.ctx), dparts[0])
+        zero = Poly.zero(self.ctx)
         parts = []
         for k in range(n + 1):
-            acc = RatFunc.from_poly(self.num.fiber_part(k))
+            acc = RatFunc.from_poly(nparts.get(k, zero))
             for j in range(k):
-                dk = self.den.fiber_part(k - j)
-                if dk.is_zero() or parts[j].is_zero():
+                dk = dparts.get(k - j)
+                if dk is None or parts[j].is_zero():
                     continue
                 acc = acc - parts[j] * dk
             parts.append(acc * inv0)

@@ -158,7 +158,7 @@ def is_horizontally_nondegenerate(theta):
     det = blocks.A.det()
     if det.is_zero():
         return HorizontalCheck(False, det, False)
-    at_leaf = not det.num.eval_fiber_zero().is_zero()
+    at_leaf = 0 in det.num.fiber_parts()
     return HorizontalCheck(True, det, at_leaf)
 
 

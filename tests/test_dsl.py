@@ -199,7 +199,7 @@ CHART = "chart { base:[u]; fiber:[y]; }"
     (CHART + "\nlet a = u # hi", DslSyntaxError,
      "expected ;, found 'end of input'", 2, 11),
     (CHART + "\nlet a = u \r", DslSyntaxError,
-     "expected ;, found 'end of input'", 2, 12),
+     "expected ;, found 'end of input'", 3, 1),
     (CHART + "\nlet a = u\n", DslSyntaxError,
      "expected ;, found 'end of input'", 3, 1),
     ("", DslSyntaxError, "expected 'chart', found 'end of input'", 1, 1),
@@ -237,6 +237,16 @@ def test_error_positions(source, error, message, line, col):
     assert type(info.value) is error
     assert info.value.args == (message,)
     assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_comment_ends_at_a_carriage_return():
+    # old Mac line endings: "\r" alone ends the comment's line, as it does
+    # when the CLI reads the file as text
+    source = CHART + "\r# note\rlet a = u;\remit(a);\r"
+    program = parse(source)
+    assert [b.name for b in program.bindings] == ["a"]
+    assert program.commands == (CmdEmit("a"),)
+    assert program == parse(source.replace("\r", "\n"))
 
 
 def test_binding_after_command_rejected():

@@ -1,10 +1,10 @@
 """Exactness oracle for the kernel: canonical-form invariants, field laws and
-calculus rules as Hypothesis properties, differential tests of
-`ratfunc_normalize` and `poly_gcd` against sympy and of the heuristic gcd
-against the primitive PRS, gcd cofactors, exact division undoing
-multiplication, packed monomials against their exponent tuples, the
-small-operand shortcuts against the general path, and operands that no
-operation changes.
+calculus rules as Hypothesis properties, the fiber dilation against
+substitution, differential tests of `ratfunc_normalize` and `poly_gcd`
+against sympy and of the heuristic gcd against the primitive PRS, gcd
+cofactors, exact division undoing multiplication, packed monomials against
+their exponent tuples, the small-operand shortcuts against the general path,
+and operands that no operation changes.
 
 Inputs are random multivariate polynomials with small integer coefficients,
 built through the public constructors.  Numerators and denominators share a
@@ -113,6 +113,23 @@ def test_leibniz_and_quotient_rules(a, b, var):
     da, db = a.derivative(var), b.derivative(var)
     assert (a * b).derivative(var) == da * b + a * db
     assert (a / b).derivative(var) == (da * b - a * db) / (b * b)
+
+
+_X = RatFunc.var(CTX, "x")
+# the parameter t of the fiber dilation: a plain variable, a nonzero
+# constant or a rational function
+dilation_params = (
+    st.sampled_from(CTX.vars).map(lambda name: RatFunc.var(CTX, name))
+    | st.fractions(-5, 5, max_denominator=4).filter(bool).map(
+        lambda c: RatFunc.const(CTX, c))
+    | st.sampled_from([_X / (1 + _X * _X), (1 - _X) / (2 + _X)]))
+
+
+@SETTINGS
+@given(ratfuncs, dilation_params)
+def test_scale_fiber_is_the_substitution(f, t):
+    mapping = {name: t * RatFunc.var(CTX, name) for name in CTX.fiber}
+    assert f.scale_fiber(t) == f.substitute(mapping)
 
 
 # --- differential test against sympy ----------------------------------------

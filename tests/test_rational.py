@@ -174,7 +174,7 @@ def test_fiber_taylor_tail_order_property():
         numv = random_poly(rng, CTX, deg=2)
         y1 = v("y1")
         den = 1 + y1 * random_poly(rng, CTX, deg=1)
-        if den.eval_fiber_zero().is_zero() or den.is_zero():
+        if 0 not in den.fiber_parts():
             continue
         f = rf(numv, den)
         diff = fiber_taylor(f, n) - f
@@ -290,7 +290,7 @@ def test_scale_fiber():
     x = Poly.var(ctx2, "x")
     t = Poly.var(ctx2, "t")
     f = rf(x + y1 * y1)
-    assert f.scale_fiber_by_var("t") == rf(x + t * t * y1 * y1)
+    assert f.scale_fiber(rf(t)) == rf(x + t * t * y1 * y1)
 
 
 def test_print_determinism_and_reparse_shape():
@@ -317,7 +317,7 @@ def test_degree_limit_boundary():
         with pytest.raises(LimitExceeded):
             top * factor
     with pytest.raises(LimitExceeded):
-        (below * y).scale_fiber(0)
+        RatFunc.from_poly(below * y).scale_fiber(RatFunc.var(ctx, "u"))
     with pytest.raises(LimitExceeded):
         Poly.from_exponents(ctx, {(MAX_DEGREE, 1): 1})
     with pytest.raises(LimitExceeded):

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction as Q
 
-from leafnorm.smith import integer_solve, rational_rank, smith_normal_form
+import pytest
+
+from leafnorm.smith import _echelon, integer_solve, rational_rank
 
 
 def mat_mul(a, b):
@@ -30,26 +33,26 @@ def det_int(m):
     return out
 
 
-def test_smith_diagonalizes_and_is_unimodular():
+def test_echelon_form_and_unimodular_transform():
     rng = random.Random(151)
     for _ in range(25):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        s, u, v = smith_normal_form(a)
-        assert mat_mul(mat_mul(u, a), v) == s
-        assert abs(det_int(u)) == 1
+        h_cols, v_cols, pivots = _echelon(a, n)
+        h = [list(row) for row in zip(*h_cols)]
+        v = [list(row) for row in zip(*v_cols)]
+        assert mat_mul(a, v) == h
         assert abs(det_int(v)) == 1
-        diag = [s[i][i] for i in range(min(m, n))]
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert s[i][j] == 0
-        for i in range(len(diag) - 1):
-            if diag[i] and diag[i + 1]:
-                assert diag[i + 1] % diag[i] == 0
-            if diag[i] == 0:
-                assert diag[i + 1] == 0
+        assert all(p < q for p, q in zip(pivots, pivots[1:]))
+        for c, p in enumerate(pivots):
+            assert h[p][c] != 0
+            # zero above the pivot and right of it on its row
+            assert all(h[i][c] == 0 for i in range(p))
+            assert all(h[p][j] == 0 for j in range(c + 1, n))
+        # zero after the last pivot column
+        assert all(h[i][j] == 0 for i in range(m)
+                   for j in range(len(pivots), n))
 
 
 def test_integer_solve_matches_brute_force():
@@ -95,3 +98,30 @@ def test_rational_rank():
     assert rational_rank([[Q(0)]]) == 0
     assert rational_rank([[Q(1), Q(0)], [Q(0), Q(2, 3)]]) == 2
     assert rational_rank([[Q(1), Q(2)], [Q(2), Q(4)]]) == 1
+
+
+def test_rational_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(163)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        vectors = [[Q(rng.randint(-3, 3), rng.randint(1, 4))
+                    for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:
+            # a dependent row: a rational combination of two others
+            i, j = rng.randrange(m), rng.randrange(m)
+            k = Q(rng.randint(-3, 3), rng.randint(1, 3))
+            vectors.append([x + k * y for x, y in zip(vectors[i], vectors[j])])
+        expected = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in vec]
+             for vec in vectors]).rank()
+        assert rational_rank(vectors) == expected
+
+
+def test_unique_non_integral_solution_is_none():
+    # independent columns: the unique rational solution (1/2, 1) is not
+    # integral, so no integer solution exists
+    assert integer_solve([[2, 0], [0, 3], [2, 3]], [1, 3, 4]) is None
+    assert integer_solve([[2, 4], [0, 3]], [5, 3]) is None
+    assert integer_solve([[2, 4], [0, 3]], [6, 3]) == [1, 1]
