@@ -18,7 +18,7 @@ from .omega import (
     p_S, validate_membership,
 )
 from .vorobjev import (
-    AlgebroidData, AlgebroidSection, DiracElement, HorizontalData, LeafCheck,
+    AlgebroidData, DiracElement, HorizontalData, LeafCheck,
     MoserPath, algebroid_from_jet, assemble, chain_map_residual, decompose,
     first_jet_model, gamma_dot_1, graded_differential, horizontal_blocks,
     is_horizontally_nondegenerate, leaf_check, linearization_cocycle,

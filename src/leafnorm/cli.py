@@ -3,9 +3,9 @@
     leafnorm run <file> [--format json|text] [--out <path>]
     leafnorm check <file>
 
-`run` executes a program and prints the report (exit 0 on successful
-execution, 2 on parse/IO errors).  `check` exits 0 iff every verdict in the
-report is true, 1 otherwise, 2 on parse errors.
+`run` executes a program and prints the report as UTF-8 (exit 0 on
+successful execution, 2 on parse/IO errors).  `check` exits 0 iff every
+verdict in the report is true, 1 otherwise, 2 on parse errors.
 """
 
 import argparse
@@ -43,21 +43,22 @@ def main(argv=None):
 
     program = _load_program(args.file)
     report = execute(program)
+    # the report is UTF-8 whatever the locale, on stdout as in --out
     if args.command == "run":
-        text = emit(report, args.format)
+        data = emit(report, args.format).encode("utf-8")
         if args.out:
             try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                with open(args.out, "wb") as fh:
+                    fh.write(data)
             except OSError as exc:
                 print("leafnorm: cannot write %s: %s" % (args.out, exc),
                       file=sys.stderr)
                 return 2
         else:
-            sys.stdout.write(text)
+            sys.stdout.buffer.write(data)
         return 0
     # check
-    sys.stdout.write(emit(report, "text"))
+    sys.stdout.buffer.write(emit(report, "text").encode("utf-8"))
     return 0 if report.all_ok else 1
 
 

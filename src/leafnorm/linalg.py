@@ -41,10 +41,6 @@ class MatrixRF:
         return MatrixRF(ctx, [[one if i == j else z for j in range(n)]
                               for i in range(n)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, MatrixRF) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

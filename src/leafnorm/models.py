@@ -324,7 +324,7 @@ def integer_affine_identity(f, basis):
     monomials = sorted(monomials)
     rows = [[c.get(mono, 0) for c in cols] for mono in monomials]
     rhs = [lhs.get(mono, 0) for mono in monomials]
-    sol = integer_solve(rows, rhs)
+    sol = integer_solve(rows, rhs, len(cols))
     if sol is None:
         return IntegerIdentity(False, None)
     return IntegerIdentity(True, sol)

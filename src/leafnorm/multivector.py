@@ -242,9 +242,6 @@ class _Flat(Graded):
     def degrees(self):
         return sorted({len(k) for k in self.terms})
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def degree(self):
         degs = self.degrees()
         if not degs:

@@ -51,9 +51,6 @@ class MixedElement(Graded):
     FACTORS = ("dx[%s]", "d/d%s", "d/d%s")
     UNIT = ((), (), ())
 
-    def bidegrees(self):
-        return sorted({(len(I), len(J) + len(K)) for (I, J, K) in self.terms})
-
     def bidegree_part(self, p, q):
         return MixedElement(self.context, {
             k: c for k, c in self.terms.items()

@@ -44,13 +44,13 @@ def _echelon(a, n):
     return h, v, pivots
 
 
-def integer_solve(a, b):
+def integer_solve(a, b, n):
     """One integer solution x of A x = b, or None.
 
-    A: list of int rows (k x n), b: list of ints (k).  With A V = H, solves
-    H y = b by forward substitution, exactly in Z, and returns x = V y.
+    A: list of int rows (k x n), b: list of ints (k); n is given, as k may
+    be 0.  With A V = H, solves H y = b by forward substitution, exactly in
+    Z, and returns x = V y.
     """
-    n = len(a[0]) if a else 0
     h, v, pivots = _echelon(a, n)
     y = [0] * n
     c = 0

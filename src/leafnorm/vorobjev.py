@@ -52,7 +52,7 @@ __all__ = [
     "structure_equations", "tau", "tau_inverse", "chain_map_residual",
     "LeafCheck", "leaf_check", "first_jet_model", "MoserPath", "moser_path",
     "moser_at", "moser_gamma_dot", "gamma_dot_1", "linearization_cocycle",
-    "AlgebroidSection", "AlgebroidData", "algebroid_from_jet",
+    "AlgebroidData", "algebroid_from_jet",
     "GradedDifferential", "graded_differential",
 ]
 
@@ -433,120 +433,70 @@ def linearization_cocycle(theta, omega):
 # the induced algebroid on TS + E*
 # ---------------------------------------------------------------------------
 
-class AlgebroidSection(Record):
-    """Section X + alpha of TS + E*: base vector coefficients and the
-    coefficients of the fiber-linear function representing alpha, both
-    tuples."""
-
-    __slots__ = ("x", "eps")
-
-    def __add__(self, other):
-        return AlgebroidSection(
-            tuple(a + b for a, b in zip(self.x, other.x)),
-            tuple(a + b for a, b in zip(self.eps, other.eps)))
-
-    def __sub__(self, other):
-        return AlgebroidSection(
-            tuple(a - b for a, b in zip(self.x, other.x)),
-            tuple(a - b for a, b in zip(self.eps, other.eps)))
-
-    def scale(self, f):
-        return AlgebroidSection(tuple(a * f for a in self.x),
-                                tuple(a * f for a in self.eps))
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.x) and \
-            all(a.is_zero() for a in self.eps)
+def _pair(form, lifts):
+    """A base k-form on a k-vector of horizontal lifts: the sum of the terms
+    of their wedge whose form and lift blocks agree."""
+    return sum((c for (I, J, K), c in form.wedge(lifts).terms.items()
+                if I == J and not K), RatFunc.zero(form.context))
 
 
 class AlgebroidData(Record):
-    """Bracket, anchor and verification helpers for the first-jet algebroid."""
+    """Bracket, anchor and verification helpers for the first-jet algebroid.
+
+    A section X + alpha of TS + E* is a MixedElement: X is its horizontal
+    lifts ((), (i,), ()), alpha its scalar term, the fiber-linear function
+    sum_a eps_a y_a that it defines.
+    """
 
     __slots__ = ("context", "v_part", "conn_part", "sigma")
 
     # -- frame -----------------------------------------------------------
 
     def zero_section(self):
-        ctx = self.context
-        z = RatFunc.zero(ctx)
-        return AlgebroidSection((z,) * ctx.p, (z,) * ctx.q)
+        return MixedElement.zero(self.context)
 
     def frame(self):
         """The unit sections, base directions first."""
         ctx = self.context
-        z, one = RatFunc.zero(ctx), RatFunc.one(ctx)
-        units = [tuple(one if k == i else z for k in range(ctx.p + ctx.q))
-                 for i in range(ctx.p + ctx.q)]
-        return [AlgebroidSection(u[:ctx.p], u[ctx.p:]) for u in units]
+        one = RatFunc.one(ctx)
+        return [MixedElement(ctx, {((), (i,), ()): one})
+                for i in range(ctx.p)] + \
+            [MixedElement.scalar(RatFunc.var(ctx, y)) for y in ctx.fiber]
 
-    def anchor(self, s):
-        return list(s.x)
+    def _parts(self, s):
+        """(X, alpha) of a section X + alpha: an element of this chart made
+        of lifts and a scalar, equal to its first derivative along S, so
+        that X is free of the fiber and alpha fiber-linear."""
+        if s.context != self.context or any(
+                I or K or len(J) > 1 or not c.is_fiber_polynomial()
+                for (I, J, K), c in s.terms.items()) or ds_n(s, 1) != s:
+            raise InvalidElement("not a section of TS + E* on this chart")
+        return s.horizontal_part(), s.vertical_part()
 
     def anchor_apply(self, s, f):
-        ctx = self.context
-        out = RatFunc.zero(ctx)
-        for i in range(ctx.p):
-            out = out + s.x[i] * f.derivative(ctx.base[i])
-        return out
+        """X(f) for the section s = X + alpha."""
+        x, _ = self._parts(s)
+        return ltimes_bracket(x, MixedElement.scalar(f)).scalar_value()
 
     # -- bracket ------------------------------------------------------------
 
-    def _alpha_scalar(self, s):
-        ctx = self.context
-        total = RatFunc.zero(ctx)
-        for a in range(ctx.q):
-            total = total + s.eps[a] * RatFunc.var(ctx, ctx.fiber[a])
-        return MixedElement.scalar(total)
-
-    def _eval_one_form(self, elem, s):
-        """Contract the (1,0) part of elem with the TS part of s."""
-        ctx = self.context
-        out = RatFunc.zero(ctx)
-        for (I, J, K), c in elem.terms.items():
-            if J or K or len(I) != 1:
-                continue
-            out = out + c * s.x[I[0]]
-        return out
-
-    def _sigma_eval(self, s1, s2):
-        ctx = self.context
-        out = RatFunc.zero(ctx)
-        for (I, _, _), c in self.sigma.terms.items():
-            i, j = I
-            out = out + c * (s1.x[i] * s2.x[j] - s1.x[j] * s2.x[i])
-        return out
-
     def bracket(self, s1, s2):
-        ctx = self.context
-        # TS part: the Lie bracket on the base
-        xout = []
-        for j in range(ctx.p):
-            acc = RatFunc.zero(ctx)
-            for i in range(ctx.p):
-                acc = acc + s1.x[i] * s2.x[j].derivative(ctx.base[i])
-                acc = acc - s2.x[i] * s1.x[j].derivative(ctx.base[i])
-            xout.append(acc)
-        # E* part, assembled as a fiber-linear function
-        a1 = self._alpha_scalar(s1)
-        a2 = self._alpha_scalar(s2)
-        h = MixedElement.scalar(self._sigma_eval(s1, s2))
+        x1, a1 = self._parts(s1)
+        x2, a2 = self._parts(s2)
+        # E* part, assembled as a fiber-linear function; [Gamma, alpha] is the
+        # covariant differential, so its evaluation on X is [X, alpha]_A (the
+        # Leibniz rule for the anchor pins this reading)
+        h = MixedElement.scalar(
+            _pair(self.sigma, x1.wedge(x2))
+            + _pair(ltimes_bracket(self.conn_part, a2), x1)
+            - _pair(ltimes_bracket(self.conn_part, a1), x2))
         # [alpha, beta]_A = [beta, [pi^v, alpha]]
         h = h + ltimes_bracket(a2, ltimes_bracket(self.v_part, a1))
-        # [Gamma, alpha] is the covariant differential, so its evaluation on X
-        # is [X, alpha]_A; the Leibniz rule for the anchor pins this reading
-        g1 = ltimes_bracket(self.conn_part, a1)
-        g2 = ltimes_bracket(self.conn_part, a2)
-        h = h + MixedElement.scalar(self._eval_one_form(g2, s1))
-        h = h - MixedElement.scalar(self._eval_one_form(g1, s2))
-        hc = h.scalar_value()
-        eps = [hc.derivative(name) for name in ctx.fiber]
         # the data is first order, so h must be exactly fiber-linear
-        rebuilt = RatFunc.zero(ctx)
-        for a, name in enumerate(ctx.fiber):
-            rebuilt = rebuilt + eps[a] * RatFunc.var(ctx, name)
-        if rebuilt != hc:
+        if ds_n(h, 1) != h:
             raise NotFirstOrder("bracket left the fiber-linear sections")
-        return AlgebroidSection(tuple(xout), tuple(eps))
+        # TS part: the bracket of trivial lifts is the Lie bracket on the base
+        return ltimes_bracket(x1, x2) + h
 
     # -- verification -----------------------------------------------------------
 

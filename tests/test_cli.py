@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -147,6 +148,33 @@ def test_byte_determinism(tmp_path):
         res = run_cli(["run"] + args)
         assert res.returncode == 0
         assert res.stdout == (FIXTURES / expected).read_text(encoding="utf-8")
+
+
+def test_report_is_utf8_whatever_the_locale(tmp_path):
+    # stdout carries the bytes that --out writes, also where the locale
+    # cannot encode a chart name
+    src = str(FIXTURES / "non_ascii.lnf")
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+
+    def run(args):
+        res = subprocess.run([sys.executable, "-m", "leafnorm.cli"] + args,
+                             capture_output=True, env=env)
+        assert b"Traceback" not in res.stderr
+        return res
+
+    for fmt, expected in (("text", (FIXTURES / "non_ascii.txt").read_bytes()),
+                          ("json", None)):
+        out = tmp_path / ("report." + fmt)
+        res = run(["run", "--format", fmt, src])
+        assert res.returncode == 0
+        assert run(["run", "--format", fmt, src, "--out", str(out)]
+                   ).returncode == 0
+        assert res.stdout == out.read_bytes()
+        if expected is not None:
+            assert res.stdout == expected
+    res = run(["check", src])
+    assert res.returncode == 0
+    assert res.stdout == (FIXTURES / "non_ascii.txt").read_bytes()
 
 
 def test_out_to_missing_directory_exits_2(tmp_path):

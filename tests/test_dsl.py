@@ -105,7 +105,6 @@ def engine_records():
         "DiracElement": gamma,
         "HorizontalData": horizontal_blocks(theta),
         "MoserPath": moser_path(gamma),
-        "AlgebroidSection": algebroid.frame()[0],
         "AlgebroidData": algebroid,
         "GradedDifferential": graded_differential(
             ds_n(gamma.as_mixed(), 1), 1),
@@ -122,7 +121,7 @@ VERDICTS = {"PoissonCheck", "HorizontalCheck", "LeafCheck", "IntegerIdentity"}
 @pytest.mark.parametrize("name", [
     "PoissonCheck", "HorizontalCheck", "LeafCheck", "IntegerIdentity",
     "IntegerIdentity-infeasible", "DiracElement", "HorizontalData",
-    "MoserPath", "AlgebroidSection", "AlgebroidData", "GradedDifferential",
+    "MoserPath", "AlgebroidData", "GradedDifferential",
     "LatticeResult", "PeriodModel", "CommandRecord", "Report"])
 def test_engine_records_are_immutable_values(engine_records, name):
     rec = engine_records[name]

@@ -304,6 +304,16 @@ def test_integer_affine_identity_rejects_fractional():
     assert not res.feasible
 
 
+def test_integer_affine_identity_zero_system():
+    # f and every g vanish: the system has no rows, and still one
+    # coefficient per basis element
+    ctx = _robstruction_ctx()
+    zero = RatFunc.zero(ctx)
+    for k in (1, 2):
+        res = integer_affine_identity(zero, [zero] * k)
+        assert res.feasible and res.coefficients == [0] * k
+
+
 def test_integer_affine_identity_sound_complete_random():
     ctx = _robstruction_ctx()
     r = Poly.var(ctx, "r")

@@ -63,12 +63,12 @@ def test_integer_solve_matches_brute_force():
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
         x0 = [rng.randint(-3, 3) for _ in range(n)]
         b = [sum(a[i][j] * x0[j] for j in range(n)) for i in range(k)]
-        got = integer_solve(a, b)
+        got = integer_solve(a, b, n)
         assert got is not None
         assert [sum(a[i][j] * got[j] for j in range(n)) for i in range(k)] == b
         # random right-hand sides: agree with a small brute-force search
         b2 = [rng.randint(-4, 4) for _ in range(k)]
-        got2 = integer_solve(a, b2)
+        got2 = integer_solve(a, b2, n)
         brute = None
         rng_box = range(-10, 11)
         if n == 1:
@@ -122,6 +122,6 @@ def test_rational_rank_matches_sympy():
 def test_unique_non_integral_solution_is_none():
     # independent columns: the unique rational solution (1/2, 1) is not
     # integral, so no integer solution exists
-    assert integer_solve([[2, 0], [0, 3], [2, 3]], [1, 3, 4]) is None
-    assert integer_solve([[2, 4], [0, 3]], [5, 3]) is None
-    assert integer_solve([[2, 4], [0, 3]], [6, 3]) == [1, 1]
+    assert integer_solve([[2, 0], [0, 3], [2, 3]], [1, 3, 4], 2) is None
+    assert integer_solve([[2, 4], [0, 3]], [5, 3], 2) is None
+    assert integer_solve([[2, 4], [0, 3]], [6, 3], 2) == [1, 1]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from leafnorm.errors import (
-    DegenerateFPart, LeafCheckFailed, NotFirstOrder,
+    DegenerateFPart, InvalidElement, LeafCheckFailed, NotFirstOrder,
     NotHorizontallyNondegenerate,
 )
 from leafnorm.linalg import MatrixRF
@@ -478,9 +478,7 @@ def test_algebroid_product_so3():
     # bracket of dual frame elements reproduces the so(3) structure constants
     frame = data.frame()
     e1, e2, e3 = frame[2], frame[3], frame[4]
-    b12 = data.bracket(e1, e2)
-    assert b12.eps[2] == RatFunc.one(CTX3) and b12.eps[0].is_zero() \
-        and b12.eps[1].is_zero() and all(x.is_zero() for x in b12.x)
+    assert data.bracket(e1, e2) == MixedElement.scalar(rf(pv("y3", CTX3)))
     # anchor-Leibniz on frame pairs
     f = rf(Poly.var(CTX3, "u") * Poly.var(CTX3, "v"))
     for s1 in frame:
@@ -513,6 +511,43 @@ def test_algebroid_requires_first_order():
     gamma = DiracElement(MixedElement.zero(CTX), gamma_S(CTX), f)
     with pytest.raises(NotFirstOrder):
         algebroid_from_jet(gamma)
+
+
+def test_algebroid_bracket_leaves_the_fiber_linear_sections():
+    # pi^v constant in the fiber: first order, but [y1, y2]_A = +-1
+    ctx = ChartContext(base=["u", "v"], fiber=["y1", "y2"])
+    v = MixedElement(ctx, {((), (), (2, 3)): RatFunc.one(ctx)})
+    f = MixedElement(ctx, {((0, 1), (), ()): -RatFunc.one(ctx)})
+    data = algebroid_from_jet(DiracElement(v, gamma_S(ctx), f))
+    frame = data.frame()
+    with pytest.raises(NotFirstOrder):
+        data.bracket(frame[2], frame[3])
+
+
+def test_algebroid_rejects_non_sections():
+    gamma = decompose(symplectic_2d(CTX3) + so3_linear(CTX3))
+    data = algebroid_from_jet(gamma)
+    y1, u = rf(pv("y1", CTX3)), rf(pv("u", CTX3))
+    frame = data.frame()
+    other = ChartContext(base=["u", "v"], fiber=["y1", "y2"])
+    for bad in (
+            MixedElement(CTX3, {((), (), (2, 3)): u}),
+            MixedElement(CTX3, {((0,), (), ()): u}),
+            MixedElement.scalar(y1 * y1),
+            MixedElement.scalar(y1 + u),
+            MixedElement.scalar(y1 / (1 + y1)),
+            MixedElement(CTX3, {((), (0,), ()): y1}),
+            MixedElement(other, {((), (0,), ()): RatFunc.one(other)})):
+        with pytest.raises(InvalidElement):
+            data.bracket(frame[0], bad)
+        with pytest.raises(InvalidElement):
+            data.bracket(bad, frame[2])
+        with pytest.raises(InvalidElement):
+            data.anchor_apply(bad, u)
+    # sections with fiber-free lifts and a fiber-linear scalar pass
+    s = frame[0].scale(u) + frame[2].scale(u * u)
+    assert data.anchor_apply(s, u) == u
+    assert not data.bracket(s, frame[3]).is_zero()
 
 
 # --- graded differential ----------------------------------------------------------
