@@ -22,6 +22,7 @@ from decimal import Decimal
 from fractions import Fraction as Q
 
 from .errors import (
+    ContextMismatch,
     LimitExceeded,
     SingularAtZeroSection,
     UnknownVariable,
@@ -231,6 +232,8 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.ctx, other)
+        elif other.ctx is not self.ctx:
+            _same_chart(self.ctx, other.ctx)
         out = dict(self.terms)
         for m, c in other.terms.items():
             v = out.get(m)
@@ -260,6 +263,8 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.ctx, other)
+        elif other.ctx is not self.ctx:
+            _same_chart(self.ctx, other.ctx)
         a, b = self.terms, other.terms
         if not (a and b):
             return Poly(self.ctx, {})
@@ -414,6 +419,13 @@ class Poly:
         return "".join(parts)
 
     __repr__ = __str__
+
+
+def _same_chart(a, b):
+    """Reject operands from two charts: their packed monomials would
+    combine by position, not by variable name."""
+    if a != b:
+        raise ContextMismatch("operands live on different charts")
 
 
 def _scaled(ctx, terms, k):
@@ -623,7 +635,7 @@ def poly_gcd(f, g):
     mono_gcd, F, G = _gcd_operands(f, g)
     if F is None:
         return _divided(mono_gcd, f, g)
-    found = _heu_gcd(F, G)
+    found = _trial_divisor(F, G) or _heu_gcd(F, G)
     if found is None:
         return _divided(_iprimitive(_prs(F, G) * mono_gcd), f, g)
     h, qf, qg = found
@@ -635,6 +647,44 @@ def poly_gcd(f, g):
     if h.is_const():
         return h, f, g
     return h, _cofactor(qf, f, F, low), _cofactor(qg, g, G, low)
+
+
+def _trial_divisor(f, g):
+    """(h, f/h, g/h) when the operand with fewer terms (on a tie, the
+    smaller leading monomial) divides the other, with h that operand; None
+    otherwise.
+
+    f and g are primitive with positive leading coefficients, so a divisor
+    of the other is their canonical gcd.  One trial division decides it,
+    after four necessary conditions that cost a pass over the terms: the
+    leading and the trailing terms divide (the order is a monomial order),
+    the values at (2, ..., 2) divide, and equal total degrees (a constant
+    quotient) need equal monomial sets.
+    """
+    fm, gm = max(f.terms), max(g.terms)
+    swapped = (len(f.terms), fm) > (len(g.terms), gm)
+    if swapped:
+        f, g, fm, gm = g, f, gm, fm
+    a, b = f.terms, g.terms
+    guard = f.ctx.guard
+    fl, gl = min(a), min(b)
+    if (gm - fm + guard) & guard != guard or b[gm] % a[fm] \
+            or (gl - fl + guard) & guard != guard or b[gl] % a[fl]:
+        return None
+    s = f.ctx.deg_shift
+    # a value at 2 has about as many bits as the total degree: past the
+    # heuristic's bound on its integers the division alone decides
+    if gm >> s <= _HEU_MAX_BITS:
+        f2 = sum(c << (m >> s) for m, c in a.items())
+        if f2 and sum(c << (m >> s) for m, c in b.items()) % f2:
+            return None
+    if gm >> s == fm >> s and a.keys() != b.keys():
+        return None
+    q = poly_exact_div(g, f)
+    if q is None:
+        return None
+    one = Poly(f.ctx, {0: 1})
+    return (f, q, one) if swapped else (f, one, q)
 
 
 def _divided(h, f, g):
@@ -875,6 +925,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.num.ctx is not self.num.ctx:
+            _same_chart(self.num.ctx, other.num.ctx)
         if self.den == other.den:
             return ratfunc_normalize(self.num + other.num, self.den)
         return ratfunc_normalize(
@@ -898,6 +950,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.num.ctx is not self.num.ctx:
+            _same_chart(self.num.ctx, other.num.ctx)
         # cross-cancel first to keep gcd inputs small
         _, n1, d2 = poly_gcd(self.num, other.den)
         _, n2, d1 = poly_gcd(other.num, self.den)
@@ -956,7 +1010,8 @@ class RatFunc:
 
     def derivative(self, name):
         i = self.ctx.var_index(name)
-        if self.den.is_const():
+        # (n/d)' = n'/d where d is free of the variable
+        if not self.den.depends_on(i):
             return ratfunc_normalize(self.num.derivative(i), self.den)
         n, d = self.num, self.den
         return ratfunc_normalize(

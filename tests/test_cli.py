@@ -150,6 +150,16 @@ def test_byte_determinism(tmp_path):
         assert res.stdout == (FIXTURES / expected).read_text(encoding="utf-8")
 
 
+def test_so3x2_casimir_report_is_golden():
+    # the so(3)+so(3) Casimir program of the benchmark (seed 1), whose
+    # quotient-rule gcds meet a divisor of the other operand
+    res = subprocess.run(
+        [sys.executable, "-m", "leafnorm.cli", "run",
+         str(FIXTURES / "so3x2_casimir.lnf")], capture_output=True)
+    assert res.returncode == 0
+    assert res.stdout == (FIXTURES / "so3x2_casimir.json").read_bytes()
+
+
 def test_report_is_utf8_whatever_the_locale(tmp_path):
     # stdout carries the bytes that --out writes, also where the locale
     # cannot encode a chart name

@@ -185,6 +185,30 @@ def test_poly_gcd_matches_prs(g, a, b, k, mono):
     assert h * ca == a and h * cb == b
 
 
+_x, _y, _z = (Poly.var(CTX, n) for n in CTX.vars)
+
+
+@SETTINGS
+@given(nonzero_polys, polys, st.integers(-6, 6).filter(bool),
+       st.tuples(*[st.integers(0, 2)] * len(CTX.vars)), st.booleans())
+# divisors that vanish at (2, 2, 2), where the value gate does not apply
+@example(_x - _y, _z + 1, 3, (1, 0, 0), False)
+@example(_x * _y - 2 * _z, -_x * _x + _z, -2, (0, 0, 2), True)
+def test_divisor_pre_check_matches_the_heuristic(f, q, k, mono, swap):
+    # gcd(f c x^a, f q): the pre-check answers when the first operand
+    # divides the second; the triple is the one the heuristic returns
+    a = k * Poly.from_exponents(CTX, {mono: 1}) * f
+    b = f * q
+    if swap:
+        a, b = b, a
+    found = poly_gcd(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rational, "_trial_divisor", lambda f, g: None)
+        assert found == poly_gcd(a, b)
+    h, ca, cb = found
+    assert h * ca == a and h * cb == b
+
+
 def test_poly_gcd_falls_back_to_prs(monkeypatch):
     x, y, z = (Poly.var(CTX, n) for n in CTX.vars)
     g = z * z - 3 * x * y - 1

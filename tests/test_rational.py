@@ -5,7 +5,8 @@ import pytest
 
 from leafnorm import rational
 from leafnorm.errors import (
-    LimitExceeded, SingularAtZeroSection, UnknownVariable, ZeroDenominator,
+    ContextMismatch, LimitExceeded, SingularAtZeroSection, UnknownVariable,
+    ZeroDenominator,
 )
 from leafnorm.rational import (
     MAX_DEGREE, ChartContext, Poly, Q, RatFunc, fiber_taylor, partial_derive,
@@ -115,6 +116,27 @@ def test_partial_quotient_rule():
     x = v("x")
     f = rf(c(1), 1 + x * x)
     assert partial_derive(f, "x") == rf(-2 * x, (1 + x * x) ** 2)
+
+
+def test_derivative_by_a_variable_the_denominator_lacks(monkeypatch):
+    # (n/d)' = n'/d: one gcd against d, and d is never squared
+    x, y, y1 = v("x"), v("y"), v("y1")
+    n, d = x * y * y + y1, 1 + x * x + y1
+    f = rf(n, d)
+    squares = []
+    mul = Poly.__mul__
+
+    def spy(a, b):
+        if isinstance(b, Poly) and a.terms == d.terms == b.terms:
+            squares.append(a)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", spy)
+    fy = partial_derive(f, "y")
+    monkeypatch.undo()
+    assert not squares
+    assert fy == rf(2 * x * y, d)
+    assert partial_derive(rf(y1, d), "y").is_zero()
 
 
 def test_partial_unknown_variable():
@@ -237,6 +259,70 @@ def test_poly_gcd_keeps_integer_content_out_of_the_images():
     assert poly_gcd(3 * f, 6 * f) == (f, 3, 6)
 
 
+def test_divisor_pre_check_skips_the_heuristic(monkeypatch):
+    # gcd(F, F Q) is F by one trial division: the heuristic never evaluates
+    # the large operand
+    x, y, y1, y2 = v("x"), v("y"), v("y1"), v("y2")
+    F = y2 * y2 - 3 * x * y1 + 2
+    Q_ = (1 + x * x + y * y + y1 * y1 + y2 * y2) ** 3 - 7 * y
+    evaluated = []
+    evaluate = rational._evaluate
+
+    def spy(p, i, xi):
+        evaluated.append(p)
+        return evaluate(p, i, xi)
+
+    monkeypatch.setattr(rational, "_evaluate", spy)
+    assert poly_gcd(F, F * Q_) == (F, 1, Q_)
+    assert poly_gcd(-2 * y * F * Q_, 6 * x * F) == (F, -2 * y * Q_, 6 * x)
+    assert not evaluated
+
+
+# primitive, monomial-stripped pairs where the operand with fewer terms does
+# not divide the other; each fails exactly the gate it is named after, and
+# no gate lets it reach a division
+NON_DIVISORS = {
+    "leading monomial": (v("y") + 1, v("x") ** 2 + v("x") + 3),
+    "leading coefficient": (2 * v("x") + 1, v("x") ** 2 + 1),
+    "trailing monomial": (v("x") + v("y"),
+                          v("y") ** 2 + v("x") ** 2 + 2 * v("y")),
+    "trailing coefficient": (v("x") + 3, v("x") ** 2 + 1),
+    "value at 2": (3 * v("x") ** 2 - 1, (3 * v("x") ** 2 + 1) ** 2),
+    "equal degrees": (v("x") ** 2 + 1, v("x") ** 2 + 5 * v("x") + 1),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(NON_DIVISORS))
+def test_divisor_pre_check_gates(monkeypatch, gate):
+    f, g = NON_DIVISORS[gate]
+    divisions = []
+    monkeypatch.setattr(rational, "poly_exact_div",
+                        lambda a, b: divisions.append((a, b)))
+    assert rational._trial_divisor(f, g) is None
+    assert rational._trial_divisor(g, f) is None
+    assert not divisions
+
+
+def test_divisor_pre_check_bounds_the_value_gate(monkeypatch):
+    # the "value at 2" row with x -> x^n: a value at 2 has about 4n bits, so
+    # past the heuristic's bound on its integers the gate is skipped and the
+    # division decides
+    x = v("x")
+    divisions = []
+    exact_div = rational.poly_exact_div
+
+    def spy(a, b):
+        divisions.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(rational, "poly_exact_div", spy)
+    for n, divided in ((rational._HEU_MAX_BITS // 4, False),
+                       (rational._HEU_MAX_BITS // 4 + 1, True)):
+        f = 3 * x ** (2 * n) - 1
+        assert rational._trial_divisor(f, (3 * x ** (2 * n) + 1) ** 2) is None
+        assert bool(divisions) == divided
+
+
 def test_poly_gcd_bounds_the_heuristic_on_sparse_high_degree(monkeypatch):
     # the images of f and g at integer points grow with the product of the
     # degrees over the levels; without a bound the third level would raise
@@ -282,6 +368,31 @@ def test_cast_and_restrict_roundtrip():
     h = g * t
     with pytest.raises(UnknownVariable):
         h.cast(CTX)
+
+
+def test_arithmetic_rejects_operands_from_two_charts():
+    # the packed monomials of v on [u, v; y] and of z on [w; z, y] coincide,
+    # so without the check v + z printed as 2*v
+    a = ChartContext(base=["u", "v"], fiber=["y"])
+    b = ChartContext(base=["w"], fiber=["z", "y"])
+    for p, q in ((Poly.var(a, "v"), Poly.var(b, "z")),
+                 (RatFunc.var(a, "v"), RatFunc.var(b, "z"))):
+        for op in (lambda s, t: s + t, lambda s, t: s - t,
+                   lambda s, t: s * t):
+            with pytest.raises(ContextMismatch):
+                op(p, q)
+            with pytest.raises(ContextMismatch):
+                op(q, p)
+        assert p != q
+    with pytest.raises(ContextMismatch):
+        RatFunc.var(a, "v") / RatFunc.var(b, "z")
+    with pytest.raises(ContextMismatch):
+        RatFunc.var(a, "v") + Poly.var(b, "z")
+    # an equal chart built twice is the same chart
+    a2 = ChartContext(base=["u", "v"], fiber=["y"])
+    assert RatFunc.var(a, "v") * RatFunc.var(a2, "y") \
+        == rf(Poly.var(a, "v") * Poly.var(a, "y"))
+    assert Poly.var(a, "v") + Poly.var(a2, "v") == 2 * Poly.var(a, "v")
 
 
 def test_scale_fiber():
@@ -368,8 +479,9 @@ def test_poly_gcd_cofactors_restore_monomial_and_integer_content():
 
 
 def test_normalize_and_multiply_leave_division_to_poly_gcd(monkeypatch):
-    # the heuristic's trial divisions are the cofactors: ratfunc_normalize
-    # and RatFunc.__mul__ divide nothing themselves
+    # the trial divisions of the divisor pre-check and of the heuristic are
+    # the cofactors: ratfunc_normalize and RatFunc.__mul__ divide nothing
+    # themselves
     x, y, y1 = v("x"), v("y"), v("y1")
     g = x * y + y1 + 2
     callers = []
@@ -383,7 +495,8 @@ def test_normalize_and_multiply_leave_division_to_poly_gcd(monkeypatch):
     a = ratfunc_normalize(3 * g * (x - y1), -6 * g * (y + 1))
     b = ratfunc_normalize(g * y1 * (y + 1), 2 * x * (x - y1))
     ab = a * b
-    assert callers and set(callers) <= {"_heu_gcd", "_divided"}
+    assert callers and set(callers) <= {"_trial_divisor", "_heu_gcd",
+                                        "_divided"}
     assert not {"ratfunc_normalize", "__mul__"} & set(callers)
     monkeypatch.undo()
     assert a == rf(x - y1, -2 * y - 2)
