@@ -8,6 +8,8 @@ area form 4/(1+u^2+v^2)^2 du^dv is derived once by an exact pullback oracle
 in the test suite and recorded here.
 """
 
+import math
+
 from .errors import (
     JacobiFailed,
     NonRationalInput,
@@ -19,7 +21,7 @@ from .errors import (
     ZeroGenerator,
 )
 from .multivector import DiffForm, Multivector
-from .rational import ChartContext, Poly, Q, RatFunc
+from .rational import ChartContext, Poly, Q, RatFunc, poly_exact_div
 from .smith import integer_solve, rational_rank
 
 __all__ = [
@@ -310,11 +312,9 @@ def integer_affine_identity(f, basis):
     linear system over the integers (column echelon form), so it is sound and
     complete.
     """
-    lhs = f.num * _product_except([g.den for g in [f] + list(basis)], 0)
-    cols = []
-    for i, g in enumerate(basis):
-        cols.append(g.num * _product_except(
-            [h.den for h in [f] + list(basis)], i + 1))
+    funcs = [f] + list(basis)
+    common = math.prod(g.den for g in funcs)
+    lhs, *cols = [g.num * poly_exact_div(common, g.den) for g in funcs]
     # rows in the order of the exponent tuples, which fixes the integer system
     lhs = dict(lhs.exponents())
     cols = [dict(c.exponents()) for c in cols]
@@ -328,17 +328,6 @@ def integer_affine_identity(f, basis):
     if sol is None:
         return IntegerIdentity(False, None)
     return IntegerIdentity(True, sol)
-
-
-def _product_except(polys, skip):
-    out = None
-    for i, p in enumerate(polys):
-        if i == skip:
-            continue
-        out = p if out is None else out * p
-    if out is None:
-        return Poly.one(polys[0].ctx)
-    return out
 
 
 def affine_in_params(model):

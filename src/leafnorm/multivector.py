@@ -304,19 +304,18 @@ def _d_half(u, v, gens):
     return Multivector.from_terms(ctx, items)
 
 
-def schouten(u, v, gens=None):
+def schouten(u, v):
     """Schouten bracket of homogeneous multivectors (deg = |.| - 1 grading).
 
-    gens restricts the contraction to a subset of generators (used by the
-    vertical bracket of the mixed-element algebra); None means all.
+    The sums run over the generators that occur in u or v, in increasing
+    order: any other one has zero right derivative in both operands.
     """
     u._same(v)
     du = u.degree()
     dv = v.degree()
     if du is None or dv is None:
         return Multivector.zero(u.context)
-    if gens is None:
-        gens = range(u.context.p + u.context.q)
+    gens = sorted(set().union(*u.terms, *v.terms))
     a = _d_half(u, v, gens)
     b = _d_half(v, u, gens)
     sign = -1 if ((du - 1) * (dv - 1)) % 2 else 1
@@ -369,13 +368,6 @@ def interior_form(x, omega):
     return _contract(x, omega)
 
 
-def interior_vec(alpha, u):
-    """i_alpha u for a 1-form alpha into a multivector (first slot)."""
-    if alpha.degree() not in (None, 1):
-        raise WrongDegree("contraction needs a 1-form")
-    return _contract(alpha, u)
-
-
 def pairing(u, omega):
     """Full contraction <u, omega> of equal-degree multivector and form."""
     if u.context != omega.context:
@@ -404,7 +396,9 @@ def sharp(pi, alpha):
     """pi^#(alpha), the convention pinned by pi^#(alpha)(beta) = pi(alpha, beta)."""
     if pi.degree() not in (None, 2):
         raise WrongDegree("sharp needs a bivector")
-    return interior_vec(alpha, pi)
+    if alpha.degree() not in (None, 1):
+        raise WrongDegree("contraction needs a 1-form")
+    return _contract(alpha, pi)
 
 
 def hamiltonian(pi, f):

@@ -64,9 +64,6 @@ class MixedElement(Graded):
         return MixedElement(self.context,
                             {k: c for k, c in self.terms.items() if not k[1]})
 
-    def substitute(self, mapping):
-        return self.map_coeffs(lambda c: c.substitute(mapping))
-
 
 # ---------------------------------------------------------------------------
 # membership
@@ -142,7 +139,7 @@ def _vv_pair(ctx, t1, c1, t2, c2, items):
         return
     u = Multivector(ctx, {K1: c1})
     v = Multivector(ctx, {K2: c2})
-    sv = schouten(u, v, gens=range(ctx.p, ctx.p + ctx.q))
+    sv = schouten(u, v)
     if sv.is_zero():
         return
     s0 = 1 if (len(I2) * (len(K1) - 1)) % 2 == 0 else -1

@@ -296,15 +296,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of Poly")
-        result = Poly.one(self.ctx)
-        factor = self
-        while n:
-            if n & 1:
-                result = result * factor
-            n >>= 1
-            if n:
-                factor = factor * factor
-        return result
+        return _power(Poly.one(self.ctx), self, n)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -428,6 +420,18 @@ def _same_chart(a, b):
         raise ContextMismatch("operands live on different charts")
 
 
+def _power(one, base, n):
+    """base ** n for n >= 0 by square-and-multiply, starting from one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 def _scaled(ctx, terms, k):
     """The Poly with terms times the nonzero int k; a factor of 1 keeps the
     terms dict itself (no operation changes the terms of its operands)."""
@@ -485,8 +489,9 @@ def _iprimitive(f):
 def poly_exact_div(f, g):
     """Exact quotient f/g in Z[x], or None when g does not divide f there.
 
-    Every caller divides by a primitive `poly_gcd` result or by a polynomial
-    by itself; by Gauss's lemma division in Z[x] and in Q[x] agree there.
+    Every caller divides by a primitive `poly_gcd` result, a polynomial by
+    itself or a product by one of its factors; by Gauss's lemma division in
+    Z[x] and in Q[x] agree there.
     The remainder is walked leading term first through a heap of negated
     monomials; a monomial whose coefficient cancelled leaves a stale entry
     that is skipped.
@@ -980,13 +985,7 @@ class RatFunc:
             n = -n
         else:
             base = self
-        out = RatFunc.one(self.ctx)
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
+        out = _power(RatFunc.one(self.ctx), base, n)
         return ratfunc_normalize(out.num, out.den)
 
     def _coerce(self, other):
@@ -1070,13 +1069,6 @@ class RatFunc:
             parts.append(acc * inv0)
         return parts
 
-    def fiber_taylor_sum(self, n):
-        parts = self._fiber_parts(n)
-        out = RatFunc.zero(self.ctx)
-        for p in parts:
-            out = out + p
-        return out
-
     # -- printing -----------------------------------------------------------
 
     def __str__(self):
@@ -1141,4 +1133,7 @@ def fiber_taylor(f, n):
     """
     if n < 0:
         raise ValueError("taylor order must be >= 0")
-    return f.fiber_taylor_sum(n)
+    out = RatFunc.zero(f.ctx)
+    for part in f._fiber_parts(n):
+        out = out + part
+    return out

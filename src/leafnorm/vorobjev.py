@@ -180,28 +180,26 @@ def decompose(theta):
     return DiracElement(v_part, conn, f_part)
 
 
+def _dual(gamma):
+    """gamma's terms without horizontal lifts as one bivector, with dx^i read
+    as d/dx^i: its blocks are (F, W, V)."""
+    return Multivector(gamma.context, {
+        I + K: c for (I, J, K), c in gamma.as_mixed().terms.items() if not J})
+
+
 def assemble(gamma):
     """The bivector of a Dirac element (exact inverse of decompose)."""
     ctx = gamma.context
     p, q = ctx.p, ctx.q
-    F = _antisymmetric(ctx, p, ((I, c) for (I, _, _), c
-                                in gamma.f_part.terms.items()))
+    blocks = horizontal_blocks(_dual(gamma))
+    F = blocks.A
     try:
         A = matrix_inverse(F)
     except SingularMatrix:
         raise DegenerateFPart("two-form component is degenerate as a "
                               "rational-function matrix") from None
-    z = RatFunc.zero(ctx)
-    W = [[z for _ in range(q)] for _ in range(p)]
-    for (I, J, K), c in gamma.conn_part.terms.items():
-        if J:
-            continue
-        W[I[0]][K[0] - p] = c
-    W = MatrixRF(ctx, W, q)
-    B = A * W
-    vmat = _antisymmetric(ctx, q, (((K[0] - p, K[1] - p), c) for (_, _, K), c
-                                   in gamma.v_part.terms.items()))
-    C = vmat - B.transpose() * F * B
+    B = A * blocks.B
+    C = blocks.C - B.transpose() * F * B
     items = _upper(A)
     for i in range(p):
         for a in range(q):
@@ -291,24 +289,23 @@ def tau(theta, u):
 
 
 def tau_inverse(theta, e):
-    """Inverse of tau on form-valued verticals: dx^j -> -sum A[j][i] hor_i."""
+    """Inverse of tau on form-valued verticals: dx^j -> -theta^#(dx^j), which
+    is -sum A[j][i] hor_i; verticals stay, written after the forms."""
+    if not is_horizontally_nondegenerate(theta).ok:
+        raise NotHorizontallyNondegenerate(
+            "horizontal block is singular as a rational function")
     ctx = theta.context
-    p = ctx.p
-    blocks, ainv, w = _frames(theta)
-    to_frame = _replacements(-blocks.A, 0, False)
-    items = []
+    images = [-sharp(theta, DiffForm.basis(ctx, j)) for j in range(ctx.p)]
+    out = Multivector.zero(ctx)
     for (I, J, K), c in e.terms.items():
         if J:
             raise InvalidElement("tau inverse expects an element with no "
                                  "horizontal lift terms")
-        for tup, cc in _expand(I, c, to_frame):
-            merged, s = _sort_block(tup + K)
-            if merged is None:
-                continue
-            items.append((merged, cc if s > 0 else -cc))
-    framed = Multivector.from_terms(ctx, items)
-    # hor_i = d/dx_i + sum W[i][a] d/dy_a
-    return _substitute_vec_gens(framed, _replacements(w, p, True))
+        term = Multivector.scalar(c)
+        for j in I:
+            term = term.wedge(images[j])
+        out = out + term.wedge(Multivector(ctx, {K: RatFunc.one(ctx)}))
+    return out
 
 
 def chain_map_residual(theta, u):
@@ -362,7 +359,7 @@ class MoserPath(Record):
         return self.gamma_t.context
 
 
-def moser_path(gamma, truncation_order=None):
+def moser_path(gamma):
     if not leaf_check(gamma).ok:
         raise LeafCheckFailed("the zero section is not a symplectic leaf")
     base_ctx = gamma.context
@@ -372,8 +369,6 @@ def moser_path(gamma, truncation_order=None):
         k += 1
         param = "t%d" % k
     g = gamma.as_mixed()
-    if truncation_order is not None:
-        g = jet_n(g, truncation_order)
     ctx_t = base_ctx.with_param(param)
     t = RatFunc.var(ctx_t, param)
     g_t = g.cast(ctx_t)
@@ -395,7 +390,8 @@ def moser_path(gamma, truncation_order=None):
 
 def moser_at(path, value):
     """Evaluate the path at a rational parameter value, back on the chart."""
-    g = path.gamma_t.as_mixed().substitute({path.param: Q(value)})
+    at = {path.param: Q(value)}
+    g = path.gamma_t.as_mixed().map_coeffs(lambda c: c.substitute(at))
     return DiracElement.from_mixed(g.cast(path.base_context))
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from leafnorm import multivector
 from leafnorm.errors import ContextMismatch, NonHomogeneous, WrongDegree
 from leafnorm.multivector import (
     DiffForm, Multivector, cotangent_bracket, d_scalar,
@@ -99,6 +100,24 @@ def test_schouten_vector_fields_is_lie_bracket():
     got = schouten(a, b)
     expect = vec(2, coeff(y1 * x1)) - vec(0, coeff(x1 * x1))
     assert got == expect
+
+
+def test_schouten_sums_over_the_operands_generators(monkeypatch):
+    # two of the chart's five generators occur: one right derivative by each
+    # in each half of the bracket
+    calls = []
+    derive = multivector._right_zeta_derivative
+
+    def spy(u, gen):
+        calls.append(gen)
+        return derive(u, gen)
+
+    monkeypatch.setattr(multivector, "_right_zeta_derivative", spy)
+    x1 = Poly.var(CTX, "x1")
+    y1 = Poly.var(CTX, "y1")
+    got = schouten(vec(0, coeff(x1 * y1)), vec(2, coeff(x1)))
+    assert got == vec(2, coeff(y1 * x1)) - vec(0, coeff(x1 * x1))
+    assert calls == [0, 2, 0, 2]
 
 
 def test_schouten_requires_homogeneous():

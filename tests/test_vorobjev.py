@@ -10,7 +10,7 @@ from leafnorm.linalg import MatrixRF
 from leafnorm.models import linear_poisson, so3
 from leafnorm.multivector import DiffForm, Multivector, is_poisson, schouten
 from leafnorm.omega import (
-    MixedElement, dilation, ds_n, euler_field, gamma_S, ltimes_bracket,
+    MixedElement, dilation, ds_n, euler_field, gamma_S, jet_n, ltimes_bracket,
 )
 from leafnorm.rational import ChartContext, Poly, RatFunc
 from leafnorm.vorobjev import (
@@ -301,6 +301,37 @@ def test_chain_map_over_catalog():
             assert tau_inverse(theta, tau(theta, u)) == u
 
 
+def test_tau_inverse_computes_one_determinant_and_no_solve(monkeypatch):
+    theta = sphere_bivector(CTX3, True)
+    u = Multivector(CTX3, {(0, 1, 3): rf(pv("y1", CTX3))})
+    e = tau(theta, u)
+    calls = []
+    det, solve = MatrixRF.det, MatrixRF.solve
+
+    def det_spy(self):
+        calls.append("det")
+        return det(self)
+
+    def solve_spy(self, rhs):
+        calls.append("solve")
+        return solve(self, rhs)
+
+    monkeypatch.setattr(MatrixRF, "det", det_spy)
+    monkeypatch.setattr(MatrixRF, "solve", solve_spy)
+    assert tau_inverse(theta, e) == u
+    # the non-degeneracy test; theta^# needs no inverse
+    assert calls == ["det"]
+
+
+def test_tau_inverse_requires_nondegenerate():
+    vertical_only = Multivector(CTX3, {(2, 3): RatFunc.one(CTX3)})
+    e = MixedElement(CTX3, {((0,), (), (2,)): RatFunc.one(CTX3)})
+    with pytest.raises(NotHorizontallyNondegenerate,
+                       match="^horizontal block is singular as a rational "
+                             "function$"):
+        tau_inverse(vertical_only, e)
+
+
 # --- leaves / jets / Moser ------------------------------------------------------
 
 def test_leaf_check_examples():
@@ -457,7 +488,7 @@ def test_moser_rejects_bad_leaf():
 
 def test_moser_truncated_variant():
     gamma = decompose(sphere_bivector(CTX3, True))
-    path = moser_path(gamma, truncation_order=2)
+    path = moser_path(DiracElement.from_mixed(jet_n(gamma.as_mixed(), 2)))
     g_t = path.gamma_t.as_mixed()
     resid = ltimes_bracket(g_t, g_t)
     # identity holds modulo fiber degree > 2
