@@ -489,9 +489,9 @@ def _iprimitive(f):
 def poly_exact_div(f, g):
     """Exact quotient f/g in Z[x], or None when g does not divide f there.
 
-    Every caller divides by a primitive `poly_gcd` result, a polynomial by
-    itself or a product by one of its factors; by Gauss's lemma division in
-    Z[x] and in Q[x] agree there.
+    Every caller divides by a primitive `poly_gcd` result, a primitive
+    candidate content, a polynomial by itself or a product by one of its
+    factors; by Gauss's lemma division in Z[x] and in Q[x] agree there.
     The remainder is walked leading term first through a heap of negated
     monomials; a monomial whose coefficient cancelled leaves a stale entry
     that is skipped.
@@ -1009,12 +1009,20 @@ class RatFunc:
 
     def derivative(self, name):
         i = self.ctx.var_index(name)
-        # (n/d)' = n'/d where d is free of the variable
+        # d free of the variable is its own content (c = d, r = 1 below)
         if not self.den.depends_on(i):
             return ratfunc_normalize(self.num.derivative(i), self.den)
         n, d = self.num, self.den
-        return ratfunc_normalize(
-            n.derivative(i) * d - n * d.derivative(i), d * d)
+        r = _content_free_part(d, i)
+        if r is None:
+            # content not certified: the quotient rule over d * d
+            return ratfunc_normalize(
+                n.derivative(i) * d - n * d.derivative(i), d * d)
+        # d = c r with c free of the variable: (n/d)' = (n'r - nr') / (d r),
+        # and its one gcd is with d (docs/conventions.md); n'r - nr' is not
+        # zero, since n is prime to r
+        _, num, den = poly_gcd(n.derivative(i) * r - n * r.derivative(i), d)
+        return _canonical_scale(num, den * r)
 
     def substitute(self, mapping):
         """Simultaneous substitution {name: RatFunc|Poly|Q} -> RatFunc."""
@@ -1117,6 +1125,47 @@ def _canonical_scale(num, den):
     # reaches 1 sooner
     den, num = _primitive([den, num], den.leading_coeff())
     return RatFunc(num, den)
+
+
+def _content_free_part(d, i):
+    """r = d / c, where c is the content of d as a polynomial in variable
+    i up to an integer factor; None when trial division cannot certify c.
+
+    c = x^mu e: mu is the least exponent of each other variable over d, and
+    e is the coefficient of a power of x_i with the fewest terms, stripped
+    of its monomial and integer content.  e is certified when it divides
+    every coefficient, and a monomial coefficient makes e = 1 with no
+    division.  d depends on x_i.
+    """
+    ctx = d.ctx
+    s = ctx._shifts[i]
+    step = ctx.var_mono(i)
+    coeffs = {}
+    for m, c in d.terms.items():
+        k = (m >> s) & _FIELD
+        coeffs.setdefault(k, {})[m - k * step] = c
+    smallest = min(coeffs.values(), key=len)
+    if len(smallest) == 1 and 0 in smallest:
+        return d  # a constant coefficient: c = 1
+    mu = _fieldwise(min, d)
+    mu[i] = 0
+    low = ctx.pack(mu)
+    if len(smallest) == 1:
+        return Poly(ctx, {m - low: c for m, c in d.terms.items()})
+    e = Poly(ctx, smallest)
+    e_low = ctx.pack(_fieldwise(min, e))
+    e = _iprimitive(Poly(ctx, {m - e_low: c for m, c in e.terms.items()}))
+    # each coefficient is e x^mu times a quotient with monomial content at
+    # least mu, so the shift by mu borrows nowhere
+    out = {}
+    for k, terms in coeffs.items():
+        q = poly_exact_div(Poly(ctx, terms), e)
+        if q is None:
+            return None
+        shift = k * step - low
+        for m, c in q.terms.items():
+            out[m + shift] = c
+    return Poly(ctx, out)
 
 
 def partial_derive(f, var):

@@ -160,6 +160,16 @@ def test_so3x2_casimir_report_is_golden():
     assert res.stdout == (FIXTURES / "so3x2_casimir.json").read_bytes()
 
 
+def test_so3x2_noncasimir_report_is_golden():
+    # the non-Casimir twin (benchmark seed 1): its false verdicts print big
+    # residuals, which are the quotient rule's canonical forms
+    res = subprocess.run(
+        [sys.executable, "-m", "leafnorm.cli", "run",
+         str(FIXTURES / "so3x2_noncasimir.lnf")], capture_output=True)
+    assert res.returncode == 0
+    assert res.stdout == (FIXTURES / "so3x2_noncasimir.json").read_bytes()
+
+
 def test_report_is_utf8_whatever_the_locale(tmp_path):
     # stdout carries the bytes that --out writes, also where the locale
     # cannot encode a chart name

@@ -1,10 +1,11 @@
 """Exactness oracle for the kernel: canonical-form invariants, field laws and
-calculus rules as Hypothesis properties, the fiber dilation against
-substitution, differential tests of `ratfunc_normalize` and `poly_gcd`
-against sympy and of the heuristic gcd against the primitive PRS, gcd
-cofactors, exact division undoing multiplication, packed monomials against
-their exponent tuples, the small-operand shortcuts against the general path,
-and operands that no operation changes.
+calculus rules as Hypothesis properties, the quotient rule against its plain
+form over d^2, the fiber dilation against substitution, differential tests
+of `ratfunc_normalize` and `poly_gcd` against sympy and of the heuristic gcd
+against the primitive PRS, gcd cofactors, exact division undoing
+multiplication, packed monomials against their exponent tuples, the
+small-operand shortcuts against the general path, and operands that no
+operation changes.
 
 Inputs are random multivariate polynomials with small integer coefficients,
 built through the public constructors.  Numerators and denominators share a
@@ -67,6 +68,9 @@ nonzero_ratfuncs = ratfuncs.map(
 small_ratfuncs = quotients(_polys(1, 2)).map(lambda nd: ratfunc_normalize(*nd))
 
 
+_x, _y, _z = (Poly.var(CTX, n) for n in CTX.vars)
+
+
 def _coeffs(f):
     return list(f.num.terms.values()) + list(f.den.terms.values())
 
@@ -113,6 +117,43 @@ def test_leibniz_and_quotient_rules(a, b, var):
     da, db = a.derivative(var), b.derivative(var)
     assert (a * b).derivative(var) == da * b + a * db
     assert (a / b).derivative(var) == (da * b - a * db) / (b * b)
+
+
+# denominators k p^2 q: a repeated factor, integer content, and often a
+# factor free of the variable
+split_denominators = st.tuples(
+    _polys(1, 2).map(_nonzero), _polys(1, 2).map(_nonzero),
+    st.integers(1, 6)).map(lambda t: t[2] * t[0] * t[0] * t[1])
+
+
+@SETTINGS
+@given(polys, split_denominators, st.sampled_from(CTX.vars))
+@example(_x + _z, (_x * _y - _z) ** 2 * (_y + 1), "x")
+@example(Poly.one(CTX), (_x + _y) ** 2 * (_x - _z), "x")
+# a factor free of the variable, and the variable in the free factor
+@example(4 * Poly.one(CTX), (1 + _x * _x + _y * _y) ** 2 * (1 + _z * _z), "z")
+@example(4 * Poly.one(CTX), (1 + _x * _x + _y * _y) ** 2 * (1 + _z * _z), "x")
+# n' r - n r' = -y shares the factor y of c: the result is -1/(x+1)^2
+@example(_x + 1 + _y, _y * (_x + 1), "x")
+# monomial content, with a monomial and with a two-term least coefficient
+@example(Poly.one(CTX), _z ** 2 * (_x + _y) ** 2, "x")
+@example(_x, _z ** 2 * (1 + _y) * (_x + _y), "x")
+@example(Poly.one(CTX), _x ** 2 * (1 + _y), "x")
+@example(_y, _x ** 2 * _z * (_x + _y), "x")
+# integer content
+@example(Poly.one(CTX), 2 * (1 + _y) * (_x + _y), "x")
+# a constant d, and a d free of the variable
+@example(_x * _x + _y, 3 * Poly.one(CTX), "x")
+@example(Poly.one(CTX), 1 + _y * _y, "x")
+# no coefficient divides the others: the content y is not certified
+@example(Poly.one(CTX), _x * _y * (_y + 1) + _y * (_y + 2), "x")
+def test_quotient_rule_is_the_plain_rule(num, den, name):
+    # the content split gives the canonical form of (n'd - nd') / d^2
+    f = ratfunc_normalize(num, den)
+    i = CTX.var_index(name)
+    n, d = f.num, f.den
+    plain = ratfunc_normalize(n.derivative(i) * d - n * d.derivative(i), d * d)
+    assert f.derivative(name) == plain
 
 
 _X = RatFunc.var(CTX, "x")
@@ -183,9 +224,6 @@ def test_poly_gcd_matches_prs(g, a, b, k, mono):
     h, ca, cb = poly_gcd(a, b)
     assert h == _prs_gcd(a, b)
     assert h * ca == a and h * cb == b
-
-
-_x, _y, _z = (Poly.var(CTX, n) for n in CTX.vars)
 
 
 @SETTINGS

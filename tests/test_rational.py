@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from leafnorm import rational
+import leafnorm
+from leafnorm import dsl, interp, rational
 from leafnorm.errors import (
     ContextMismatch, LimitExceeded, SingularAtZeroSection, UnknownVariable,
     ZeroDenominator,
@@ -113,9 +114,13 @@ def test_partial_basics():
 
 
 def test_partial_quotient_rule():
-    x = v("x")
+    x, y = v("x"), v("y")
     f = rf(c(1), 1 + x * x)
     assert partial_derive(f, "x") == rf(-2 * x, (1 + x * x) ** 2)
+    # d = y (x+1) splits into the content c = y and r = x+1, and
+    # n'r - nr' = -y shares the factor y of c
+    f = rf(x + 1 + y, y * (x + 1))
+    assert partial_derive(f, "x") == rf(c(-1), (x + 1) ** 2)
 
 
 def test_derivative_by_a_variable_the_denominator_lacks(monkeypatch):
@@ -137,6 +142,91 @@ def test_derivative_by_a_variable_the_denominator_lacks(monkeypatch):
     assert not squares
     assert fy == rf(2 * x * y, d)
     assert partial_derive(rf(y1, d), "y").is_zero()
+
+
+def test_uncertified_content_takes_the_plain_quotient_rule(monkeypatch):
+    # the coefficients y^2 + y and y^2 + 2y of x share the content y, but
+    # neither divides the other: the rule falls back to (n'd - nd') / d^2
+    x, y = v("x"), v("y")
+    d = x * y * (y + 1) + y * (y + 2)
+    assert rational._content_free_part(d, CTX.var_index("x")) is None
+    f = rf(c(1), d)
+    squares = []
+    mul = Poly.__mul__
+
+    def spy(a, b):
+        if isinstance(b, Poly) and a.terms == d.terms == b.terms:
+            squares.append(a)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", spy)
+    fx = partial_derive(f, "x")
+    monkeypatch.undo()
+    assert len(squares) == 1
+    assert fx == rf(-(y * y + y), d * d)
+
+
+def _sphere_quotient_rule_inputs():
+    """(f, name) of every derivative the shipped sphere pipeline takes whose
+    denominator depends on the variable."""
+    with open(leafnorm.sphere_pipeline_path(), encoding="utf-8") as fh:
+        program = dsl.parse(fh.read())
+    seen = []
+    derivative = RatFunc.derivative
+
+    def spy(f, name):
+        seen.append((f, name))
+        return derivative(f, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RatFunc, "derivative", spy)
+        interp.execute(program)
+    return [(f, name) for f, name in seen
+            if f.den.depends_on(f.ctx.var_index(name))]
+
+
+def test_quotient_rule_never_squares_the_denominator(monkeypatch):
+    # the deformed sphere's denominators, such as (1+u^2+v^2)^2 (1+|y|^2),
+    # are the ones in base and fiber variables; each has a factor free of
+    # the variable, so d * d is never the result's denominator either
+    inputs = [(f, name) for f, name in _sphere_quotient_rule_inputs()
+              if f.den.depends_on_fiber()
+              and any(f.den.depends_on(f.ctx.var_index(b))
+                      for b in f.ctx.base)]
+    assert inputs
+    squares = []
+    mul = Poly.__mul__
+    d = None
+
+    def spy(a, b):
+        if isinstance(b, Poly) and a.terms == d.terms == b.terms:
+            squares.append(a)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", spy)
+    for f, name in inputs:
+        d = f.den
+        f.derivative(name)
+    assert not squares
+
+
+def test_quotient_rule_takes_one_gcd_with_the_denominator(monkeypatch):
+    # every quotient-rule derivative of the pipeline, whose content split
+    # is certified: the gcd operand is d, not d * d
+    inputs = _sphere_quotient_rule_inputs()
+    calls = []
+    gcd = rational.poly_gcd
+
+    def spy(a, b):
+        calls.append(b)
+        return gcd(a, b)
+
+    monkeypatch.setattr(rational, "poly_gcd", spy)
+    for f, name in inputs:
+        calls.clear()
+        f.derivative(name)
+        assert len(calls) == 1
+        assert calls[0] == f.den
 
 
 def test_partial_unknown_variable():
