@@ -85,15 +85,16 @@ class _EvalError(LeafnormError):
 
 
 def _eval_expr(node, ctx):
-    """Evaluate into the term store keyed by (covariant, contravariant)."""
+    """Evaluate a subtree with no basis vector or form into a RatFunc, and
+    any other into the term store keyed by (covariant, contravariant)."""
     if isinstance(node, dsl.ENum):
-        return Graded.scalar(RatFunc.const(ctx, node.value))
+        return RatFunc.const(ctx, node.value)
     if isinstance(node, dsl.EVar):
         try:
             ctx.var_index(node.name)
         except LeafnormError:
             raise UnknownIdentifier("unknown variable %r" % node.name)
-        return Graded.scalar(RatFunc.var(ctx, node.name))
+        return RatFunc.var(ctx, node.name)
     if isinstance(node, dsl.EBasisVec):
         i = _gen_index(ctx, node.name)
         return Graded(ctx, {((), (i,)): RatFunc.one(ctx)})
@@ -117,47 +118,75 @@ def _gen_index(ctx, name):
     raise UnknownIdentifier("no chart direction named %r" % name)
 
 
+def _scalar(val):
+    """The RatFunc of a scalar value; None when it has basis elements."""
+    if isinstance(val, RatFunc):
+        return val
+    return val.scalar_value() if val.is_scalar() else None
+
+
 def _apply_binop(op, left, right):
+    a, b = _scalar(left), _scalar(right)
+    if a is not None and b is not None:
+        return _scalar_binop(op, a, b)
+    if op == "*":
+        if a is not None:
+            return right.scale(a)
+        if b is not None:
+            return left.scale(b)
+        raise _EvalError("'*' needs a scalar factor; use '^' for wedges")
+    if op == "/":
+        if b is None:
+            raise _EvalError("division by a non-scalar")
+        if b.is_zero():
+            raise _EvalError("division by zero")
+        return left.map_coeffs(lambda c: c / b)
+    if op == "^" and b is not None and b.is_const():
+        raise _EvalError("cannot raise a wedge to a power")
+    # a scalar meets a term-store operand: it joins the term store
+    if isinstance(left, RatFunc):
+        left = Graded.scalar(left)
+    if isinstance(right, RatFunc):
+        right = Graded.scalar(right)
     if op == "+":
         return left + right
     if op == "-":
         return left - right
-    if op == "*":
-        if left.is_scalar():
-            return right.scale(left.scalar_value())
-        if right.is_scalar():
-            return left.scale(right.scalar_value())
-        raise _EvalError("'*' needs a scalar factor; use '^' for wedges")
-    if op == "/":
-        if not right.is_scalar():
-            raise _EvalError("division by a non-scalar")
-        f = right.scalar_value()
-        if f.is_zero():
-            raise _EvalError("division by zero")
-        return left.map_coeffs(lambda c: c / f)
     if op == "^":
-        if right.is_scalar() and left.is_scalar():
-            e = right.scalar_value()
-            if not e.is_const():
-                return left.wedge(right)
-            ev = e.const_value()
-            if ev.denominator != 1:
-                raise _EvalError("exponent must be an integer")
-            if abs(ev) > MAX_EXPONENT:
-                raise LimitExceeded("exponent %s exceeds the limit %d"
-                                    % (ev, MAX_EXPONENT))
-            base, n = left.scalar_value(), int(ev)
-            bits = _power_bits(base.num, abs(n)) + \
-                _power_bits(base.den, abs(n))
-            if bits > MAX_POWER_BITS:
-                raise LimitExceeded("power may take %d bits, over the limit "
-                                    "%d" % (bits, MAX_POWER_BITS))
-            return Graded.scalar(base ** n)
-        if right.is_scalar() and not left.is_scalar():
-            e = right.scalar_value()
-            if e.is_const():
-                raise _EvalError("cannot raise a wedge to a power")
         return left.wedge(right)
+    raise _EvalError("unknown operator %r" % op)
+
+
+def _scalar_binop(op, a, b):
+    """The term store's arithmetic on two scalars, operation for operation:
+    a zero operand is skipped as an empty term dict is, and a product is
+    formed as `Graded.scale` forms it, c * f."""
+    if op in ("+", "-"):
+        if op == "-":
+            b = -b
+        return b if a.is_zero() else a if b.is_zero() else a + b
+    if op == "*":
+        return RatFunc.zero(a.ctx) if a.is_zero() or b.is_zero() else b * a
+    if op == "/":
+        if b.is_zero():
+            raise _EvalError("division by zero")
+        return a if a.is_zero() else a / b
+    if op == "^":
+        if not b.is_const():
+            # the wedge of two scalars
+            return RatFunc.zero(a.ctx) if a.is_zero() else a * b
+        ev = b.const_value()
+        if ev.denominator != 1:
+            raise _EvalError("exponent must be an integer")
+        if abs(ev) > MAX_EXPONENT:
+            raise LimitExceeded("exponent %s exceeds the limit %d"
+                                % (ev, MAX_EXPONENT))
+        n = int(ev)
+        bits = _power_bits(a.num, abs(n)) + _power_bits(a.den, abs(n))
+        if bits > MAX_POWER_BITS:
+            raise LimitExceeded("power may take %d bits, over the limit "
+                                "%d" % (bits, MAX_POWER_BITS))
+        return a ** n
     raise _EvalError("unknown operator %r" % op)
 
 
@@ -176,6 +205,8 @@ def _power_bits(poly, n):
 def _classify(val):
     """Turn an evaluated value into RatFunc / Multivector / DiffForm /
     MixedElement."""
+    if isinstance(val, RatFunc):
+        return val
     ctx = val.context
     has_form = any(k[0] for k in val.terms)
     has_vec = any(k[1] for k in val.terms)
@@ -215,10 +246,10 @@ def _eval_binding(binding, ctx, env):
         if rhs.name == "period_model":
             periods = []
             for e in rhs.args:
-                v = _eval_expr(e, ctx)
-                if not v.is_scalar():
+                f = _scalar(_eval_expr(e, ctx))
+                if f is None:
                     raise _EvalError("period entries must be scalars")
-                periods.append(v.scalar_value())
+                periods.append(f)
             if "PI" not in ctx.params:
                 raise _EvalError(
                     "period_model needs a formal parameter named PI")
@@ -313,9 +344,8 @@ def _run_command(cmd, ctx, env):
                     % (len(model.transverse), len(cmd.point)))
             at = {}
             for name, e in zip(model.transverse, cmd.point):
-                v = _eval_expr(e, ctx)
-                c = v.scalar_value()
-                if not v.is_scalar() or not c.is_const():
+                c = _scalar(_eval_expr(e, ctx))
+                if c is None or not c.is_const():
                     raise _EvalError("evaluation point must be rational")
                 at[name] = c.const_value()
         gens = monodromy(model, at=at)
@@ -336,12 +366,11 @@ def _run_command(cmd, ctx, env):
         return CommandRecord(_render(cmd), True, None,
                              "true" if affine_in_params(model) else "false")
     if isinstance(cmd, dsl.CmdIntIdentity):
-        f = _eval_expr(cmd.func, ctx)
-        basis = [_eval_expr(e, ctx) for e in cmd.basis]
-        if not f.is_scalar() or not all(b.is_scalar() for b in basis):
+        f = _scalar(_eval_expr(cmd.func, ctx))
+        basis = [_scalar(_eval_expr(e, ctx)) for e in cmd.basis]
+        if f is None or any(b is None for b in basis):
             raise _EvalError("int_identity needs scalar arguments")
-        res = integer_affine_identity(f.scalar_value(),
-                                      [b.scalar_value() for b in basis])
+        res = integer_affine_identity(f, basis)
         if res.feasible:
             value = "m = (" + ", ".join(map(int_str, res.coefficients)) + ")"
         else:

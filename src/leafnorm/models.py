@@ -8,7 +8,8 @@ area form 4/(1+u^2+v^2)^2 du^dv is derived once by an exact pullback oracle
 in the test suite and recorded here.
 """
 
-import math
+import operator
+from itertools import accumulate
 
 from .errors import (
     JacobiFailed,
@@ -21,7 +22,7 @@ from .errors import (
     ZeroGenerator,
 )
 from .multivector import DiffForm, Multivector
-from .rational import ChartContext, Poly, Q, RatFunc, poly_exact_div
+from .rational import ChartContext, Poly, Q, RatFunc, ratfunc_normalize
 from .smith import integer_solve, rational_rank
 
 __all__ = [
@@ -219,17 +220,44 @@ def monodromy(model, at=None):
     """Matrix of transverse derivatives of the period vector.
 
     Symbolic by default; `at` maps parameter names to rationals for the
-    evaluated form (denominators must not vanish there).
+    evaluated form.  There each entry of a period n/d is the quotient rule
+    at the point, (n_x d - n d_x) / d^2 of the values, normalised once.
+    Only where d vanishes at the point does the reduced derivative decide:
+    the pole is removable or the point is singular.
     """
+    if at is None:
+        return [[f.derivative(name) for name in model.transverse]
+                for f in model.periods]
+    ctx = model.ctx
+    point = {ctx.var_index(k): Q(v) for k, v in at.items()}
     rows = []
     for f in model.periods:
-        row = [f.derivative(name) for name in model.transverse]
-        rows.append(row)
-    if at is None:
-        return rows
-    subs = {k: RatFunc.const(model.ctx, Q(v)) for k, v in at.items()}
+        n, d = f.num.evaluate(point), f.den.evaluate(point)
+        if d[0].is_zero():
+            rows.append([_derivative_at(f, name, at)
+                         for name in model.transverse])
+        else:
+            rows.append([_quotient_rule_at(f, ctx.var_index(name), point, n, d)
+                         for name in model.transverse])
+    return rows
+
+
+def _quotient_rule_at(f, i, point, n, d):
+    """(n_x d - n d_x) / d^2 for f = n/d from the values (P, D) = P / D of
+    n, d and their derivatives by variable i at a point where d is not
+    zero."""
+    (A, a), (C, c) = n, d
+    B, b = f.num.derivative(i).evaluate(point)
+    E, e = f.den.derivative(i).evaluate(point)
+    return ratfunc_normalize((B * C * (a * e) - A * E * (b * c)) * c,
+                             C * C * (a * b * e))
+
+
+def _derivative_at(f, name, at):
+    """The reduced derivative of f substituted at a point where the
+    denominator of f vanishes."""
     try:
-        return [[entry.substitute(subs) for entry in row] for row in rows]
+        return f.derivative(name).substitute(at)
     except ZeroDenominator:
         raise SingularPoint(
             "monodromy generator singular at %s" % (at,)) from None
@@ -313,8 +341,14 @@ def integer_affine_identity(f, basis):
     complete.
     """
     funcs = [f] + list(basis)
-    common = math.prod(g.den for g in funcs)
-    lhs, *cols = [g.num * poly_exact_div(common, g.den) for g in funcs]
+    # each numerator times the product of the other denominators: the
+    # products of those before it and of those after it
+    dens = [g.den for g in funcs]
+    one = Poly.one(f.ctx)
+    before = accumulate(dens[:-1], operator.mul, initial=one)
+    after = list(accumulate(reversed(dens[1:]), operator.mul, initial=one))
+    lhs, *cols = [g.num * p * q
+                  for g, p, q in zip(funcs, before, reversed(after))]
     # rows in the order of the exponent tuples, which fixes the integer system
     lhs = dict(lhs.exponents())
     cols = [dict(c.exponents()) for c in cols]

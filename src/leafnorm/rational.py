@@ -350,6 +350,27 @@ class Poly:
             total = total + term
         return total
 
+    def evaluate(self, point):
+        """(P, D) with P / D this polynomial at {var index: rational}: P a
+        Poly over Z in the other variables and D a positive int.  A value
+        a/b of a variable of degree k turns its power x^e into a^e b^(k-e),
+        over the common denominator b^k."""
+        ctx = self.ctx
+        terms, den = self.terms, 1
+        for i, v in point.items():
+            s, step = ctx._shifts[i], ctx.var_mono(i)
+            k = max(map((_FIELD << s).__and__, terms), default=0) >> s
+            a, b = _powers(v.numerator, k), _powers(v.denominator, k)
+            values = [p * q for p, q in zip(a, reversed(b))]
+            den *= b[k]
+            out = {}
+            for m, c in terms.items():
+                e = (m >> s) & _FIELD
+                m -= e * step
+                out[m] = out.get(m, 0) + c * values[e]
+            terms = {m: c for m, c in out.items() if c}
+        return Poly(ctx, terms), den
+
     def fiber_parts(self):
         """{fiber degree d: the monomials of fiber degree d}, in one pass."""
         fiber_degree = self.ctx.fiber_degree
@@ -786,7 +807,7 @@ def _heu_gcd(f, g):
     for _ in range(_HEU_POINTS):
         if xdeg * xi.bit_length() > _HEU_MAX_BITS:
             return None
-        fx, gx = _evaluate(f, x, xi), _evaluate(g, x, xi)
+        fx, gx = f.evaluate({x: xi})[0], g.evaluate({x: xi})[0]
         if not (fx.is_zero() or gx.is_zero()):
             image = _heu_gcd(fx, gx)
             # an inner level that gives up ends the heuristic (as sympy):
@@ -817,21 +838,12 @@ def _fieldwise(pick, f):
             for s in f.ctx._shifts]
 
 
-def _evaluate(f, x, xi):
-    """f with variable x set to the integer xi."""
-    s = f.ctx._shifts[x]
-    step = f.ctx.var_mono(x)
-    out = {}
-    powers = [1]
-    for m, c in f.terms.items():
-        e = (m >> s) & _FIELD
-        if e:
-            while len(powers) <= e:
-                powers.append(powers[-1] * xi)
-            c *= powers[e]
-            m -= e * step
-        out[m] = out.get(m, 0) + c
-    return Poly(f.ctx, {m: c for m, c in out.items() if c})
+def _powers(a, k):
+    """[a^0, ..., a^k]."""
+    out = [1]
+    for _ in range(k):
+        out.append(out[-1] * a)
+    return out
 
 
 def _xi_adic(h, x, xi):

@@ -170,6 +170,17 @@ def test_so3x2_noncasimir_report_is_golden():
     assert res.stdout == (FIXTURES / "so3x2_noncasimir.json").read_bytes()
 
 
+def test_period_models_report_is_golden():
+    # period models, monodromy with and without a point (poles at the point
+    # are error records), ratio constancy, affine, integer identities and
+    # scalar expressions with zero literals and power limits
+    res = subprocess.run(
+        [sys.executable, "-m", "leafnorm.cli", "run",
+         str(FIXTURES / "period_models.lnf")], capture_output=True)
+    assert res.returncode == 0
+    assert res.stdout == (FIXTURES / "period_models.json").read_bytes()
+
+
 def test_report_is_utf8_whatever_the_locale(tmp_path):
     # stdout carries the bytes that --out writes, also where the locale
     # cannot encode a chart name

@@ -194,7 +194,7 @@ def test_monodromy_singular_point():
     del m
 
 
-def test_monodromy_substitutes_each_denominator_once(monkeypatch):
+def test_monodromy_at_a_regular_point_evaluates(monkeypatch):
     ctx = ChartContext(base=[], fiber=[], params=("t1", "t2", "PI"))
     t1 = RatFunc.var(ctx, "t1")
     t2 = RatFunc.var(ctx, "t2")
@@ -202,22 +202,23 @@ def test_monodromy_substitutes_each_denominator_once(monkeypatch):
     m = PeriodModel(ctx, ["t1", "t2"],
                     [pi / (1 + t1 * t1), pi * t2 / (2 - t1 * t2),
                      pi * (t1 + t2) / (3 + t2 * t2)])
-    subs = {"t1": Q(1, 3), "t2": Q(-2)}
-    expect = [[entry.substitute(subs) for entry in row]
-              for row in monodromy(m)]
+    at = {"t1": Q(1, 3), "t2": Q(-2)}
+    expect = [[e.substitute(at) for e in row] for row in monodromy(m)]
     calls = []
-    substitute = Poly.substitute
 
-    def spy(self, mapping):
-        calls.append(self)
-        return substitute(self, mapping)
+    def refuse(name):
+        def spy(*args):
+            calls.append(name)
+            raise AssertionError("%s called" % name)
+        return spy
 
-    monkeypatch.setattr(Poly, "substitute", spy)
-    vals = monodromy(m, at=subs)
-    # one substitution of the numerator and one of the denominator per
-    # entry (entry.substitute would add a second one of the denominator)
-    assert len(calls) == 2 * 3 * 2
-    assert vals == expect
+    monkeypatch.setattr(Poly, "substitute", refuse("Poly.substitute"))
+    monkeypatch.setattr(RatFunc, "derivative", refuse("RatFunc.derivative"))
+    # the quotient rule evaluated at the point, with no symbolic derivative
+    # and no substitution
+    assert monodromy(m, at=at) == expect
+    assert calls == []
+    monkeypatch.undo()
     # a denominator vanishing at the point is still refused
     with pytest.raises(SingularPoint):
         monodromy(m, at={"t1": Q(1), "t2": Q(2)})

@@ -1,11 +1,11 @@
 """Exactness oracle for the kernel: canonical-form invariants, field laws and
 calculus rules as Hypothesis properties, the quotient rule against its plain
-form over d^2, the fiber dilation against substitution, differential tests
-of `ratfunc_normalize` and `poly_gcd` against sympy and of the heuristic gcd
-against the primitive PRS, gcd cofactors, exact division undoing
-multiplication, packed monomials against their exponent tuples, the
-small-operand shortcuts against the general path, and operands that no
-operation changes.
+form over d^2, the fiber dilation and evaluation against substitution,
+differential tests of `ratfunc_normalize` and `poly_gcd` against sympy and
+of the heuristic gcd against the primitive PRS, gcd cofactors, exact
+division undoing multiplication, packed monomials against their exponent
+tuples, the small-operand shortcuts against the general path, and operands
+that no operation changes.
 
 Inputs are random multivariate polynomials with small integer coefficients,
 built through the public constructors.  Numerators and denominators share a
@@ -171,6 +171,16 @@ dilation_params = (
 def test_scale_fiber_is_the_substitution(f, t):
     mapping = {name: t * RatFunc.var(CTX, name) for name in CTX.fiber}
     assert f.scale_fiber(t) == f.substitute(mapping)
+
+
+@SETTINGS
+@given(polys, st.dictionaries(st.sampled_from(range(len(CTX.vars))),
+                              st.fractions(-3, 3, max_denominator=4)))
+def test_evaluate_is_the_substitution(p, point):
+    # the variables the point leaves free stay in P
+    P, D = p.evaluate(point)
+    assert D > 0
+    assert RatFunc.from_poly(P) / D == p.substitute(point)
 
 
 # --- differential test against sympy ----------------------------------------

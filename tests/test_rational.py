@@ -356,13 +356,13 @@ def test_divisor_pre_check_skips_the_heuristic(monkeypatch):
     F = y2 * y2 - 3 * x * y1 + 2
     Q_ = (1 + x * x + y * y + y1 * y1 + y2 * y2) ** 3 - 7 * y
     evaluated = []
-    evaluate = rational._evaluate
+    evaluate = Poly.evaluate
 
-    def spy(p, i, xi):
+    def spy(p, point):
         evaluated.append(p)
-        return evaluate(p, i, xi)
+        return evaluate(p, point)
 
-    monkeypatch.setattr(rational, "_evaluate", spy)
+    monkeypatch.setattr(Poly, "evaluate", spy)
     assert poly_gcd(F, F * Q_) == (F, 1, Q_)
     assert poly_gcd(-2 * y * F * Q_, 6 * x * F) == (F, -2 * y * Q_, 6 * x)
     assert not evaluated
@@ -421,14 +421,15 @@ def test_poly_gcd_bounds_the_heuristic_on_sparse_high_degree(monkeypatch):
     u, v_, y1, y2 = (Poly.var(ctx, n) for n in ctx.vars)
     f = (u * v_ * y1 * y2) ** 100 + 1
     g = u ** 100 + v_ ** 100 + y1 ** 100 + y2 ** 100
-    evaluate = rational._evaluate
+    evaluate = Poly.evaluate
 
-    def bounded(p, x, xi):
+    def bounded(p, point):
+        (x, xi), = point.items()
         assert xi.bit_length() * max(m[x] for m, _ in p.exponents()) \
             < 10 ** 5
-        return evaluate(p, x, xi)
+        return evaluate(p, point)
 
-    monkeypatch.setattr(rational, "_evaluate", bounded)
+    monkeypatch.setattr(Poly, "evaluate", bounded)
     assert poly_gcd(f, g) == (1, f, g)
     assert poly_gcd(f * (u + y2), g * (u + y2)) == (u + y2, f, g)
 
