@@ -5,7 +5,7 @@ its residual normalizes to the zero rational function.
 """
 
 from .rational import ChartContext, Poly, Q, RatFunc, fiber_taylor, \
-    partial_derive, ratfunc_normalize
+    ratfunc_normalize
 from .linalg import MatrixRF, matrix_inverse
 from .multivector import (
     DiffForm, Multivector, cotangent_bracket, d_scalar, exterior_derivative,

@@ -35,7 +35,6 @@ __all__ = [
     "Poly",
     "RatFunc",
     "ratfunc_normalize",
-    "partial_derive",
     "fiber_taylor",
     "MAX_DEGREE",
     "int_str",
@@ -580,17 +579,10 @@ def _from_univar(coeffs, i, ctx):
     return Poly(ctx, out)
 
 
-def _strip(coeffs):
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
 def _prem(a, b):
-    """Pseudo-remainder of dense poly-coefficient lists in the main variable."""
+    """Pseudo-remainder of dense poly-coefficient lists in the main variable,
+    for len(a) >= len(b)."""
     da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return list(a)
     lb = b[-1]
     r = list(a)
     for k in range(da, db - 1, -1):
@@ -599,31 +591,37 @@ def _prem(a, b):
         if not lead.is_zero():
             for i in range(db):
                 r[k - db + i] = r[k - db + i] - lead * b[i]
-    return _strip(r)
+    while r and r[-1].is_zero():
+        r.pop()
+    return r
 
 
-def _content(coeffs):
-    g = None
-    for c in coeffs:
-        if c.is_zero():
-            continue
-        g = c if g is None else _prs_gcd(g, c)
-        if g.is_const():
+def _primitive_part(coeffs):
+    """(coeffs / c, c) for a coefficient list with a nonzero entry, with c
+    its content: the `poly_gcd` of the entries times their joint integer
+    content.  The entries lack the main variable, so each of these gcds
+    has one variable fewer than the PRS that asks for it."""
+    nonzero = [p for p in coeffs if not p.is_zero()]
+    c = _iprimitive(nonzero[0])
+    for p in nonzero[1:]:
+        if c.is_const():
             break
-    return g
+        c = poly_gcd(c, p)[0]
+    c = c * _icontent(nonzero)
+    if c.terms == {0: 1}:
+        return coeffs, c
+    return [poly_exact_div(p, c) for p in coeffs], c
 
 
 def _gcd_operands(f, g):
-    """What both gcd paths share: (m, f, g) with f, g primitive, free of
-    monomial content and sharing a variable, and m their monomial gcd; or
-    (gcd, None, None) when that already settles it."""
+    """(m, f, g) with f, g primitive, free of monomial content and sharing
+    a variable, and m their monomial gcd; or (gcd, None, None) when that
+    already settles it.  Neither operand is a nonzero constant."""
     if f.is_zero():
         return (_iprimitive(g) if not g.is_zero() else g), None, None
     if g.is_zero():
         return _iprimitive(f), None, None
     ctx = f.ctx
-    if f.is_const() or g.is_const():
-        return Poly.one(ctx), None, None
     f = _iprimitive(f)
     g = _iprimitive(g)
     nvars = len(ctx.vars)
@@ -734,46 +732,23 @@ def _cofactor(q, f, F, low):
     return Poly(q.ctx, {m + shift: v * c for m, v in q.terms.items()})
 
 
-def _prs_gcd(f, g):
-    """`poly_gcd` by the primitive PRS alone."""
-    mono_gcd, f, g = _gcd_operands(f, g)
-    if f is None:
-        return mono_gcd
-    return _iprimitive(_prs(f, g) * mono_gcd)
-
-
 def _prs(f, g):
     """gcd of primitive f and g that share a variable, up to sign: the
-    primitive PRS in the shared variable of least degree."""
+    primitive PRS in the shared variable of least degree, with every
+    content from `poly_gcd`."""
     fdeg, gdeg = _fieldwise(max, f), _fieldwise(max, g)
     shared = [i for i, (df, dg) in enumerate(zip(fdeg, gdeg)) if df and dg]
     main = min(shared, key=lambda i: min(fdeg[i], gdeg[i]))
-    fu = _to_univar(f, main)
-    gu = _to_univar(g, main)
-    cf = _content(fu)
-    cg = _content(gu)
-    if not cf.is_const():
-        fu = [poly_exact_div(c, cf) for c in fu]
-    if not cg.is_const():
-        gu = [poly_exact_div(c, cg) for c in gu]
-    a, b = fu, gu
+    a, cf = _primitive_part(_to_univar(f, main))
+    b, cg = _primitive_part(_to_univar(g, main))
     if len(a) < len(b):
         a, b = b, a
     while b:
         r = _prem(a, b)
         if r:
-            cr = _content(r)
-            if not cr.is_const():
-                r = [poly_exact_div(c, cr) for c in r]
+            r = _primitive_part(r)[0]
         a, b = b, r
-    if len(a) == 1:
-        pp = Poly.one(f.ctx)
-    else:
-        ca = _content(a)
-        if not ca.is_const():
-            a = [poly_exact_div(c, ca) for c in a]
-        pp = _from_univar(a, main, f.ctx)
-    return pp * _prs_gcd(cf, cg)
+    return _from_univar(a, main, f.ctx) * poly_gcd(cf, cg)[0]
 
 
 def _heu_gcd(f, g):
@@ -1178,11 +1153,6 @@ def _content_free_part(d, i):
         for m, c in q.terms.items():
             out[m + shift] = c
     return Poly(ctx, out)
-
-
-def partial_derive(f, var):
-    """Exact partial derivative of a RatFunc by variable name."""
-    return f.derivative(var)
 
 
 def fiber_taylor(f, n):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import leafnorm
+from leafnorm import cli, rational
 from leafnorm.dsl import MAX_DEPTH, parse, print_program
 from leafnorm.errors import DslError
 
@@ -150,35 +151,46 @@ def test_byte_determinism(tmp_path):
         assert res.stdout == (FIXTURES / expected).read_text(encoding="utf-8")
 
 
-def test_so3x2_casimir_report_is_golden():
+@pytest.mark.parametrize("name", [
     # the so(3)+so(3) Casimir program of the benchmark (seed 1), whose
     # quotient-rule gcds meet a divisor of the other operand
-    res = subprocess.run(
-        [sys.executable, "-m", "leafnorm.cli", "run",
-         str(FIXTURES / "so3x2_casimir.lnf")], capture_output=True)
-    assert res.returncode == 0
-    assert res.stdout == (FIXTURES / "so3x2_casimir.json").read_bytes()
-
-
-def test_so3x2_noncasimir_report_is_golden():
+    "so3x2_casimir",
     # the non-Casimir twin (benchmark seed 1): its false verdicts print big
     # residuals, which are the quotient rule's canonical forms
-    res = subprocess.run(
-        [sys.executable, "-m", "leafnorm.cli", "run",
-         str(FIXTURES / "so3x2_noncasimir.lnf")], capture_output=True)
-    assert res.returncode == 0
-    assert res.stdout == (FIXTURES / "so3x2_noncasimir.json").read_bytes()
-
-
-def test_period_models_report_is_golden():
+    "so3x2_noncasimir",
     # period models, monodromy with and without a point (poles at the point
     # are error records), ratio constancy, affine, integer identities and
     # scalar expressions with zero literals and power limits
+    "period_models",
+])
+def test_report_is_golden(name):
     res = subprocess.run(
         [sys.executable, "-m", "leafnorm.cli", "run",
-         str(FIXTURES / "period_models.lnf")], capture_output=True)
+         str(FIXTURES / (name + ".lnf"))], capture_output=True)
     assert res.returncode == 0
-    assert res.stdout == (FIXTURES / "period_models.json").read_bytes()
+    assert res.stdout == (FIXTURES / (name + ".json")).read_bytes()
+
+
+def test_golden_reports_never_reach_the_prs(tmp_path, monkeypatch):
+    # the gcd fallback is off the path of every shipped program: with the
+    # PRS raising, a command that reached it would record the error, and
+    # its report would differ from the fixture
+    def prs(f, g):
+        raise AssertionError("the PRS fallback ran")
+
+    monkeypatch.setattr(rational, "_prs", prs)
+    pipeline = leafnorm.sphere_pipeline_path()
+    cases = [(pipeline, "json", "sphere_pipeline.json"),
+             (pipeline, "text", "sphere_pipeline.txt"),
+             (FIXTURES / "term_store.lnf", "text", "term_store.txt")]
+    cases += [(FIXTURES / (name + ".lnf"), "json", name + ".json")
+              for name in ("so3x2_casimir", "so3x2_noncasimir",
+                           "period_models")]
+    out = tmp_path / "report"
+    for src, fmt, expected in cases:
+        assert cli.main(["run", str(src), "--format", fmt,
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / expected).read_bytes()
 
 
 def test_report_is_utf8_whatever_the_locale(tmp_path):

@@ -13,6 +13,7 @@ random factor so that the gcd has something to cancel.
 """
 
 import math
+import signal
 
 import pytest
 
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from leafnorm import rational
 from leafnorm.rational import (
-    ChartContext, Poly, Q, RatFunc, _canonical_scale, _primitive, _prs_gcd,
+    ChartContext, Poly, Q, RatFunc, _canonical_scale, _primitive,
     poly_exact_div, poly_gcd, ratfunc_normalize,
 )
 
@@ -223,6 +224,32 @@ def test_poly_gcd_matches_sympy(g, a, b, k):
 
 # --- heuristic gcd against the PRS; exact division ---------------------------
 
+def _prs_alone(f, g):
+    """The canonical gcd by the primitive PRS alone: `poly_gcd` with the
+    divisor pre-check and the heuristic giving up at every call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rational, "_trial_divisor", lambda f, g: None)
+        mp.setattr(rational, "_heu_gcd", lambda f, g: None)
+        return poly_gcd(f, g)[0]
+
+
+def _nesting(monkeypatch):
+    """A list that is non-empty while a nested `poly_gcd` call runs.  The
+    PRS takes its contents from `poly_gcd`, which it looks up in the
+    module; a call made by the test itself is the only one not wrapped."""
+    nested, gcd = [], rational.poly_gcd
+
+    def nested_gcd(f, g):
+        nested.append(f)
+        try:
+            return gcd(f, g)
+        finally:
+            nested.pop()
+
+    monkeypatch.setattr(rational, "poly_gcd", nested_gcd)
+    return nested
+
+
 @SETTINGS
 @given(nonzero_polys, polys, polys, st.integers(-6, 6).filter(bool),
        st.tuples(*[st.integers(0, 2)] * len(CTX.vars)))
@@ -232,7 +259,7 @@ def test_poly_gcd_matches_prs(g, a, b, k, mono):
     a = k * Poly.from_exponents(CTX, {mono: 1}) * g * a
     b = -g * b
     h, ca, cb = poly_gcd(a, b)
-    assert h == _prs_gcd(a, b)
+    assert h == _prs_alone(a, b)
     assert h * ca == a and h * cb == b
 
 
@@ -264,9 +291,14 @@ def test_poly_gcd_falls_back_to_prs(monkeypatch):
              (g * g * (1 + y), 4 * g * (1 - y) * z)]
     expected = [poly_gcd(a, b) for a, b in pairs]
     assert expected[0][0] == g and expected[1][0] == g
-    gave_up = []
-    monkeypatch.setattr(rational, "_heu_gcd",
-                        lambda f, g: gave_up.append((f, g)))
+    gave_up, nested = [], _nesting(monkeypatch)
+
+    def give_up(f, g):
+        # the contents' gcds give up too; count the pairs' calls only
+        if not nested:
+            gave_up.append((f, g))
+
+    monkeypatch.setattr(rational, "_heu_gcd", give_up)
     fallback = [poly_gcd(a, b) for a, b in pairs]
     assert fallback == expected
     assert len(gave_up) == len(pairs)
@@ -305,6 +337,41 @@ def test_inner_failure_ends_the_heuristic(monkeypatch):
     # and the PRS answers
     assert len(inner) == 1
     assert fallbacks
+
+
+def test_prs_takes_its_contents_from_poly_gcd(monkeypatch):
+    # the heuristic gives up on the operands of the top-level call only: the
+    # PRS answers there, and the gcds of its contents, one variable fewer,
+    # are `poly_gcd`'s own; the alarm catches contents taken by the PRS
+    # alone, which run for over 30 s on these operands
+    ctx = ChartContext(base=["x", "y", "z"], fiber=[])
+    x, y, z = (Poly.var(ctx, n) for n in ctx.vars)
+    a = 7 * x * y * z - 2 * y ** 3 + 2 * z ** 2 - x * z - 3 * y ** 2 \
+        - 7 * x * y + 2 * x ** 2 - 8
+    b = -8 * x * z ** 2 - 6 * x * y * z + 4 * x ** 3 - 6 * y * z \
+        + 9 * y ** 2 + 2 * x ** 2 - 6 * y + 2 * x
+    c = -7 * y * z + 5 * y ** 2 + 9 * x * y + x ** 2 + x
+    heu, nested, fallbacks = rational._heu_gcd, _nesting(monkeypatch), []
+
+    def top_level_gives_up(f, g):
+        if not nested:
+            fallbacks.append((f, g))
+            return None
+        return heu(f, g)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the PRS fallback took over 5 s")
+
+    monkeypatch.setattr(rational, "_heu_gcd", top_level_gives_up)
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        h = poly_gcd(a * c, b * c)[0]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert h in (c, -c)
+    assert len(fallbacks) == 1
 
 
 def _graded_key(mono):
@@ -406,7 +473,11 @@ def test_poly_gcd_with_a_constant_operand(p, k, swap):
     f, g = Poly.const(CTX, k), p
     if swap:
         f, g = g, f
-    h = _prs_gcd(f, g)
+    # 1 for a nonzero constant, the primitive part of p for 0, 0 for two zeros
+    if k or p.is_zero():
+        h = Poly.const(CTX, 1 if k else 0)
+    else:
+        h = _primitive([p], p.leading_coeff())[0]
     expect = (h, f, g) if h.is_zero() else \
         (h, poly_exact_div(f, h), poly_exact_div(g, h))
     assert poly_gcd(f, g) == expect

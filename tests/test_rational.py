@@ -10,7 +10,7 @@ from leafnorm.errors import (
     ZeroDenominator,
 )
 from leafnorm.rational import (
-    MAX_DEGREE, ChartContext, Poly, Q, RatFunc, fiber_taylor, partial_derive,
+    MAX_DEGREE, ChartContext, Poly, Q, RatFunc, fiber_taylor,
     poly_exact_div, poly_gcd, ratfunc_normalize,
 )
 
@@ -105,22 +105,22 @@ def test_ring_axioms_random():
         assert a + b == b + a
 
 
-# --- partial_derive --------------------------------------------------------
+# --- RatFunc.derivative -----------------------------------------------------
 
 def test_partial_basics():
     x, y = v("x"), v("y")
-    assert partial_derive(rf(x * x * y), "x") == rf(2 * x * y)
-    assert partial_derive(rf(x), "y").is_zero()
+    assert rf(x * x * y).derivative("x") == rf(2 * x * y)
+    assert rf(x).derivative("y").is_zero()
 
 
 def test_partial_quotient_rule():
     x, y = v("x"), v("y")
     f = rf(c(1), 1 + x * x)
-    assert partial_derive(f, "x") == rf(-2 * x, (1 + x * x) ** 2)
+    assert f.derivative("x") == rf(-2 * x, (1 + x * x) ** 2)
     # d = y (x+1) splits into the content c = y and r = x+1, and
     # n'r - nr' = -y shares the factor y of c
     f = rf(x + 1 + y, y * (x + 1))
-    assert partial_derive(f, "x") == rf(c(-1), (x + 1) ** 2)
+    assert f.derivative("x") == rf(c(-1), (x + 1) ** 2)
 
 
 def test_derivative_by_a_variable_the_denominator_lacks(monkeypatch):
@@ -137,11 +137,11 @@ def test_derivative_by_a_variable_the_denominator_lacks(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(Poly, "__mul__", spy)
-    fy = partial_derive(f, "y")
+    fy = f.derivative("y")
     monkeypatch.undo()
     assert not squares
     assert fy == rf(2 * x * y, d)
-    assert partial_derive(rf(y1, d), "y").is_zero()
+    assert rf(y1, d).derivative("y").is_zero()
 
 
 def test_uncertified_content_takes_the_plain_quotient_rule(monkeypatch):
@@ -160,7 +160,7 @@ def test_uncertified_content_takes_the_plain_quotient_rule(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(Poly, "__mul__", spy)
-    fx = partial_derive(f, "x")
+    fx = f.derivative("x")
     monkeypatch.undo()
     assert len(squares) == 1
     assert fx == rf(-(y * y + y), d * d)
@@ -231,7 +231,7 @@ def test_quotient_rule_takes_one_gcd_with_the_denominator(monkeypatch):
 
 def test_partial_unknown_variable():
     with pytest.raises(UnknownVariable):
-        partial_derive(rf(v("x")), "zz")
+        rf(v("x")).derivative("zz")
 
 
 def test_partial_secant_oracle():
@@ -247,7 +247,7 @@ def test_partial_secant_oracle():
         shifted = f.substitute({"x": RatFunc.from_poly(x + h)})
         secant = (shifted - f) / RatFunc.from_poly(h)
         at_zero = secant.substitute({"h": Q(0)})
-        assert at_zero == partial_derive(f, "x")
+        assert at_zero == f.derivative("x")
 
 
 # --- fiber_taylor -----------------------------------------------------------
