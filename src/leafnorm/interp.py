@@ -260,10 +260,13 @@ def _eval_binding(binding, ctx, env):
 
 
 def _lookup(env, name, kind):
+    """The value bound to name; a binding that failed left None there."""
     try:
         val = env[name]
     except KeyError:
         raise UnknownIdentifier("name %r is not bound" % name) from None
+    if val is None:
+        raise UnknownIdentifier("the binding of %r failed" % name)
     if not isinstance(val, kind):
         raise _EvalError("name %r is bound to %s, expected %s"
                          % (name, type(val).__name__, kind.__name__))
@@ -377,9 +380,7 @@ def _run_command(cmd, ctx, env):
             value = "infeasible"
         return CommandRecord(_render(cmd), True, None, value)
     if isinstance(cmd, dsl.CmdEmit):
-        val = env.get(cmd.target)
-        if val is None:
-            raise UnknownIdentifier("name %r is not bound" % cmd.target)
+        val = _lookup(env, cmd.target, object)
         return CommandRecord(_render(cmd), True, None, str(val))
     raise _EvalError("unknown command node %r" % (cmd,))
 
@@ -395,6 +396,7 @@ def execute(program):
         try:
             env[binding.name] = _eval_binding(binding, ctx, env)
         except Exception as exc:
+            env[binding.name] = None
             records.append(CommandRecord(
                 "let %s" % binding.name, False, None,
                 "error: %s: %s" % (type(exc).__name__, exc)))

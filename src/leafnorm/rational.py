@@ -615,12 +615,9 @@ def _primitive_part(coeffs):
 
 def _gcd_operands(f, g):
     """(m, f, g) with f, g primitive, free of monomial content and sharing
-    a variable, and m their monomial gcd; or (gcd, None, None) when that
-    already settles it.  Neither operand is a nonzero constant."""
-    if f.is_zero():
-        return (_iprimitive(g) if not g.is_zero() else g), None, None
-    if g.is_zero():
-        return _iprimitive(f), None, None
+    a variable, and m their monomial gcd; or (m, None, None) when they
+    share none.  Each operand has two terms or more, so stripped of its
+    monomial content it is still not a constant."""
     ctx = f.ctx
     f = _iprimitive(f)
     g = _iprimitive(g)
@@ -637,8 +634,7 @@ def _gcd_operands(f, g):
         low = ctx.pack(gmin)
         g = Poly(ctx, {m - low: c for m, c in g.terms.items()})
     mono_gcd = Poly(ctx, {ctx.pack(list(map(min, fmin, gmin))): 1})
-    if f.is_const() or g.is_const() or not any(
-            f.depends_on(i) and g.depends_on(i) for i in range(nvars)):
+    if not any(f.depends_on(i) and g.depends_on(i) for i in range(nvars)):
         return mono_gcd, None, None
     return mono_gcd, f, g
 
@@ -650,12 +646,45 @@ def poly_gcd(f, g):
     The heuristic gcd answers first and the primitive PRS when it gives up;
     both find the gcd up to sign, so the result does not depend on the path.
     The heuristic's cofactors are the quotients of the trial divisions that
-    verified it, so the exact divisions of a gcd run once.
+    verified it, so the exact divisions of a gcd run once.  A zero or a
+    single-term operand is settled from the operands alone, with no
+    division.
     """
     # a nonzero constant operand: the gcd is 1 (most calls on small inputs)
     a, b = f.terms, g.terms
+    ctx = f.ctx
     if (len(a) == 1 and 0 in a) or (len(b) == 1 and 0 in b):
-        return Poly(f.ctx, {0: 1}), f, g
+        return Poly(ctx, {0: 1}), f, g
+    # a zero operand: the gcd is the other one's primitive part, which has
+    # the same leading monomial, and that one's cofactor its signed content
+    if not (a and b):
+        p = f if a else g
+        if not p.terms:
+            return p, f, g
+        lead, c = p.leading()
+        h = _primitive([p], c)[0]
+        k = Poly(ctx, {0: c // h.terms[lead]})
+        return (h, k, g) if a else (h, f, k)
+    # a single-term operand c x^alpha: the gcd is x^beta, with beta_i the
+    # least of alpha_i and the exponents of x_i in the other operand; each
+    # term of either operand is a multiple of x^beta, so the cofactors are
+    # shifts by -beta that borrow nowhere
+    if len(a) == 1 or len(b) == 1:
+        (alpha,), other = (a, b) if len(a) == 1 else (b, a)
+        low = degree = 0
+        if 0 not in other:
+            for s in ctx._shifts:
+                mask = _FIELD << s
+                if alpha & mask:
+                    e = min(alpha & mask, min(map(mask.__and__, other)))
+                    low += e
+                    degree += e >> s
+        if not low:
+            return Poly(ctx, {0: 1}), f, g
+        low += degree << ctx.deg_shift
+        return (Poly(ctx, {low: 1}),
+                Poly(ctx, {m - low: c for m, c in a.items()}),
+                Poly(ctx, {m - low: c for m, c in b.items()}))
     mono_gcd, F, G = _gcd_operands(f, g)
     if F is None:
         return _divided(mono_gcd, f, g)
@@ -712,7 +741,7 @@ def _trial_divisor(f, g):
 
 
 def _divided(h, f, g):
-    """(h, f/h, g/h) by exact division; f and g themselves when h is 0 or 1."""
+    """(h, f/h, g/h) by exact division; f and g themselves when h is 1."""
     if h.is_const():
         return h, f, g
     return h, poly_exact_div(f, h), poly_exact_div(g, h)

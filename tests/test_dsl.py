@@ -346,6 +346,26 @@ emit(c);
     assert records[3].ok and records[3].value == "u^%d" % MAX_EXPONENT
 
 
+def test_a_failed_binding_reads_as_failed():
+    # the parser accepts q as bound; the commands that read it say that its
+    # binding failed, also where an earlier binding of q succeeded
+    src = """
+chart { base:[u, v]; fiber:[y]; }
+let q = u/0;
+let p = d/du ^ d/dv;
+let p = d/du / 0;
+emit(q);
+decompose(p);
+"""
+    records = execute(parse(src)).records
+    assert [(r.cmd, r.ok) for r in records[:2]] == [("let q", False),
+                                                    ("let p", False)]
+    assert records[0].value == "error: _EvalError: division by zero"
+    assert [(r.ok, r.value) for r in records[2:]] == [
+        (False, "error: UnknownIdentifier: the binding of 'q' failed"),
+        (False, "error: UnknownIdentifier: the binding of 'p' failed")]
+
+
 def test_degree_overflow_recorded_in_its_command(monkeypatch):
     # u^1000 squared ten times is within MAX_POWER_BITS and far below the
     # degree limit of the packed monomials

@@ -483,6 +483,64 @@ def test_poly_gcd_with_a_constant_operand(p, k, swap):
     assert poly_gcd(f, g) == expect
 
 
+exponents = st.tuples(*[st.integers(0, 2)] * len(CTX.vars))
+monomials = st.builds(lambda c, e: c * Poly.from_exponents(CTX, {e: 1}),
+                      st.integers(-6, 6).filter(bool), exponents)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(-6, 6).filter(bool), exponents,
+       st.one_of(nonzero_polys, monomials), st.booleans())
+# no shared variable, some shared variables, all of them, two single terms
+@example(-3, (2, 1, 0), _z * _z - 2 * _z, False)
+@example(-3, (2, 1, 0), 4 * _x * _y * _z + 2 * _y * _y, True)
+@example(5, (1, 2, 1), 2 * _x * _y * _z - _x * _x * _y * _z, False)
+@example(-2, (0, 2, 1), -4 * _x * _y * _z, True)
+def test_poly_gcd_with_a_single_term_operand(c, alpha, p, swap):
+    # gcd(c x^alpha, p) is x^beta, beta the least of alpha and the
+    # exponents of p, and the cofactors are the exact quotients by it
+    t = c * Poly.from_exponents(CTX, {alpha: 1})
+    f, g = (p, t) if swap else (t, p)
+    beta = tuple(min([a] + [m[i] for m, _ in p.exponents()])
+                 for i, a in enumerate(alpha))
+    h = Poly.from_exponents(CTX, {beta: 1})
+    found = poly_gcd(f, g)
+    assert found == (h, poly_exact_div(f, h), poly_exact_div(g, h))
+    assert h * found[1] == f and h * found[2] == g
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(CTX.vars)
+    theirs = sympy.Poly(
+        sympy.gcd(_to_sympy(f, syms), _to_sympy(g, syms)), *syms)
+    assert sympy.Poly(_to_sympy(h, syms), *syms) in (
+        theirs.primitive()[1], -theirs.primitive()[1])
+
+
+def test_zero_and_single_term_operands_divide_nothing(monkeypatch):
+    # these triples are settled from the operands: no exact division, and
+    # none of the general path's preparation of the operands
+    def no_call(*args):
+        raise AssertionError("not expected here")
+
+    # g has the signed content -2
+    g = 4 * _y * _z - 6 * _x * _y * _y
+    h = 3 * _x * _y * _y - 2 * _y * _z
+    pctx = ChartContext(base=[], fiber=[], params=("PI",))
+    pi = Poly.var(pctx, "PI")
+    zero, k, one = Poly.zero(CTX), Poly.const(CTX, -2), Poly.one(CTX)
+    cases = [
+        ((zero, g), (h, zero, k)),
+        ((g, zero), (h, k, zero)),
+        ((3 * _x * _x * _y, g), (_y, 3 * _x * _x, 4 * _z - 6 * _x * _y)),
+        ((3 * _x * _x * _y, g + 3), (one, 3 * _x * _x * _y, g + 3)),
+        ((-6 * pi, -15 * pi), (pi, Poly.const(pctx, -6),
+                               Poly.const(pctx, -15))),
+    ]
+    monkeypatch.setattr(rational, "poly_exact_div", no_call)
+    monkeypatch.setattr(rational, "_gcd_operands", no_call)
+    for (f, g), expect in cases:
+        assert poly_gcd(f, g) == expect
+
+
 @SETTINGS
 @given(polys, nonzero_polys, st.integers(-6, 6).filter(bool))
 def test_canonical_scale_shortcut(num, den, k):
@@ -510,7 +568,11 @@ def _snapshot(*values):
 @given(polys, polys, st.integers(-3, 3), st.integers(1, 4))
 def test_operations_leave_operands_unchanged(a, b, k, d):
     c = Poly.const(CTX, k)
-    for f, g in ((a, b), (a, c), (c, a), (a, Poly.one(CTX))):
+    # a single-term operand and a zero one take the gcd's own shortcuts
+    t = (k or 1) * _x ** d * _y
+    zero = Poly.zero(CTX)
+    for f, g in ((a, b), (a, c), (c, a), (a, Poly.one(CTX)), (a, t), (t, a),
+                 (t, t * _z), (a, zero), (zero, a)):
         before = _snapshot(f, g)
         results = [f + g, f - g, f * g, g * f, f ** 2, f ** 0, *poly_gcd(f, g)]
         if not g.is_zero():
