@@ -4,7 +4,7 @@ Everything computes over exact rationals; an identity "holds" exactly when
 its residual normalizes to the zero rational function.
 """
 
-from .rational import ChartContext, Poly, Q, RatFunc, fiber_taylor, \
+from .rational import ChartContext, Poly, RatFunc, fiber_taylor, \
     ratfunc_normalize
 from .linalg import MatrixRF, matrix_inverse
 from .multivector import (
@@ -35,6 +35,14 @@ from .dsl import parse, print_program
 from .interp import emit, execute
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Q is fractions.Fraction, which loads on first use (rational.Q)
+    if name == "Q":
+        from .rational import Q
+        return Q
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def sphere_pipeline_path():

@@ -5,15 +5,35 @@
 
 `run` executes a program and prints the report as UTF-8 (exit 0 on
 successful execution, 2 on parse/IO errors).  `check` exits 0 iff every
-verdict in the report is true, 1 otherwise, 2 on parse errors.
+verdict in the report is true, 1 otherwise, 2 on parse/IO errors.  A report
+that cannot be written, to --out or to stdout (a closed pipe, say), is an
+IO error.
 """
 
 import argparse
+import os
 import sys
 
 from .dsl import parse
 from .errors import DslError
 from .interp import emit, execute
+
+
+def _write_stdout(data):
+    """Write the report to stdout; False, with a message, if it cannot."""
+    try:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    except OSError as exc:
+        # stdout's buffer still holds the report, and the interpreter would
+        # fail again flushing it at exit: point the descriptor at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("leafnorm: cannot write standard output: %s" % exc,
+              file=sys.stderr)
+        return False
+    return True
 
 
 def _load_program(path):
@@ -54,11 +74,12 @@ def main(argv=None):
                 print("leafnorm: cannot write %s: %s" % (args.out, exc),
                       file=sys.stderr)
                 return 2
-        else:
-            sys.stdout.buffer.write(data)
+        elif not _write_stdout(data):
+            return 2
         return 0
     # check
-    sys.stdout.buffer.write(emit(report, "text").encode("utf-8"))
+    if not _write_stdout(emit(report, "text").encode("utf-8")):
+        return 2
     return 0 if report.all_ok else 1
 
 

@@ -9,8 +9,8 @@ command; execution continues.  The `ms` field is always 0 so that reports
 are byte-identical across runs.
 """
 
-import json
 import math
+import re
 
 from . import dsl
 from .errors import LeafnormError, LimitExceeded, Record, UnknownIdentifier
@@ -175,13 +175,12 @@ def _scalar_binop(op, a, b):
         if not b.is_const():
             # the wedge of two scalars
             return RatFunc.zero(a.ctx) if a.is_zero() else a * b
-        ev = b.const_value()
-        if ev.denominator != 1:
+        if b.den.const_value() != 1:
             raise _EvalError("exponent must be an integer")
-        if abs(ev) > MAX_EXPONENT:
-            raise LimitExceeded("exponent %s exceeds the limit %d"
-                                % (ev, MAX_EXPONENT))
-        n = int(ev)
+        n = b.num.const_value()
+        if abs(n) > MAX_EXPONENT:
+            raise LimitExceeded("exponent %d exceeds the limit %d"
+                                % (n, MAX_EXPONENT))
         bits = _power_bits(a.num, abs(n)) + _power_bits(a.den, abs(n))
         if bits > MAX_POWER_BITS:
             raise LimitExceeded("power may take %d bits, over the limit "
@@ -350,7 +349,7 @@ def _run_command(cmd, ctx, env):
                 c = _scalar(_eval_expr(e, ctx))
                 if c is None or not c.is_const():
                     raise _EvalError("evaluation point must be rational")
-                at[name] = c.const_value()
+                at[name] = c
         gens = monodromy(model, at=at)
         if all(len(row) == 1 for row in gens):
             value = "(" + ", ".join(str(row[0]) for row in gens) + ")"
@@ -410,10 +409,64 @@ def execute(program):
     return Report(tuple(records))
 
 
+# json.dumps(report.as_dict(), indent=2), spelled out: the json module
+# would add about 3 ms to the import of leafnorm, and with an indent it
+# encodes in pure Python anyway (docs/conventions.md, "Imports")
+_JSON_RECORD = """    {
+      "cmd": %s,
+      "ok": %s,
+      "residual": %s,
+      "value": %s,
+      "ms": 0
+    }"""
+
+# the characters that json.dumps escapes with ensure_ascii: quote,
+# backslash, and all outside printable ASCII; a pattern string, which re
+# compiles (and caches) on the first report that has one
+_JSON_ESCAPE = r'[\\"]|[^\ -~]'
+_JSON_SHORT = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f",
+               "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_escape(match):
+    ch = match.group()
+    short = _JSON_SHORT.get(ch)
+    if short is not None:
+        return short
+    n = ord(ch)
+    if n < 0x10000:
+        return "\\u%04x" % n
+    # a surrogate pair, as json writes characters beyond the BMP
+    n -= 0x10000
+    return "\\u%04x\\u%04x" % (0xd800 | (n >> 10), 0xdc00 | (n & 0x3ff))
+
+
+def _json_value(v):
+    """The JSON text of a report field: a str, a bool or None."""
+    if isinstance(v, str):
+        if not (v.isascii() and v.isprintable()) or '"' in v or "\\" in v:
+            v = re.sub(_JSON_ESCAPE, _json_escape, v)
+        return '"' + v + '"'
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    raise TypeError("report field %r is not a str, bool or None" % (v,))
+
+
 def emit(report, fmt="json"):
     """Serialize a report; byte-identical across runs for the same input."""
     if fmt == "json":
-        return json.dumps(report.as_dict(), indent=2) + "\n"
+        if not report.records:
+            return '{\n  "version": 1,\n  "commands": []\n}\n'
+        records = ",\n".join(
+            _JSON_RECORD % tuple(map(_json_value, (r.cmd, r.ok, r.residual,
+                                                   r.value)))
+            for r in report.records)
+        return ('{\n  "version": 1,\n  "commands": [\n' + records
+                + "\n  ]\n}\n")
     if fmt == "text":
         lines = ["leafnorm report v1"]
         for r in report.records:

@@ -22,7 +22,8 @@ from .errors import (
     ZeroGenerator,
 )
 from .multivector import DiffForm, Multivector
-from .rational import ChartContext, Poly, Q, RatFunc, ratfunc_normalize
+from .rational import (ChartContext, Poly, RatFunc, _fraction,
+                       ratfunc_normalize)
 from .smith import integer_solve, rational_rank
 
 __all__ = [
@@ -41,22 +42,24 @@ class LieAlgebraData:
         self.dim = dim
         table = {}
         for (a, b, k), c in structure_constants.items():
-            c = Q(c)
+            # ints stay ints; any other rational becomes a Fraction
+            if not isinstance(c, int):
+                c = _fraction(c)
             if c == 0 or a == b:
                 continue
             if a > b:
                 a, b, c = b, a, -c
             key = (a, b, k)
-            table[key] = table.get(key, Q(0)) + c
+            table[key] = table.get(key, 0) + c
         self.c = {k: v for k, v in table.items() if v}
         self._check_jacobi()
 
     def bracket_coeff(self, a, b, k):
         if a == b:
-            return Q(0)
+            return 0
         if a < b:
-            return self.c.get((a, b, k), Q(0))
-        return -self.c.get((b, a, k), Q(0))
+            return self.c.get((a, b, k), 0)
+        return -self.c.get((b, a, k), 0)
 
     def _check_jacobi(self):
         n = self.dim
@@ -64,7 +67,7 @@ class LieAlgebraData:
             for b in range(a + 1, n):
                 for cc in range(b + 1, n):
                     for l in range(n):
-                        total = Q(0)
+                        total = 0
                         for m in range(n):
                             total += self.bracket_coeff(a, b, m) * \
                                 self.bracket_coeff(m, cc, l)
@@ -195,7 +198,7 @@ class PeriodModel(Record):
                         "period must be homogeneous of degree 1 in PI")
             # the base point is the origin of the transverse parameters
             den_at = f.den.substitute(
-                {self.ctx.var_index(k): RatFunc.const(self.ctx, Q(0))
+                {self.ctx.var_index(k): RatFunc.zero(self.ctx)
                  for k in self.transverse})
             if den_at.is_zero():
                 raise SingularPoint("period is singular at the base point")
@@ -219,9 +222,10 @@ def sphere_period_model():
 def monodromy(model, at=None):
     """Matrix of transverse derivatives of the period vector.
 
-    Symbolic by default; `at` maps parameter names to rationals for the
-    evaluated form.  There each entry of a period n/d is the quotient rule
-    at the point, (n_x d - n d_x) / d^2 of the values, normalised once.
+    Symbolic by default; `at` maps parameter names to rationals (ints,
+    Fractions or constant RatFuncs) for the evaluated form.  There each
+    entry of a period n/d is the quotient rule at the point,
+    (n_x d - n d_x) / d^2 of the values, normalised once.
     Only where d vanishes at the point does the reduced derivative decide:
     the pole is removable or the point is singular.
     """
@@ -229,7 +233,8 @@ def monodromy(model, at=None):
         return [[f.derivative(name) for name in model.transverse]
                 for f in model.periods]
     ctx = model.ctx
-    point = {ctx.var_index(k): Q(v) for k, v in at.items()}
+    point = {ctx.var_index(k): v if isinstance(v, RatFunc)
+             else RatFunc.const(ctx, v) for k, v in at.items()}
     rows = []
     for f in model.periods:
         n, d = f.num.evaluate(point), f.den.evaluate(point)
@@ -259,8 +264,11 @@ def _derivative_at(f, name, at):
     try:
         return f.derivative(name).substitute(at)
     except ZeroDenominator:
+        # a constant RatFunc reads as the Fraction it stands for
+        shown = {k: v.const_value() if isinstance(v, RatFunc) else v
+                 for k, v in at.items()}
         raise SingularPoint(
-            "monodromy generator singular at %s" % (at,)) from None
+            "monodromy generator singular at %s" % (shown,)) from None
 
 
 class LatticeResult(Record):
@@ -287,7 +295,7 @@ def lattice_discreteness(generators, dimension):
                     raise NonRationalInput(
                         "symbolic generator entries must be evaluated first")
                 x = x.const_value()
-            row.append(Q(x))
+            row.append(x)
         vectors.append(row)
     if not vectors:
         return LatticeResult(True, 0)

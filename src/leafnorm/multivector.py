@@ -19,7 +19,7 @@ X(f) on (vector field, function), and is pinned by the invariant suite
 (graded antisymmetry, Leibniz, Jacobi).
 """
 
-from .rational import Q, RatFunc
+from .rational import RatFunc, _is_rational
 from .errors import ContextMismatch, NonHomogeneous, Verdict, WrongDegree
 
 __all__ = [
@@ -142,7 +142,7 @@ class Graded:
         return self + (-other)
 
     def scale(self, f):
-        if isinstance(f, (int, Q)):
+        if _is_rational(f):
             f = RatFunc.const(self.context, f)
         if f.is_zero():
             return type(self).zero(self.context)
@@ -319,7 +319,7 @@ def schouten(u, v):
     a = _d_half(u, v, gens)
     b = _d_half(v, u, gens)
     sign = -1 if ((du - 1) * (dv - 1)) % 2 else 1
-    return a - b.scale(Q(sign))
+    return a - b.scale(sign)
 
 
 # ---------------------------------------------------------------------------

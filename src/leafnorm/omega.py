@@ -28,7 +28,7 @@ from .errors import (
     ZeroParameter,
 )
 from .multivector import DiffForm, Graded, Multivector, _sort_block, schouten
-from .rational import Poly, Q, RatFunc
+from .rational import RatFunc, _is_rational
 
 __all__ = [
     "MixedElement", "OMEGA_E", "OMEGA_TILDE", "INVALID",
@@ -260,7 +260,7 @@ def curvature(gamma):
     """R = (1/2)[Gamma, Gamma] for an Ehresmann connection element."""
     if gamma.horizontal_part() != gamma_S(gamma.context):
         raise NotAConnection("projection to the base is not the identity")
-    return ltimes_bracket(gamma, gamma).scale(Q(1, 2))
+    return ltimes_bracket(gamma, gamma).scale(RatFunc.half(gamma.context))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def curvature(gamma):
 def dilation(u, t):
     """phi_t: per term t^(|J|-1) c(x, t y) dx^I (x) d/dx^J ^ d/dy^K."""
     ctx = u.context
-    if isinstance(t, (int, Q)):
+    if _is_rational(t):
         t = RatFunc.const(ctx, t)
     if t.is_zero():
         raise ZeroParameter("dilation parameter must be nonzero")

@@ -13,13 +13,15 @@ gcd(num, den) = 1, all coefficients integral with joint content 1, and the
 leading coefficient of the denominator positive — so equality is
 representation equality.  Rational numbers enter only at the scalar
 boundary: `RatFunc.const` splits one into numerator and denominator and
-`RatFunc.const_value` joins them.
+`RatFunc.const_value` joins them.  `Q` is `fractions.Fraction`, imported on
+first use: the engine's own scalars are ints and constant RatFuncs, and
+`fractions` (with `decimal` and `numbers`) would double the import time of
+a small program (docs/conventions.md, "Imports").
 """
 
 import math
 import operator
-from decimal import Decimal
-from fractions import Fraction as Q
+import sys
 
 from .errors import (
     ContextMismatch,
@@ -47,6 +49,28 @@ _FIELD = (1 << _W) - 1
 # Largest total degree of a monomial; a product that would pass it raises
 # LimitExceeded instead of carrying into the next field.
 MAX_DEGREE = (1 << (_W - 1)) - 1
+
+
+def __getattr__(name):
+    if name == "Q":
+        from fractions import Fraction
+        return Fraction
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def _fraction(*args):
+    """fractions.Fraction(*args), importing fractions on first use."""
+    from fractions import Fraction
+    return Fraction(*args)
+
+
+def _is_rational(x):
+    """x is an int or a Fraction; no Fraction exists before `fractions` is
+    imported, so the test imports nothing."""
+    if isinstance(x, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
 
 
 def _check_degree(degree):
@@ -143,7 +167,12 @@ class ChartContext:
 
 def int_str(n):
     """Decimal digits of an int, free of the interpreter's digit limit."""
-    return str(Decimal(n))
+    try:
+        return str(n)
+    except ValueError:
+        # past the limit (4300 digits by default) only
+        from decimal import Decimal
+        return str(Decimal(n))
 
 
 class Poly:
@@ -300,7 +329,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.ctx == other.ctx and self.terms == other.terms
-        if isinstance(other, (int, Q)):
+        if _is_rational(other):
             return self.is_const() and self.const_value() == other
         return NotImplemented
 
@@ -352,14 +381,19 @@ class Poly:
     def evaluate(self, point):
         """(P, D) with P / D this polynomial at {var index: rational}: P a
         Poly over Z in the other variables and D a positive int.  A value
-        a/b of a variable of degree k turns its power x^e into a^e b^(k-e),
-        over the common denominator b^k."""
+        is an int, a Fraction or a constant RatFunc; a value a/b of a
+        variable of degree k turns its power x^e into a^e b^(k-e), over the
+        common denominator b^k."""
         ctx = self.ctx
         terms, den = self.terms, 1
         for i, v in point.items():
             s, step = ctx._shifts[i], ctx.var_mono(i)
             k = max(map((_FIELD << s).__and__, terms), default=0) >> s
-            a, b = _powers(v.numerator, k), _powers(v.denominator, k)
+            if isinstance(v, RatFunc):
+                v_num, v_den = v.num.const_value(), v.den.const_value()
+            else:
+                v_num, v_den = v.numerator, v.denominator
+            a, b = _powers(v_num, k), _powers(v_den, k)
             values = [p * q for p, q in zip(a, reversed(b))]
             den *= b[k]
             out = {}
@@ -904,8 +938,8 @@ class RatFunc:
     def const(ctx, c):
         # a Fraction is reduced with a positive denominator, so n/d is
         # already canonical
-        if not isinstance(c, (int, Q)):
-            c = Q(c)
+        if not isinstance(c, int):
+            c = _fraction(c)
         if not c:
             return RatFunc.zero(ctx)
         return RatFunc(Poly(ctx, {0: c.numerator}),
@@ -920,6 +954,10 @@ class RatFunc:
         return RatFunc(Poly.one(ctx), Poly.one(ctx))
 
     @staticmethod
+    def half(ctx):
+        return RatFunc(Poly.one(ctx), Poly(ctx, {0: 2}))
+
+    @staticmethod
     def var(ctx, name):
         return RatFunc(Poly.var(ctx, name), Poly.one(ctx))
 
@@ -932,7 +970,7 @@ class RatFunc:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self):
-        return Q(self.num.const_value(), self.den.const_value())
+        return _fraction(self.num.const_value(), self.den.const_value())
 
     def depends_on_fiber(self):
         return self.num.depends_on_fiber() or self.den.depends_on_fiber()
@@ -1009,7 +1047,7 @@ class RatFunc:
             return other
         if isinstance(other, Poly):
             return RatFunc.from_poly(other)
-        if isinstance(other, (int, Q)):
+        if _is_rational(other):
             return RatFunc.const(self.ctx, other)
         return NotImplemented
 

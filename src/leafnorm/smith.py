@@ -6,7 +6,6 @@ and existence of integer solutions of linear systems.
 """
 
 import math
-from fractions import Fraction as Q
 
 __all__ = ["integer_solve", "rational_rank"]
 
@@ -71,6 +70,7 @@ def rational_rank(vectors):
     echelon form of their integer multiples."""
     if not vectors:
         return 0
+    from fractions import Fraction as Q
     scaled = []
     for vec in vectors:
         lcm = math.lcm(*(Q(x).denominator for x in vec))

@@ -44,7 +44,7 @@ from .omega import (
     ltimes_bracket,
     p_S,
 )
-from .rational import Q, RatFunc
+from .rational import RatFunc
 
 __all__ = [
     "DiracElement", "HorizontalData", "HorizontalCheck", "horizontal_blocks",
@@ -213,7 +213,8 @@ def structure_equations(gamma):
     v, conn, f = gamma.v_part, gamma.conn_part, gamma.f_part
     r1 = ltimes_bracket(v, v)
     r2 = ltimes_bracket(conn, v)
-    r3 = ltimes_bracket(conn, conn).scale(Q(1, 2)) + ltimes_bracket(v, f)
+    half = RatFunc.half(gamma.context)
+    r3 = ltimes_bracket(conn, conn).scale(half) + ltimes_bracket(v, f)
     r4 = ltimes_bracket(conn, f)
     return r1, r2, r3, r4
 
@@ -390,7 +391,7 @@ def moser_path(gamma):
 
 def moser_at(path, value):
     """Evaluate the path at a rational parameter value, back on the chart."""
-    at = {path.param: Q(value)}
+    at = {path.param: value}
     g = path.gamma_t.as_mixed().map_coeffs(lambda c: c.substitute(at))
     return DiracElement.from_mixed(g.cast(path.base_context))
 

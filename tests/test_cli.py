@@ -5,11 +5,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import leafnorm
 from leafnorm import cli, rational
 from leafnorm.dsl import MAX_DEPTH, parse, print_program
 from leafnorm.errors import DslError
+from leafnorm.interp import CommandRecord, Report, emit
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -220,6 +222,29 @@ def test_report_is_utf8_whatever_the_locale(tmp_path):
     assert res.stdout == (FIXTURES / "non_ascii.txt").read_bytes()
 
 
+def test_closed_stdout_exits_2(tmp_path):
+    # a reader that went away is an IO error, like a failed --out write,
+    # not a false verdict; the report is large enough to fill a pipe
+    good = tmp_path / "good.lnf"
+    good.write_text(GOOD)
+    for args in (["run", str(FIXTURES / "period_models.lnf")],
+                 ["run", str(good)], ["check", str(good)],
+                 ["check", str(FIXTURES / "period_models.lnf")]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "leafnorm.cli"] + args,
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert res.returncode == 2, args
+        assert "Traceback" not in res.stderr
+        assert "Exception ignored" not in res.stderr
+        assert res.stderr.splitlines() == [
+            "leafnorm: cannot write standard output: [Errno 32] Broken pipe"]
+
+
 def test_out_to_missing_directory_exits_2(tmp_path):
     f = tmp_path / "good.lnf"
     f.write_text(GOOD)
@@ -266,6 +291,12 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
+# modules that would more than double the import time of a small program
+# (docs/conventions.md, "Imports"); fractions brings decimal and numbers
+UNUSED_MODULES = {"dataclasses", "inspect", "ast", "dis", "fractions",
+                  "decimal", "numbers", "json"}
+
+
 def test_import_loads_no_introspection_modules():
     src = pathlib.Path(leafnorm.__file__).resolve().parents[1]
     res = subprocess.run([sys.executable, "-E", "-s", "-c", NEW_MODULES,
@@ -273,7 +304,77 @@ def test_import_loads_no_introspection_modules():
     assert res.returncode == 0, res.stderr
     loaded = set(res.stdout.split())
     assert "leafnorm.dsl" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+    assert not loaded & UNUSED_MODULES
+
+
+# as NEW_MODULES, after also executing and emitting (in both formats) the
+# programs named by the further arguments
+RUN_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from leafnorm import dsl, interp
+for path in sys.argv[2:]:
+    with open(path, encoding="utf-8") as fh:
+        report = interp.execute(dsl.parse(fh.read()))
+    assert not any(r.value and r.value.startswith("error:")
+                   for r in report.records), path
+    interp.emit(report, "json")
+    interp.emit(report, "text")
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+# monodromy at integral and non-integral points where no period has a pole,
+# with rational exponents and scalars around it
+POINTS = """
+chart { base:[u]; fiber:[y]; params:[r, s, PI]; }
+let m = period_model(PI/(1 + r^2), 2*PI*(1 - r)/(1 + s^2) + PI*r*s/3);
+let e = (1/2)^(4/2)*r - 3/4;
+monodromy(m, [1/2, -3]);
+monodromy(m, [2, 5/7]);
+monodromy(m, [0, 0]);
+monodromy(m);
+ratio_constancy(m);
+emit(e);
+int_identity(6*r + 4*s; 3*r + 2*s, r);
+"""
+
+
+def test_execute_and_emit_load_no_unused_modules(tmp_path):
+    points = tmp_path / "points.lnf"
+    points.write_text(POINTS)
+    programs = [leafnorm.sphere_pipeline_path(),
+                str(FIXTURES / "so3x2_casimir.lnf"),
+                str(FIXTURES / "so3x2_noncasimir.lnf"), str(points)]
+    src = pathlib.Path(leafnorm.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-E", "-s", "-c", RUN_MODULES,
+                          str(src)] + programs, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert "leafnorm.interp" in loaded
+    assert not loaded & UNUSED_MODULES
+
+
+# report text with every kind of character that json escapes: quote,
+# backslash, control characters, DEL, non-ASCII and beyond the BMP
+report_text = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x08\t\n\x0c\r\x1f\x7f\x80\u00e9\u2028'
+                    '\ufeff\U0001f600\U0010ffff'),
+    st.characters()))
+report_field = st.one_of(st.none(), st.booleans(), report_text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.builds(CommandRecord, report_field, report_field,
+                          report_field, report_field), max_size=4))
+def test_emit_is_json_dumps(records):
+    report = Report(tuple(records))
+    assert emit(report) == json.dumps(report.as_dict(), indent=2) + "\n"
+
+
+def test_emit_of_the_empty_report_is_json_dumps():
+    report = Report(())
+    assert emit(report) == json.dumps(report.as_dict(), indent=2) + "\n"
 
 
 def _deep_expressions(depth):

@@ -447,6 +447,27 @@ def test_poly_coefficients_are_integers():
     assert half.const_value() == Q(-1, 2)
 
 
+def test_rationals_at_the_boundary_are_fractions():
+    # fractions loads on first use, but the API's rationals are the same
+    from fractions import Fraction
+    assert leafnorm.Q is Fraction and rational.Q is Fraction
+    from leafnorm import Q as package_q
+    assert package_q is Fraction
+    with pytest.raises(AttributeError):
+        leafnorm.P
+    with pytest.raises(AttributeError):
+        rational.P
+    for value in (Fraction(-1, 2), 3, 0, "5/10", 0.25):
+        got = RatFunc.const(CTX, value).const_value()
+        assert type(got) is Fraction and got == Fraction(value)
+    assert RatFunc.half(CTX) == RatFunc.const(CTX, Q(1, 2))
+    # a point may be an int, a Fraction or a constant RatFunc
+    p = v("x") ** 2 * 3 + v("y") - 1
+    for value in (Q(-2, 3), RatFunc.const(CTX, Q(-2, 3))):
+        assert p.evaluate({0: value}) == (v("y") * 9 + 3, 9)
+    assert p.evaluate({0: 2}) == p.evaluate({0: RatFunc.const(CTX, 2)})
+
+
 # --- casting / substitution -------------------------------------------------
 
 def test_cast_and_restrict_roundtrip():
