@@ -259,6 +259,8 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
+            if not _is_rational(other):
+                return NotImplemented
             other = Poly.const(self.ctx, other)
         elif other.ctx is not self.ctx:
             _same_chart(self.ctx, other.ctx)
@@ -281,15 +283,17 @@ class Poly:
         return Poly(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.ctx, other)
+        if not (isinstance(other, Poly) or _is_rational(other)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
+            if not _is_rational(other):
+                return NotImplemented
             other = Poly.const(self.ctx, other)
         elif other.ctx is not self.ctx:
             _same_chart(self.ctx, other.ctx)
@@ -322,6 +326,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             raise ValueError("negative power of Poly")
         return _power(Poly.one(self.ctx), self, n)
@@ -593,65 +599,11 @@ def poly_exact_div(f, g):
     return Poly(f.ctx, quo)
 
 
-def _to_univar(f, i):
-    """Dense coefficient list of f in variable i (coeffs are Polys without i)."""
-    s = f.ctx._shifts[i]
-    step = f.ctx.var_mono(i)
-    coeffs = [dict() for _ in range(_fieldwise(max, f)[i] + 1)]
-    for m, c in f.terms.items():
-        e = (m >> s) & _FIELD
-        coeffs[e][m - e * step] = c
-    return [Poly(f.ctx, t) for t in coeffs]
-
-
-def _from_univar(coeffs, i, ctx):
-    step = ctx.var_mono(i)
-    out = {}
-    for e, p in enumerate(coeffs):
-        for m, c in p.terms.items():
-            out[m + e * step] = c
-    return Poly(ctx, out)
-
-
-def _prem(a, b):
-    """Pseudo-remainder of dense poly-coefficient lists in the main variable,
-    for len(a) >= len(b)."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    for k in range(da, db - 1, -1):
-        lead = r[k]
-        r = [lb * c for c in r[:k]]
-        if not lead.is_zero():
-            for i in range(db):
-                r[k - db + i] = r[k - db + i] - lead * b[i]
-    while r and r[-1].is_zero():
-        r.pop()
-    return r
-
-
-def _primitive_part(coeffs):
-    """(coeffs / c, c) for a coefficient list with a nonzero entry, with c
-    its content: the `poly_gcd` of the entries times their joint integer
-    content.  The entries lack the main variable, so each of these gcds
-    has one variable fewer than the PRS that asks for it."""
-    nonzero = [p for p in coeffs if not p.is_zero()]
-    c = _iprimitive(nonzero[0])
-    for p in nonzero[1:]:
-        if c.is_const():
-            break
-        c = poly_gcd(c, p)[0]
-    c = c * _icontent(nonzero)
-    if c.terms == {0: 1}:
-        return coeffs, c
-    return [poly_exact_div(p, c) for p in coeffs], c
-
-
 def _gcd_operands(f, g):
-    """(m, f, g) with f, g primitive, free of monomial content and sharing
-    a variable, and m their monomial gcd; or (m, None, None) when they
-    share none.  Each operand has two terms or more, so stripped of its
-    monomial content it is still not a constant."""
+    """(low, F, G): F and G are f and g made primitive and free of monomial
+    content, and x^low, packed, is the monomial gcd of f and g.  Each
+    operand has two terms or more, so stripped of its monomial content it
+    is still not a constant."""
     ctx = f.ctx
     f = _iprimitive(f)
     g = _iprimitive(g)
@@ -667,22 +619,20 @@ def _gcd_operands(f, g):
     if any(gmin):
         low = ctx.pack(gmin)
         g = Poly(ctx, {m - low: c for m, c in g.terms.items()})
-    mono_gcd = Poly(ctx, {ctx.pack(list(map(min, fmin, gmin))): 1})
-    if not any(f.depends_on(i) and g.depends_on(i) for i in range(nvars)):
-        return mono_gcd, None, None
-    return mono_gcd, f, g
+    return ctx.pack(list(map(min, fmin, gmin))), f, g
 
 
 def poly_gcd(f, g):
     """(h, f/h, g/h): the primitive gcd h (content 1, positive leading
     coefficient) and the two cofactors.
 
-    The heuristic gcd answers first and the primitive PRS when it gives up;
-    both find the gcd up to sign, so the result does not depend on the path.
-    The heuristic's cofactors are the quotients of the trial divisions that
-    verified it, so the exact divisions of a gcd run once.  A zero or a
-    single-term operand is settled from the operands alone, with no
-    division.
+    A zero or a single-term operand is settled from the operands alone,
+    with no division.  Otherwise the divisor pre-check answers first, then
+    the heuristic gcd, and the primitive PRS when it gives up.  Each takes
+    the operands made primitive and free of monomial content, and returns
+    their canonical gcd with its two cofactors, the quotients of the
+    divisions that verified it; so the result does not depend on the path,
+    and the cofactors are mapped back to f and g once.
     """
     # a nonzero constant operand: the gcd is 1 (most calls on small inputs)
     a, b = f.terms, g.terms
@@ -719,18 +669,17 @@ def poly_gcd(f, g):
         return (Poly(ctx, {low: 1}),
                 Poly(ctx, {m - low: c for m, c in a.items()}),
                 Poly(ctx, {m - low: c for m, c in b.items()}))
-    mono_gcd, F, G = _gcd_operands(f, g)
-    if F is None:
-        return _divided(mono_gcd, f, g)
-    found = _trial_divisor(F, G) or _heu_gcd(F, G)
-    if found is None:
-        return _divided(_iprimitive(_prs(F, G) * mono_gcd), f, g)
-    h, qf, qg = found
+    low, F, G = _gcd_operands(f, g)
+    # operands that share no variable are coprime once their monomial
+    # content is out
+    if any(F.depends_on(i) and G.depends_on(i) for i in range(len(ctx.vars))):
+        h, qf, qg = _trial_divisor(F, G) or _heu_gcd(F, G) or _prs(F, G)
+    else:
+        h, qf, qg = Poly(ctx, {0: 1}), F, G
     # F and G are primitive, so h is too, with a positive leading
     # coefficient; multiplying it by the monomial gcd is a shift
-    (low,) = mono_gcd.terms
     if low:
-        h = Poly(h.ctx, {m + low: c for m, c in h.terms.items()})
+        h = Poly(ctx, {m + low: c for m, c in h.terms.items()})
     if h.is_const():
         return h, f, g
     return h, _cofactor(qf, f, F, low), _cofactor(qg, g, G, low)
@@ -774,13 +723,6 @@ def _trial_divisor(f, g):
     return (f, q, one) if swapped else (f, one, q)
 
 
-def _divided(h, f, g):
-    """(h, f/h, g/h) by exact division; f and g themselves when h is 1."""
-    if h.is_const():
-        return h, f, g
-    return h, poly_exact_div(f, h), poly_exact_div(g, h)
-
-
 def _cofactor(q, f, F, low):
     """f/h from q = F/H, where F is f made primitive and stripped of its
     monomial content and h = x^low H: f = c x^a F, so f/h = c x^(a-low) q,
@@ -796,22 +738,52 @@ def _cofactor(q, f, F, low):
 
 
 def _prs(f, g):
-    """gcd of primitive f and g that share a variable, up to sign: the
-    primitive PRS in the shared variable of least degree, with every
-    content from `poly_gcd`."""
+    """(h, f/h, g/h) for primitive f and g that share a variable, with h
+    their canonical gcd: the primitive PRS in the shared variable x of
+    least degree.  `_content_free_part` splits off the content in x of each
+    operand and of each pseudo-remainder; the contents' gcd comes from
+    `poly_gcd`, and has one variable fewer than the PRS that asks for it."""
     fdeg, gdeg = _fieldwise(max, f), _fieldwise(max, g)
     shared = [i for i, (df, dg) in enumerate(zip(fdeg, gdeg)) if df and dg]
-    main = min(shared, key=lambda i: min(fdeg[i], gdeg[i]))
-    a, cf = _primitive_part(_to_univar(f, main))
-    b, cg = _primitive_part(_to_univar(g, main))
-    if len(a) < len(b):
+    x = min(shared, key=lambda i: min(fdeg[i], gdeg[i]))
+    cf, a = _content_free_part(f, x)
+    cg, b = _content_free_part(g, x)
+    if fdeg[x] < gdeg[x]:
         a, b = b, a
-    while b:
-        r = _prem(a, b)
-        if r:
-            r = _primitive_part(r)[0]
+    while b.terms:
+        r = _prem(a, b, x)
+        if r.terms:
+            r = _iprimitive(_content_free_part(r, x)[1])
         a, b = b, r
-    return _from_univar(a, main, f.ctx) * poly_gcd(cf, cg)[0]
+    h = _iprimitive(a * poly_gcd(cf, cg)[0])
+    return h, poly_exact_div(f, h), poly_exact_div(g, h)
+
+
+def _prem(a, b, i):
+    """The pseudo-remainder of a by b in the variable x_i, where b has
+    degree db <= the degree da of a in it: the remainder of l^(da-db+1) a,
+    with l the coefficient of x_i^db in b.  Each step cancels the leading
+    coefficient of the remainder without forming the terms that cancel."""
+    ctx, s = a.ctx, a.ctx._shifts[i]
+    db = max((m >> s) & _FIELD for m in b.terms)
+    step = db * ctx.var_mono(i)
+
+    def split(f, k):
+        # (t x_i^(k-db), f - t x_i^k), with t x_i^k the terms of f of
+        # degree k in x_i
+        top, rest = {}, {}
+        for m, c in f.terms.items():
+            if (m >> s) & _FIELD == k:
+                top[m - step] = c
+            else:
+                rest[m] = c
+        return Poly(ctx, top), Poly(ctx, rest)
+
+    (lead, tail), r = split(b, db), a
+    for k in range(max((m >> s) & _FIELD for m in a.terms), db - 1, -1):
+        top, rest = split(r, k)
+        r = lead * rest - top * tail
+    return r
 
 
 def _heu_gcd(f, g):
@@ -1003,7 +975,7 @@ class RatFunc:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -1027,11 +999,12 @@ class RatFunc:
         return self * RatFunc(other.den, other.num)
 
     def __rtruediv__(self, other):
-        if self.is_zero():
-            raise ZeroDenominator("division by zero rational function")
-        return self._coerce(other) * RatFunc(self.den, self.num)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             if self.is_zero():
                 raise ZeroDenominator("negative power of zero")
@@ -1067,14 +1040,10 @@ class RatFunc:
         if not self.den.depends_on(i):
             return ratfunc_normalize(self.num.derivative(i), self.den)
         n, d = self.num, self.den
-        r = _content_free_part(d, i)
-        if r is None:
-            # content not certified: the quotient rule over d * d
-            return ratfunc_normalize(
-                n.derivative(i) * d - n * d.derivative(i), d * d)
-        # d = c r with c free of the variable: (n/d)' = (n'r - nr') / (d r),
-        # and its one gcd is with d (docs/conventions.md); n'r - nr' is not
-        # zero, since n is prime to r
+        # d = c r with c the content of d in the variable:
+        # (n/d)' = (n'r - nr') / (d r), and its one gcd is with d
+        # (docs/conventions.md); n'r - nr' is not zero, since n is prime to r
+        r = _content_free_part(d, i)[1]
         _, num, den = poly_gcd(n.derivative(i) * r - n * r.derivative(i), d)
         return _canonical_scale(num, den * r)
 
@@ -1182,14 +1151,16 @@ def _canonical_scale(num, den):
 
 
 def _content_free_part(d, i):
-    """r = d / c, where c is the content of d as a polynomial in variable
-    i up to an integer factor; None when trial division cannot certify c.
+    """(c, r) with d = c r for nonzero d: c is the content of d as a
+    polynomial in the variable x_i, made primitive over Z.
 
-    c = x^mu e: mu is the least exponent of each other variable over d, and
-    e is the coefficient of a power of x_i with the fewest terms, stripped
-    of its monomial and integer content.  e is certified when it divides
-    every coefficient, and a monomial coefficient makes e = 1 with no
-    division.  d depends on x_i.
+    c = x^mu e, with mu the least exponent of each other variable over d.
+    A certificate comes first, with no gcd: e is the coefficient of a power
+    of x_i with the fewest terms, stripped of its monomial and integer
+    content, and is certified when it divides every coefficient (a
+    monomial coefficient makes e = 1, and a constant one c = 1).  A
+    coefficient that e does not divide replaces e by their gcd, and the
+    divisions start over (docs/conventions.md, "The quotient rule").
     """
     ctx = d.ctx
     s = ctx._shifts[i]
@@ -1200,26 +1171,29 @@ def _content_free_part(d, i):
         coeffs.setdefault(k, {})[m - k * step] = c
     smallest = min(coeffs.values(), key=len)
     if len(smallest) == 1 and 0 in smallest:
-        return d  # a constant coefficient: c = 1
+        return Poly(ctx, {0: 1}), d  # a constant coefficient: c = 1
     mu = _fieldwise(min, d)
     mu[i] = 0
     low = ctx.pack(mu)
-    if len(smallest) == 1:
-        return Poly(ctx, {m - low: c for m, c in d.terms.items()})
     e = Poly(ctx, smallest)
     e_low = ctx.pack(_fieldwise(min, e))
     e = _iprimitive(Poly(ctx, {m - e_low: c for m, c in e.terms.items()}))
-    # each coefficient is e x^mu times a quotient with monomial content at
-    # least mu, so the shift by mu borrows nowhere
-    out = {}
-    for k, terms in coeffs.items():
-        q = poly_exact_div(Poly(ctx, terms), e)
-        if q is None:
-            return None
-        shift = k * step - low
-        for m, c in q.terms.items():
-            out[m + shift] = c
-    return Poly(ctx, out)
+    while True:
+        # each coefficient is e x^mu times a quotient with monomial content
+        # at least mu, so the shift by mu borrows nowhere
+        out = {}
+        for k, terms in coeffs.items():
+            coeff = Poly(ctx, terms)
+            q = coeff if e.is_const() else poly_exact_div(coeff, e)
+            if q is None:
+                e = poly_gcd(e, coeff)[0]
+                break
+            shift = k * step - low
+            for m, c in q.terms.items():
+                out[m + shift] = c
+        else:
+            return Poly(ctx, {m + low: c for m, c in e.terms.items()}), \
+                Poly(ctx, out)
 
 
 def fiber_taylor(f, n):

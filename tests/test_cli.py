@@ -176,11 +176,20 @@ def test_report_is_golden(name):
 def test_golden_reports_never_reach_the_prs(tmp_path, monkeypatch):
     # the gcd fallback is off the path of every shipped program: with the
     # PRS raising, a command that reached it would record the error, and
-    # its report would differ from the fixture
+    # its report would differ from the fixture; every content in a
+    # variable is certified by trial division, with no gcd
     def prs(f, g):
         raise AssertionError("the PRS fallback ran")
 
+    content_gcds, gcd = [], rational.poly_gcd
+
+    def gcd_spy(f, g):
+        if sys._getframe(1).f_code.co_name == "_content_free_part":
+            content_gcds.append((f, g))
+        return gcd(f, g)
+
     monkeypatch.setattr(rational, "_prs", prs)
+    monkeypatch.setattr(rational, "poly_gcd", gcd_spy)
     pipeline = leafnorm.sphere_pipeline_path()
     cases = [(pipeline, "json", "sphere_pipeline.json"),
              (pipeline, "text", "sphere_pipeline.txt"),
@@ -193,6 +202,7 @@ def test_golden_reports_never_reach_the_prs(tmp_path, monkeypatch):
         assert cli.main(["run", str(src), "--format", fmt,
                          "--out", str(out)]) == 0
         assert out.read_bytes() == (FIXTURES / expected).read_bytes()
+    assert not content_gcds
 
 
 def test_report_is_utf8_whatever_the_locale(tmp_path):

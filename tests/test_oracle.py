@@ -146,8 +146,10 @@ split_denominators = st.tuples(
 # a constant d, and a d free of the variable
 @example(_x * _x + _y, 3 * Poly.one(CTX), "x")
 @example(Poly.one(CTX), 1 + _y * _y, "x")
-# no coefficient divides the others: the content y is not certified
+# no coefficient divides the others: the contents y and y + 1 are not
+# certified, and gcds find them
 @example(Poly.one(CTX), _x * _y * (_y + 1) + _y * (_y + 2), "x")
+@example(Poly.one(CTX), _x * (_y + 1) * (_y + 2) + (_y + 1) * (_y + 3), "x")
 def test_quotient_rule_is_the_plain_rule(num, den, name):
     # the content split gives the canonical form of (n'd - nd') / d^2
     f = ratfunc_normalize(num, den)
