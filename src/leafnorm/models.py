@@ -23,7 +23,7 @@ from .errors import (
 )
 from .multivector import DiffForm, Multivector
 from .rational import (ChartContext, Poly, RatFunc, _fraction,
-                       ratfunc_normalize)
+                       _values_and_slopes, ratfunc_normalize)
 from .smith import integer_solve, rational_rank
 
 __all__ = [
@@ -223,9 +223,10 @@ def monodromy(model, at=None):
     """Matrix of transverse derivatives of the period vector.
 
     Symbolic by default; `at` maps parameter names to rationals (ints,
-    Fractions or constant RatFuncs) for the evaluated form.  There each
-    entry of a period n/d is the quotient rule at the point,
-    (n_x d - n d_x) / d^2 of the values, normalised once.
+    Fractions or constant RatFuncs) for the evaluated form.  There one pass
+    over the numerator n and the denominator d of each period gives their
+    values and their derivatives at the point, and each entry is the
+    quotient rule (n_x d - n d_x) / d^2 of those values, normalised once.
     Only where d vanishes at the point does the reduced derivative decide:
     the pole is removable or the point is singular.
     """
@@ -235,27 +236,27 @@ def monodromy(model, at=None):
     ctx = model.ctx
     point = {ctx.var_index(k): v if isinstance(v, RatFunc)
              else RatFunc.const(ctx, v) for k, v in at.items()}
+    slopes = [ctx.var_index(name) for name in model.transverse]
     rows = []
     for f in model.periods:
-        n, d = f.num.evaluate(point), f.den.evaluate(point)
+        d = _values_and_slopes(f.den, point, slopes)
         if d[0].is_zero():
             rows.append([_derivative_at(f, name, at)
                          for name in model.transverse])
         else:
-            rows.append([_quotient_rule_at(f, ctx.var_index(name), point, n, d)
-                         for name in model.transverse])
+            n = _values_and_slopes(f.num, point, slopes)
+            rows.append([_quotient_rule_at(n, d, j)
+                         for j in range(len(slopes))])
     return rows
 
 
-def _quotient_rule_at(f, i, point, n, d):
-    """(n_x d - n d_x) / d^2 for f = n/d from the values (P, D) = P / D of
-    n, d and their derivatives by variable i at a point where d is not
-    zero."""
-    (A, a), (C, c) = n, d
-    B, b = f.num.derivative(i).evaluate(point)
-    E, e = f.den.derivative(i).evaluate(point)
-    return ratfunc_normalize((B * C * (a * e) - A * E * (b * c)) * c,
-                             C * C * (a * b * e))
+def _quotient_rule_at(n, d, j):
+    """(n_x d - n d_x) / d^2 for f = n/d from the values (P, D, [P_j]) of
+    n and d at a point where d is not zero, x the j-th slope variable:
+    with n = A/a, n_x = B/a, d = C/c and d_x = E/c, it is
+    (B C - A E) c / (a C^2)."""
+    (A, a, dA), (C, c, dC) = n, d
+    return ratfunc_normalize((dA[j] * C - A * dC[j]) * c, C * C * a)
 
 
 def _derivative_at(f, name, at):
@@ -321,20 +322,23 @@ def ratio_constancy(model):
 
 
 def _proportional_constant(row_a, row_b):
+    """The ratio r = a / b of the first column where a or b is nonzero is
+    the only division, and a non-constant r decides at once.  A later
+    column agrees with r when a.num b.den r.den == b.num a.den r.num in
+    Z[x], which also holds where a and b both vanish and fails where only b
+    does."""
     ratio = None
     for a, b in zip(row_a, row_b):
-        if a.is_zero() and b.is_zero():
-            continue
-        if b.is_zero():
+        if ratio is not None:
+            if a.num * b.den * ratio.den != b.num * a.den * ratio.num:
+                return False
+        elif not b.is_zero():
+            ratio = a / b
+            if not ratio.is_const():
+                return False
+        elif not a.is_zero():
             return False
-        r = a / b
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return False
-    if ratio is None:
-        return True
-    return ratio.is_const()
+    return True
 
 
 class IntegerIdentity(Verdict):
@@ -357,13 +361,14 @@ def integer_affine_identity(f, basis):
     after = list(accumulate(reversed(dens[1:]), operator.mul, initial=one))
     lhs, *cols = [g.num * p * q
                   for g, p, q in zip(funcs, before, reversed(after))]
-    # rows in the order of the exponent tuples, which fixes the integer system
-    lhs = dict(lhs.exponents())
-    cols = [dict(c.exponents()) for c in cols]
+    # rows in the order of the exponent tuples, which fixes the integer
+    # system; the packed monomials are unpacked once, for the sort
+    lhs = lhs.terms
+    cols = [c.terms for c in cols]
     monomials = set(lhs)
     for c in cols:
         monomials.update(c)
-    monomials = sorted(monomials)
+    monomials = sorted(monomials, key=f.ctx.unpack)
     rows = [[c.get(mono, 0) for c in cols] for mono in monomials]
     rhs = [lhs.get(mono, 0) for mono in monomials]
     sol = integer_solve(rows, rhs, len(cols))

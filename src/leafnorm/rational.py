@@ -193,6 +193,9 @@ class Poly:
 
     @staticmethod
     def const(ctx, c):
+        if not _is_rational(c):
+            raise TypeError("Poly coefficients are integers, got %s"
+                            % type(c).__name__)
         if c.denominator != 1:
             raise ValueError("Poly coefficients are integers, got %s; use "
                              "RatFunc.const for rational constants" % (c,))
@@ -390,25 +393,8 @@ class Poly:
         is an int, a Fraction or a constant RatFunc; a value a/b of a
         variable of degree k turns its power x^e into a^e b^(k-e), over the
         common denominator b^k."""
-        ctx = self.ctx
-        terms, den = self.terms, 1
-        for i, v in point.items():
-            s, step = ctx._shifts[i], ctx.var_mono(i)
-            k = max(map((_FIELD << s).__and__, terms), default=0) >> s
-            if isinstance(v, RatFunc):
-                v_num, v_den = v.num.const_value(), v.den.const_value()
-            else:
-                v_num, v_den = v.numerator, v.denominator
-            a, b = _powers(v_num, k), _powers(v_den, k)
-            values = [p * q for p, q in zip(a, reversed(b))]
-            den *= b[k]
-            out = {}
-            for m, c in terms.items():
-                e = (m >> s) & _FIELD
-                m -= e * step
-                out[m] = out.get(m, 0) + c * values[e]
-            terms = {m: c for m, c in out.items() if c}
-        return Poly(ctx, terms), den
+        value, den, _ = _values_and_slopes(self, point, ())
+        return value, den
 
     def fiber_parts(self):
         """{fiber degree d: the monomials of fiber degree d}, in one pass."""
@@ -814,17 +800,30 @@ def _heu_gcd(f, g):
     xi = 2 * min(max(map(abs, f.terms.values())),
                  max(map(abs, g.terms.values()))) + 2
     xdeg = max(fdeg[x], gdeg[x])
+    # in one variable the images are ints, and math.gcd is the level below
+    univariate = sum(fdeg) == fdeg[x] and sum(gdeg) == gdeg[x]
+    s = ctx.deg_shift
     for _ in range(_HEU_POINTS):
         if xdeg * xi.bit_length() > _HEU_MAX_BITS:
             return None
-        fx, gx = f.evaluate({x: xi})[0], g.evaluate({x: xi})[0]
-        if not (fx.is_zero() or gx.is_zero()):
-            image = _heu_gcd(fx, gx)
-            # an inner level that gives up ends the heuristic (as sympy):
-            # trying further points here would multiply its cost per level
-            if image is None:
-                return None
-            h = _iprimitive(_xi_adic(image[0], x, xi))
+        if univariate:
+            powers = _powers(xi, xdeg)
+            fx = sum([c * powers[m >> s] for m, c in f.terms.items()])
+            gx = sum([c * powers[m >> s] for m, c in g.terms.items()])
+            image = Poly(ctx, {0: math.gcd(fx, gx)}) if fx and gx else None
+        else:
+            fx, gx = f.evaluate({x: xi})[0], g.evaluate({x: xi})[0]
+            image = None
+            if fx.terms and gx.terms:
+                found = _heu_gcd(fx, gx)
+                # an inner level that gives up ends the heuristic (as
+                # sympy): trying further points here would multiply its
+                # cost per level
+                if found is None:
+                    return None
+                image = found[0]
+        if image is not None:
+            h = _iprimitive(_xi_adic(image, x, xi))
             # a unit divides both, and the cofactors are f and g themselves
             if h.is_const():
                 return Poly(ctx, {0: content}), f, g
@@ -846,6 +845,56 @@ def _fieldwise(pick, f):
     terms = f.terms
     return [pick(map((_FIELD << s).__and__, terms)) >> s
             for s in f.ctx._shifts]
+
+
+def _values_and_slopes(p, point, slopes):
+    """(P, D, [P_j]): p and its derivatives by x_j, j in `slopes`, at
+    `point` {var index: rational} as P / D and P_j / D, with P and the P_j
+    Polys over Z in the variables the point leaves free and D a positive
+    int.  A value is an int, a Fraction or a constant RatFunc.
+
+    Each variable of the point takes one pass over the value and the slopes
+    so far.  At a/b, with k its degree in them, x^e becomes a^e b^(k-e) and,
+    in the value's pass of a slope variable, its derivative e x^(e-1)
+    becomes e a^(e-1) b^(k-e+1), both over b^k.  A slope by a variable that
+    the point leaves free is the derivative of the value at the end.
+    """
+    ctx = p.ctx
+    terms, den, outs = p.terms, 1, {}
+    for i, v in point.items():
+        if isinstance(v, RatFunc):
+            a, b = v.num.const_value(), v.den.const_value()
+        else:
+            a, b = v.numerator, v.denominator
+        s, step = ctx._shifts[i], ctx.var_mono(i)
+        mask = _FIELD << s
+        k = max([max(map(mask.__and__, t), default=0)
+                 for t in (terms, *outs.values())]) >> s
+        values = _powers(a, k)
+        # an int value needs no denominator powers
+        if b != 1:
+            bs = _powers(b, k)
+            values = [x * y for x, y in zip(values, reversed(bs))]
+            den *= bs[k]
+        outs = {j: _at(t, s, step, values) for j, t in outs.items()}
+        if i in slopes:
+            # e a^(e-1) b^(k-e+1) is e values[e-1]
+            outs[i] = _at(terms, s, step,
+                          [0] + [e * x for e, x in enumerate(values[:-1], 1)])
+        terms = _at(terms, s, step, values)
+    value = Poly(ctx, terms)
+    return value, den, [Poly(ctx, outs[j]) if j in outs
+                        else value.derivative(j) for j in slopes]
+
+
+def _at(terms, s, step, values):
+    """`terms` with x^e, x the variable at shift s, replaced by values[e]."""
+    out = {}
+    for m, c in terms.items():
+        e = (m >> s) & _FIELD
+        m -= e * step
+        out[m] = out.get(m, 0) + c * values[e]
+    return {m: c for m, c in out.items() if c}
 
 
 def _powers(a, k):

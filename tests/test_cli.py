@@ -164,6 +164,9 @@ def test_byte_determinism(tmp_path):
     # are error records), ratio constancy, affine, integer identities and
     # scalar expressions with zero literals and power limits
     "period_models",
+    # the benchmark's batch of period models and identities (seed 1): its
+    # one-variable gcds, monodromy at points and two-column ratio tests
+    "obstruction_batch",
 ])
 def test_report_is_golden(name):
     res = subprocess.run(
@@ -196,7 +199,7 @@ def test_golden_reports_never_reach_the_prs(tmp_path, monkeypatch):
              (FIXTURES / "term_store.lnf", "text", "term_store.txt")]
     cases += [(FIXTURES / (name + ".lnf"), "json", name + ".json")
               for name in ("so3x2_casimir", "so3x2_noncasimir",
-                           "period_models")]
+                           "period_models", "obstruction_batch")]
     out = tmp_path / "report"
     for src, fmt, expected in cases:
         assert cli.main(["run", str(src), "--format", fmt,

@@ -2,13 +2,16 @@
 
 `monodromy(m, at)` evaluates the quotient rule at the point; it must give
 the rows of the symbolic derivatives substituted there, or refuse the
-point as they do.  The DSL evaluates scalar subtrees as RatFuncs; they must
+point as they do, also with two transverse variables and removable poles.
+`ratio_constancy` compares columns by cross-multiplication; it must give
+the verdicts of one division per column.  The DSL evaluates scalar subtrees as RatFuncs; they must
 give the value, the error and the `poly_gcd` calls of evaluation through
 the term store, which a reference evaluator below does as the interpreter
 did before scalars stayed RatFuncs.
 """
 
 import contextlib
+import itertools
 
 import pytest
 
@@ -17,10 +20,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from leafnorm import rational
 from leafnorm.dsl import EBin, ENeg, ENum, EVar
-from leafnorm.errors import LimitExceeded, SingularPoint, ZeroDenominator
+from leafnorm.errors import (LimitExceeded, SingularPoint, ZeroDenominator,
+                             ZeroGenerator)
 from leafnorm.interp import (MAX_EXPONENT, MAX_POWER_BITS, _EvalError,
                              _eval_expr, _power_bits)
-from leafnorm.models import PeriodModel, monodromy
+from leafnorm.models import PeriodModel, monodromy, ratio_constancy
 from leafnorm.multivector import Graded
 from leafnorm.rational import ChartContext, Poly, Q, RatFunc
 
@@ -94,6 +98,104 @@ def test_monodromy_at_a_point_is_the_substituted_derivative(case):
     except SingularPoint:
         got = "singular"
     assert got == expect
+
+
+# --- two transverse variables: removable poles and ratio constancy ---------
+
+# the point also fixes w, which no period is differentiated by: a pole in w
+# and u alone is removable for the r- and s-derivatives
+WCTX = ChartContext(base=["u"], fiber=[], params=("r", "s", "w", "PI"))
+_wr, _ws, _wu, _ww = (Poly.var(WCTX, n) for n in ("r", "s", "u", "w"))
+WPI = RatFunc.var(WCTX, "PI")
+
+
+def _wpolys(monos, min_size):
+    return st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(monos)),
+                    min_size=min_size, max_size=3).map(
+        lambda terms: sum((c * m for c, m in terms), Poly.zero(WCTX)))
+
+
+wpolys = _wpolys((Poly.one(WCTX), _wr, _ws, _wu, _ww, _wr * _ws, _wr * _wr,
+                  _ws * _ws, _wr * _ww, _ws * _wu), 1)
+# a term in r or s, so that few generators vanish
+moving = st.sampled_from([_wr, _ws, _wr * _ws, _wr * _wr, -_ws * _ws])
+pole_nums = _wpolys((Poly.one(WCTX), _wu, _ww, _wu * _ww), 0)
+pole_dens = st.sampled_from([Poly.one(WCTX), _ww, _ww - 1, 2 * _ww + 1,
+                             _ww * _ww - _ww])
+
+
+def _rf(n, d):
+    return RatFunc.from_poly(n) / RatFunc.from_poly(d)
+
+
+@st.composite
+def two_variable_models(draw):
+    """Periods PI (n/d + p/q + e) in the transverse r and s, with p/q free
+    of them; periods that share n/d up to a factor have a constant ratio."""
+    shared_n, shared_d = draw(wpolys) + draw(moving), draw(wpolys)
+    periods = []
+    for _ in range(draw(st.integers(2, 3))):
+        if draw(st.integers(0, 2)):
+            n, d = shared_n * draw(st.sampled_from([-2, -1, 1, 2])), shared_d
+        else:
+            n, d = draw(wpolys) + draw(moving), draw(wpolys)
+        assume(not d.is_zero())
+        pole = _rf(draw(pole_nums), draw(pole_dens))
+        periods.append(WPI * (_rf(n, d) + pole + draw(st.integers(-2, 2))))
+    # the point may leave a transverse variable free
+    fixed = draw(st.sampled_from([("r", "s", "w"), ("r", "s", "w"),
+                                  ("r", "w"), ("s", "w")]))
+    return periods, {k: draw(values) for k in fixed}
+
+
+def _ratio_constancy_by_division(model):
+    """ratio_constancy as read off the rows: a / b in every column where a
+    or b is nonzero, all equal and constant."""
+    rows = monodromy(model)
+    if any(all(e.is_zero() for e in row) for row in rows):
+        return "zero generator"
+    out = {}
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        ratios = [None if b.is_zero() else a / b
+                  for a, b in zip(rows[i], rows[j])
+                  if not (a.is_zero() and b.is_zero())]
+        out[(i, j)] = all(r is not None and r == ratios[0] and r.is_const()
+                          for r in ratios)
+    return out
+
+
+@SETTINGS
+@given(two_variable_models())
+# a pole in w at the point, removable for both derivatives, and a constant
+# ratio
+@example(([WPI * (_rf(_wr * _ws, Poly.one(WCTX)) + _rf(_wu, _ww - 1)),
+           WPI * (_rf(-2 * _wr * _ws, Poly.one(WCTX)) + 1)],
+          {"r": Q(1, 2), "s": Q(-1), "w": Q(1)}))
+# the first column vanishes in one generator only, the second has a
+# constant ratio
+@example(([WPI * _rf(_wr + _ws, Poly.one(WCTX)),
+           WPI * _rf(2 * _ws, Poly.one(WCTX))],
+          {"r": Q(0), "s": Q(2), "w": Q(0)}))
+# a generator that vanishes
+@example(([WPI * 3, WPI * _rf(_wr, 1 - _ws)], {"r": Q(2), "s": Q(1, 2),
+                                            "w": Q(1)}))
+def test_two_variable_monodromy_and_ratio_constancy(case):
+    periods, at = case
+    try:
+        model = PeriodModel(WCTX, ("r", "s"), periods)
+    except SingularPoint:
+        assume(False)
+    expect = _symbolic_then_substitute(model, at)
+    try:
+        got = monodromy(model, at=at)
+    except SingularPoint:
+        got = "singular"
+    assert got == expect
+    try:
+        got = ratio_constancy(model)
+    except ZeroGenerator:
+        got = "zero generator"
+    assert got == _ratio_constancy_by_division(model)
 
 
 # --- scalar expressions -----------------------------------------------------

@@ -224,6 +224,29 @@ def test_monodromy_at_a_regular_point_evaluates(monkeypatch):
         monodromy(m, at={"t1": Q(1), "t2": Q(2)})
 
 
+def test_monodromy_at_a_point_takes_no_derivative(monkeypatch):
+    # the kernel's evaluator gives each numerator's and denominator's
+    # values and slopes at the point: no Poly is differentiated
+    ctx = ChartContext(base=[], fiber=[], params=("t1", "t2", "PI"))
+    t1 = RatFunc.var(ctx, "t1")
+    t2 = RatFunc.var(ctx, "t2")
+    pi = RatFunc.var(ctx, "PI")
+    m = PeriodModel(ctx, ["t1", "t2"],
+                    [pi / (1 + t1 * t1), pi * t2 / (2 - t1 * t2),
+                     pi * (t1 + t2) / (3 + t2 * t2)])
+    at = {"t1": Q(1, 3), "t2": Q(-2)}
+    expect = [[e.substitute(at) for e in row] for row in monodromy(m)]
+    derivative, calls = Poly.derivative, []
+
+    def spy(p, i):
+        calls.append(i)
+        return derivative(p, i)
+
+    monkeypatch.setattr(Poly, "derivative", spy)
+    assert monodromy(m, at=at) == expect
+    assert calls == []
+
+
 def test_lattice_discreteness():
     res = lattice_discreteness([[Q(1)], [Q(3, 7)]], 1)
     assert res.discrete and res.rank == 1
@@ -263,6 +286,32 @@ def test_ratio_constancy_proportional():
     m2 = PeriodModel(ctx, ["t"], [pi * RatFunc.from_poly(t),
                                   pi * RatFunc.from_poly(t ** 3)])
     assert ratio_constancy(m2) == {(0, 1): False}
+
+
+def test_ratio_constancy_divides_once_per_pair(monkeypatch):
+    # rows (PI, PI), (-2 PI, -2 PI), (PI t2, PI t1), (3 PI, 0), (2 PI, 0):
+    # each pair divides its first column only; later columns are compared
+    # by cross-multiplication, a non-constant ratio decides at once
+    ctx = ChartContext(base=[], fiber=[], params=("t1", "t2", "PI"))
+    t1 = RatFunc.var(ctx, "t1")
+    t2 = RatFunc.var(ctx, "t2")
+    pi = RatFunc.var(ctx, "PI")
+    m = PeriodModel(ctx, ["t1", "t2"],
+                    [pi * (t1 + t2), -2 * pi * (t1 + t2) + pi,
+                     pi * t1 * t2, 3 * pi * t1, 2 * pi * t1])
+    divide, calls = RatFunc.__truediv__, []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return divide(a, b)
+
+    monkeypatch.setattr(RatFunc, "__truediv__", spy)
+    res = ratio_constancy(m)
+    assert res == {(0, 1): True, (0, 2): False, (0, 3): False,
+                   (0, 4): False, (1, 2): False, (1, 3): False,
+                   (1, 4): False, (2, 3): False, (2, 4): False,
+                   (3, 4): True}
+    assert len(calls) == len(res)
 
 
 def test_ratio_constancy_zero_generator():

@@ -255,6 +255,11 @@ def _nesting(monkeypatch):
 @SETTINGS
 @given(nonzero_polys, polys, polys, st.integers(-6, 6).filter(bool),
        st.tuples(*[st.integers(0, 2)] * len(CTX.vars)))
+# operands in one variable, where the heuristic's images are ints: a shared
+# factor, a coprime pair, and a variable other than the first
+@example(3 * _x ** 3 - _x + 4, _x ** 2 - 5, 2 * _x + 1, 2, (1, 0, 0))
+@example(Poly.one(CTX), _y ** 4 + 7, _y ** 3 - 2 * _y, -3, (0, 2, 0))
+@example(_z ** 2 - 2 * _z - 9, _z - 1, _z ** 4 + _z + 1, 5, (0, 0, 2))
 def test_poly_gcd_matches_prs(g, a, b, k, mono):
     # integer and monomial content and a sign flip, which the cofactors
     # must restore; a or b may be zero

@@ -360,6 +360,27 @@ def test_poly_gcd_keeps_integer_content_out_of_the_images():
     assert poly_gcd(3 * f, 6 * f) == (f, 3, 6)
 
 
+def test_heuristic_in_one_variable_takes_int_images(monkeypatch):
+    # two operands in one variable: each point's images are ints, so the
+    # heuristic makes no nested call and evaluates no Poly
+    x = v("y1")
+    g = 2 * x * x - 3 * x + 5
+    f1, g1 = g * (x + 2), g * (x * x - 7)
+    heu, calls = rational._heu_gcd, []
+
+    def refuse(name):
+        def spy(*args):
+            calls.append(name)
+            raise AssertionError("%s called" % name)
+        return spy
+
+    monkeypatch.setattr(rational, "_heu_gcd", refuse("nested _heu_gcd"))
+    monkeypatch.setattr(Poly, "evaluate", refuse("Poly.evaluate"))
+    assert heu(f1, g1) == (g, x + 2, x * x - 7)
+    assert heu(3 * f1, 6 * (x - 1)) == (3, f1, 2 * x - 2)
+    assert calls == []
+
+
 def test_divisor_pre_check_skips_the_heuristic(monkeypatch):
     # gcd(F, F Q) is F by one trial division: the heuristic never evaluates
     # the large operand
@@ -456,6 +477,17 @@ def test_poly_coefficients_are_integers():
     half = RatFunc.const(CTX, Q(-1, 2))
     assert (str(half.num), str(half.den)) == ("-1", "2")
     assert half.const_value() == Q(-1, 2)
+
+
+def test_poly_const_names_a_non_rational_type():
+    # a float, a string or None is a type error, not an AttributeError on
+    # its missing denominator; a non-integral Fraction stays a ValueError
+    for value, name in ((1.5, "float"), ("2", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=name):
+            Poly.const(CTX, value)
+    with pytest.raises(ValueError, match="RatFunc.const"):
+        Poly.const(CTX, Q(3, 2))
+    assert Poly.const(CTX, True) == 1
 
 
 def test_rationals_at_the_boundary_are_fractions():
