@@ -29,7 +29,7 @@ from .models import (
 from .multivector import DiffForm, Graded, Multivector, is_poisson
 from .omega import (INVALID, MixedElement, dilation, jet_n, ltimes_bracket,
                     validate_membership)
-from .rational import ChartContext, RatFunc, int_str
+from .rational import ChartContext, RatFunc, _split, int_str
 from .vorobjev import (
     decompose,
     first_jet_model,
@@ -175,9 +175,9 @@ def _scalar_binop(op, a, b):
         if not b.is_const():
             # the wedge of two scalars
             return RatFunc.zero(a.ctx) if a.is_zero() else a * b
-        if b.den.const_value() != 1:
+        n, d = _split(b)
+        if d != 1:
             raise _EvalError("exponent must be an integer")
-        n = b.num.const_value()
         if abs(n) > MAX_EXPONENT:
             raise LimitExceeded("exponent %d exceeds the limit %d"
                                 % (n, MAX_EXPONENT))

@@ -22,7 +22,7 @@ from .errors import (
     ZeroGenerator,
 )
 from .multivector import DiffForm, Multivector
-from .rational import (ChartContext, Poly, RatFunc, _fraction,
+from .rational import (ChartContext, Poly, RatFunc, _fraction, _split,
                        _values_and_slopes, ratfunc_normalize)
 from .smith import integer_solve, rational_rank
 
@@ -42,9 +42,12 @@ class LieAlgebraData:
         self.dim = dim
         table = {}
         for (a, b, k), c in structure_constants.items():
-            # ints stay ints; any other rational becomes a Fraction
-            if not isinstance(c, int):
-                c = _fraction(c)
+            if any(i not in range(dim) for i in (a, b, k)):
+                raise ValueError("structure constant index out of range "
+                                 "0..%d: %s" % (dim - 1, (a, b, k)))
+            # integral constants are ints, any other rational a Fraction
+            n, d = _split(c)
+            c = n if d == 1 else _fraction(n, d)
             if c == 0 or a == b:
                 continue
             if a > b:
@@ -234,8 +237,7 @@ def monodromy(model, at=None):
         return [[f.derivative(name) for name in model.transverse]
                 for f in model.periods]
     ctx = model.ctx
-    point = {ctx.var_index(k): v if isinstance(v, RatFunc)
-             else RatFunc.const(ctx, v) for k, v in at.items()}
+    point = {ctx.var_index(k): v for k, v in at.items()}
     slopes = [ctx.var_index(name) for name in model.transverse]
     rows = []
     for f in model.periods:
@@ -265,9 +267,8 @@ def _derivative_at(f, name, at):
     try:
         return f.derivative(name).substitute(at)
     except ZeroDenominator:
-        # a constant RatFunc reads as the Fraction it stands for
-        shown = {k: v.const_value() if isinstance(v, RatFunc) else v
-                 for k, v in at.items()}
+        # each value reads as the Fraction it stands for
+        shown = {k: _fraction(*_split(v)) for k, v in at.items()}
         raise SingularPoint(
             "monodromy generator singular at %s" % (shown,)) from None
 
@@ -285,21 +286,9 @@ def lattice_discreteness(generators, dimension):
     always discrete; the rank comes out of its integer column echelon form.
     Symbolic entries must be evaluated first.
     """
-    vectors = []
-    for gen in generators:
-        if len(gen) != dimension:
-            raise ValueError("generator has wrong dimension")
-        row = []
-        for x in gen:
-            if isinstance(x, RatFunc):
-                if not x.is_const():
-                    raise NonRationalInput(
-                        "symbolic generator entries must be evaluated first")
-                x = x.const_value()
-            row.append(x)
-        vectors.append(row)
-    if not vectors:
-        return LatticeResult(True, 0)
+    vectors = list(generators)
+    if any(len(gen) != dimension for gen in vectors):
+        raise ValueError("generator has wrong dimension")
     return LatticeResult(True, rational_rank(vectors))
 
 

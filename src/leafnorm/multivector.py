@@ -19,7 +19,7 @@ X(f) on (vector field, function), and is pinned by the invariant suite
 (graded antisymmetry, Leibniz, Jacobi).
 """
 
-from .rational import RatFunc, _is_rational
+from .rational import Poly, RatFunc
 from .errors import ContextMismatch, NonHomogeneous, Verdict, WrongDegree
 
 __all__ = [
@@ -142,7 +142,7 @@ class Graded:
         return self + (-other)
 
     def scale(self, f):
-        if _is_rational(f):
+        if not isinstance(f, (RatFunc, Poly)):
             f = RatFunc.const(self.context, f)
         if f.is_zero():
             return type(self).zero(self.context)

@@ -28,7 +28,7 @@ from .errors import (
     ZeroParameter,
 )
 from .multivector import DiffForm, Graded, Multivector, _sort_block, schouten
-from .rational import RatFunc, _is_rational
+from .rational import RatFunc
 
 __all__ = [
     "MixedElement", "OMEGA_E", "OMEGA_TILDE", "INVALID",
@@ -270,7 +270,7 @@ def curvature(gamma):
 def dilation(u, t):
     """phi_t: per term t^(|J|-1) c(x, t y) dx^I (x) d/dx^J ^ d/dy^K."""
     ctx = u.context
-    if _is_rational(t):
+    if not isinstance(t, RatFunc):
         t = RatFunc.const(ctx, t)
     if t.is_zero():
         raise ZeroParameter("dilation parameter must be nonzero")

@@ -12,7 +12,7 @@ and a monomial product is an integer sum.  A RatFunc is kept fully reduced:
 gcd(num, den) = 1, all coefficients integral with joint content 1, and the
 leading coefficient of the denominator positive — so equality is
 representation equality.  Rational numbers enter only at the scalar
-boundary: `RatFunc.const` splits one into numerator and denominator and
+boundary: `_split` reads every one into numerator and denominator and
 `RatFunc.const_value` joins them.  `Q` is `fractions.Fraction`, imported on
 first use: the engine's own scalars are ints and constant RatFuncs, and
 `fractions` (with `decimal` and `numbers`) would double the import time of
@@ -26,6 +26,7 @@ import sys
 from .errors import (
     ContextMismatch,
     LimitExceeded,
+    NonRationalInput,
     SingularAtZeroSection,
     UnknownVariable,
     ZeroDenominator,
@@ -71,6 +72,22 @@ def _is_rational(x):
         return True
     fractions = sys.modules.get("fractions")
     return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _split(x):
+    """(n, d), reduced with d > 0, of a rational scalar: an int, a Fraction
+    or a constant RatFunc.  Every rational that enters the engine is read
+    here; any other type is a TypeError, a float included, since its binary
+    value is not the decimal one the user wrote."""
+    if _is_rational(x):
+        return x.numerator, x.denominator
+    if not isinstance(x, RatFunc):
+        raise TypeError("a rational scalar is an int, a Fraction or a "
+                        "constant RatFunc, got %s" % type(x).__name__)
+    if not x.is_const():
+        raise NonRationalInput(
+            "symbolic value must be evaluated first: %s" % (x,))
+    return x.num.const_value(), x.den.const_value()
 
 
 def _check_degree(degree):
@@ -193,15 +210,11 @@ class Poly:
 
     @staticmethod
     def const(ctx, c):
-        if not _is_rational(c):
-            raise TypeError("Poly coefficients are integers, got %s"
-                            % type(c).__name__)
-        if c.denominator != 1:
+        n, d = _split(c)
+        if d != 1:
             raise ValueError("Poly coefficients are integers, got %s; use "
                              "RatFunc.const for rational constants" % (c,))
-        if c == 0:
-            return Poly(ctx, {})
-        return Poly(ctx, {0: int(c)})
+        return Poly(ctx, {0: n} if n else {})
 
     @staticmethod
     def var(ctx, name):
@@ -862,10 +875,9 @@ def _values_and_slopes(p, point, slopes):
     ctx = p.ctx
     terms, den, outs = p.terms, 1, {}
     for i, v in point.items():
-        if isinstance(v, RatFunc):
-            a, b = v.num.const_value(), v.den.const_value()
-        else:
-            a, b = v.numerator, v.denominator
+        if i not in range(len(ctx.vars)):
+            raise UnknownVariable("no variable of index %r" % (i,))
+        a, b = _split(v)
         s, step = ctx._shifts[i], ctx.var_mono(i)
         mask = _FIELD << s
         k = max([max(map(mask.__and__, t), default=0)
@@ -957,14 +969,11 @@ class RatFunc:
 
     @staticmethod
     def const(ctx, c):
-        # a Fraction is reduced with a positive denominator, so n/d is
-        # already canonical
-        if not isinstance(c, int):
-            c = _fraction(c)
-        if not c:
+        # a reduced n/d with d > 0 is already canonical
+        n, d = (c, 1) if type(c) is int else _split(c)
+        if not n:
             return RatFunc.zero(ctx)
-        return RatFunc(Poly(ctx, {0: c.numerator}),
-                       Poly(ctx, {0: c.denominator}))
+        return RatFunc(Poly(ctx, {0: n}), Poly(ctx, {0: d}))
 
     @staticmethod
     def zero(ctx):

@@ -7,6 +7,8 @@ and existence of integer solutions of linear systems.
 
 import math
 
+from .rational import _split
+
 __all__ = ["integer_solve", "rational_rank"]
 
 
@@ -70,9 +72,9 @@ def rational_rank(vectors):
     echelon form of their integer multiples."""
     if not vectors:
         return 0
-    from fractions import Fraction as Q
     scaled = []
     for vec in vectors:
-        lcm = math.lcm(*(Q(x).denominator for x in vec))
-        scaled.append([int(Q(x) * lcm) for x in vec])
+        pairs = [_split(x) for x in vec]
+        lcm = math.lcm(*(d for _, d in pairs))
+        scaled.append([n * (lcm // d) for n, d in pairs])
     return len(_echelon(scaled, len(vectors[0]))[2])

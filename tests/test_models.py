@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -44,6 +45,13 @@ def test_linear_poisson_heisenberg():
 
 def test_linear_poisson_aff1():
     assert is_poisson(linear_poisson(aff1())).ok
+
+
+def test_structure_constant_indices_lie_in_the_algebra():
+    # an index outside 0..dim-1 names no basis element of the algebra
+    for key in ((0, -1, 1), (0, 1, 5), (2, 0, 1)):
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            LieAlgebraData(2, {key: 1})
 
 
 def test_jacobi_failed_detected():

@@ -6,13 +6,20 @@ import pytest
 import leafnorm
 from leafnorm import dsl, interp, rational
 from leafnorm.errors import (
-    ContextMismatch, LimitExceeded, SingularAtZeroSection, UnknownVariable,
-    ZeroDenominator,
+    ContextMismatch, LimitExceeded, NonRationalInput, SingularAtZeroSection,
+    UnknownVariable, ZeroDenominator,
 )
+from leafnorm.models import (
+    LieAlgebraData, lattice_discreteness, monodromy, sphere_example,
+    sphere_period_model,
+)
+from leafnorm.omega import dilation
 from leafnorm.rational import (
     MAX_DEGREE, ChartContext, Poly, Q, RatFunc, fiber_taylor,
     poly_exact_div, poly_gcd, ratfunc_normalize,
 )
+from leafnorm.smith import rational_rank
+from leafnorm.vorobjev import decompose, moser_at, moser_path
 
 
 CTX = ChartContext(base=["x", "y"], fiber=["y1", "y2", "y3"])
@@ -381,6 +388,32 @@ def test_heuristic_in_one_variable_takes_int_images(monkeypatch):
     assert calls == []
 
 
+def test_heuristic_gives_up_after_its_points(monkeypatch):
+    # when no point's candidate divides, the heuristic tries _HEU_POINTS
+    # points and gives up, and the PRS still finds the canonical answer
+    x = v("y1")
+    f, g = (x + 1) * (x + 2), (x + 1) * (x + 3)
+    expected = poly_gcd(f, g)
+    assert expected == (x + 1, x + 2, x + 3)
+    candidates, prs, calls = [], rational._prs, []
+
+    def non_divisor(h, var, xi):
+        candidates.append(xi)
+        return x + 5
+
+    def prs_spy(*args):
+        calls.append(args)
+        return prs(*args)
+
+    monkeypatch.setattr(rational, "_xi_adic", non_divisor)
+    monkeypatch.setattr(rational, "_prs", prs_spy)
+    assert rational._heu_gcd(f, g) is None
+    assert len(candidates) == rational._HEU_POINTS
+    assert calls == []
+    assert poly_gcd(f, g) == expected
+    assert len(calls) == 1
+
+
 def test_divisor_pre_check_skips_the_heuristic(monkeypatch):
     # gcd(F, F Q) is F by one trial division: the heuristic never evaluates
     # the large operand
@@ -500,15 +533,76 @@ def test_rationals_at_the_boundary_are_fractions():
         leafnorm.P
     with pytest.raises(AttributeError):
         rational.P
-    for value in (Fraction(-1, 2), 3, 0, "5/10", 0.25):
+    for value in (Fraction(-1, 2), 3, 0):
         got = RatFunc.const(CTX, value).const_value()
         assert type(got) is Fraction and got == Fraction(value)
+    # a string or a float is not read as a rational
+    for value, name in (("5/10", "str"), (0.25, "float")):
+        with pytest.raises(TypeError, match=name):
+            RatFunc.const(CTX, value)
     assert RatFunc.half(CTX) == RatFunc.const(CTX, Q(1, 2))
     # a point may be an int, a Fraction or a constant RatFunc
     p = v("x") ** 2 * 3 + v("y") - 1
     for value in (Q(-2, 3), RatFunc.const(CTX, Q(-2, 3))):
         assert p.evaluate({0: value}) == (v("y") * 9 + 3, 9)
     assert p.evaluate({0: 2}) == p.evaluate({0: RatFunc.const(CTX, 2)})
+
+
+def _entry_points():
+    """(name, chart, callable of one rational scalar) for every entry point
+    that reads a rational from outside the engine; a RatFunc value lives on
+    the chart."""
+    pi = sphere_example(True)
+    gamma = decompose(pi)
+    path = moser_path(gamma)
+    model = sphere_period_model()
+    p = v("x") ** 2 * 3 + v("y") - 1
+    f = rf(v("x") + 1, v("x") - 3)
+    return [
+        ("RatFunc.const", CTX, lambda s: RatFunc.const(CTX, s)),
+        ("Poly.const", CTX, lambda s: Poly.const(CTX, s)),
+        ("Poly.evaluate", CTX, lambda s: p.evaluate({0: s})),
+        ("RatFunc.substitute", CTX, lambda s: f.substitute({"x": s})),
+        ("monodromy", model.ctx, lambda s: monodromy(model, at={"r": s})),
+        ("moser_at", path.context, lambda s: moser_at(path, s)),
+        ("dilation", pi.context, lambda s: dilation(gamma.as_mixed(), s)),
+        ("Graded.scale", pi.context, lambda s: pi.scale(s)),
+        ("LieAlgebraData", CTX, lambda s: LieAlgebraData(
+            3, {(0, 1, 2): s, (1, 2, 0): s, (2, 0, 1): s}).c),
+        ("lattice_discreteness", CTX,
+         lambda s: lattice_discreteness([[s]], 1)),
+        ("rational_rank", CTX, lambda s: rational_rank([[s, 1], [2, 1]])),
+    ]
+
+
+def test_one_scalar_boundary_at_every_entry_point():
+    # every entry point reads a rational through one routine: an int, a
+    # Fraction or a constant RatFunc give one result, anything else is a
+    # TypeError naming its type
+    for name, ctx, entry in _entry_points():
+        two = entry(2)
+        assert entry(Q(2)) == two, name
+        assert entry(RatFunc.const(ctx, 2)) == two, name
+        for value, type_name in ((0.1, "float"), ("1/2", "str"),
+                                 (None, "NoneType")):
+            with pytest.raises(TypeError, match=type_name):
+                entry(value)
+    # a RatFunc that is not constant is no rational scalar
+    with pytest.raises(NonRationalInput):
+        RatFunc.const(CTX, RatFunc.var(CTX, "x"))
+    # a Poly scales a graded element as the RatFunc it stands for
+    pi = sphere_example(True)
+    ctx = pi.context
+    assert pi.scale(Poly.var(ctx, "u")) == pi.scale(RatFunc.var(ctx, "u"))
+    assert pi.scale(Poly.zero(ctx)).is_zero()
+
+
+def test_evaluate_refuses_an_index_outside_the_chart():
+    ctx = ChartContext(base=["u"], fiber=["y"])
+    p = Poly.var(ctx, "u") + 10 * Poly.var(ctx, "y")
+    for index in (-1, 2):
+        with pytest.raises(UnknownVariable):
+            p.evaluate({index: 2})
 
 
 # --- casting / substitution -------------------------------------------------
