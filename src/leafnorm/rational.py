@@ -325,6 +325,11 @@ class Poly:
         # largest total degree does
         s = self.ctx.deg_shift
         _check_degree((max(a) >> s) + (max(b) >> s))
+        # a square a*a or a*(-a) takes each unordered term pair once
+        if len(a) == len(b) > 1:
+            sign = _square_sign(a, b)
+            if sign:
+                return Poly(self.ctx, _square(a, sign))
         out = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -488,6 +493,44 @@ def _power(one, base, n):
         n >>= 1
         if n:
             base = base * base
+    return out
+
+
+def _square_sign(a, b):
+    """1 when the terms b equal a, -1 when they equal -a, and 0 otherwise
+    (docs/conventions.md, "Products")."""
+    if a is b or a == b:
+        return 1
+    for m, c in a.items():
+        if b.get(m) != -c:
+            return 0
+    return -1
+
+
+def _square(terms, sign):
+    """The terms of sign * p^2, p with the given terms, over the pairs
+    i <= j: c_i^2 on the diagonal and 2 c_i c_j off it.  The terms equal
+    the schoolbook product's, but not always in its order: a sum that
+    cancels is deleted, and inserted again at the end, at other steps than
+    in the double loop."""
+    items = list(terms.items())
+    out = {}
+    for i, (m1, c1) in enumerate(items):
+        # v is 0 only for a monomial already in out, so del finds it
+        m = m1 + m1
+        v = out.get(m, 0) + sign * c1 * c1
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+        k = 2 * sign * c1
+        for m2, c2 in items[i + 1:]:
+            m = m1 + m2
+            v = out.get(m, 0) + k * c2
+            if v:
+                out[m] = v
+            else:
+                del out[m]
     return out
 
 

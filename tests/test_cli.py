@@ -128,6 +128,22 @@ def test_check_exit_codes(tmp_path):
     assert run_cli(["check", str(tmp_path / "missing.lnf")]).returncode == 2
 
 
+def test_usage_errors_exit_2(tmp_path):
+    # a command line argparse rejects: a usage line and one error on
+    # stderr, nothing on stdout, no traceback
+    f = tmp_path / "good.lnf"
+    f.write_text(GOOD)
+    for args in ([], ["frobnicate"], ["run"],
+                 ["run", "--format", "xml", str(f)]):
+        res = run_cli(args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage: leafnorm"), args
+        assert res.stderr.splitlines()[-1].startswith("leafnorm")
+        assert ": error: " in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_out_flag(tmp_path):
     f = tmp_path / "good.lnf"
     f.write_text(GOOD)

@@ -112,6 +112,75 @@ def test_ring_axioms_random():
         assert a + b == b + a
 
 
+def schoolbook(a, b):
+    """The terms of a * b from every term pair, zero sums dropped."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _partners(rng, a):
+    """Right operands for a: the square cases (a, an equal copy in the
+    reverse order, -a), its near misses (one coefficient changed, 2a) and
+    unrelated and single-term operands."""
+    yield a
+    yield Poly(a.ctx, dict(reversed(list(a.terms.items()))))
+    yield -a
+    if a.terms:
+        changed = dict(a.terms)
+        m = rng.choice(sorted(changed))
+        changed[m] += 1
+        yield Poly(a.ctx, {m: c for m, c in changed.items() if c})
+    yield 2 * a
+    yield random_poly(rng, a.ctx, deg=3, nterms=5)
+    yield -3 * v(rng.choice(a.ctx.vars), a.ctx) ** 2
+    yield c(5, a.ctx)
+
+
+def test_product_matches_schoolbook_oracle():
+    rng = random.Random(25)
+    x, y = v("x"), v("y")
+    # the cross terms cancel the diagonal x^2 y^2 of (x^2 + 2xy - 2y^2)^2
+    cancel = x * x + 2 * x * y - 2 * y * y
+    assert cancel * cancel == (x ** 4 + 4 * x ** 3 * y - 8 * x * y ** 3
+                               + 4 * y ** 4)
+    # ... and a later pair brings it back: x^2 y^2 + 1 comes after the
+    # terms whose products cancel it
+    back = Poly(CTX, dict(list(cancel.terms.items())
+                          + list((x * x * y * y + 1).terms.items())))
+    polys = [cancel, back, 1 + x, x - y]
+    polys += [random_poly(rng, CTX, deg=3, nterms=rng.randint(2, 8))
+              for _ in range(40)]
+    for a in polys:
+        for b in _partners(rng, a):
+            for p, q in ((a, b), (b, a)):
+                assert (p * q).terms == schoolbook(p, q)
+
+
+def test_squares_take_the_square_path(monkeypatch):
+    signs = []
+    square = rational._square
+
+    def spy(terms, sign):
+        signs.append(sign)
+        return square(terms, sign)
+
+    monkeypatch.setattr(rational, "_square", spy)
+    a = 1 + v("x") + v("y") * v("y1")
+    a * (a + 1)
+    a * (2 * a)
+    a * v("x")
+    assert signs == []
+    assert (a ** 2).terms == schoolbook(a, a)
+    assert signs == [1]
+    del signs[:]
+    # the determinant of the sphere's 2x2 horizontal block is (-a) a
+    decompose(sphere_example(True))
+    assert -1 in signs
+
+
 # --- RatFunc.derivative -----------------------------------------------------
 
 def test_partial_basics():
@@ -702,6 +771,11 @@ def test_degree_limit_boundary():
     for factor in (u, y, 1 + y):
         with pytest.raises(LimitExceeded):
             top * factor
+    # ... and so does a square, on the path that takes each pair once
+    for square in (lambda: top * top, lambda: (1 + top) * -(1 + top),
+                   lambda: (1 + top) ** 2):
+        with pytest.raises(LimitExceeded):
+            square()
     with pytest.raises(LimitExceeded):
         RatFunc.from_poly(below * y).scale_fiber(RatFunc.var(ctx, "u"))
     with pytest.raises(LimitExceeded):
