@@ -22,8 +22,8 @@ from .errors import (
     ZeroGenerator,
 )
 from .multivector import DiffForm, Multivector
-from .rational import (ChartContext, Poly, RatFunc, _fraction, _split,
-                       _values_and_slopes, ratfunc_normalize)
+from .rational import (ChartContext, Poly, RatFunc, _fraction, _same_chart,
+                       _split, _values_and_slopes, ratfunc_normalize)
 from .smith import integer_solve, rational_rank
 
 __all__ = [
@@ -192,6 +192,7 @@ class PeriodModel(Record):
     def _validate(self):
         pi_idx = self.ctx.var_index("PI")
         for f in self.periods:
+            _same_chart(self.ctx, f.ctx)
             if f.den.depends_on(pi_idx):
                 raise NonRationalInput(
                     "period has the formal symbol in its denominator")

@@ -271,34 +271,29 @@ class DiffForm(_Flat):
 # Schouten bracket
 # ---------------------------------------------------------------------------
 
-def _right_zeta_derivative(u, gen):
-    """Right derivative by the odd generator: move it to the last slot."""
-    items = []
-    for m, c in u.terms.items():
-        if gen in m:
-            pos = m.index(gen)
-            items.append((m[:pos] + m[pos + 1:],
-                          c if (len(m) - 1 - pos) % 2 == 0 else -c))
-    return Multivector.from_terms(u.context, items)
-
-
 def _d_half(u, v, gens):
-    """D(u, v) = sum_i dR(u)/dz_i * dv/dz^i over the given generators."""
+    """D(u, v) = sum_i dR(u)/dz_i * dv/dz^i over the given generators.
+
+    The right derivative by z_i is read off u's terms: each key that holds
+    i loses it, signed by the parity of the generators after it.
+    """
     ctx = u.context
     items = []
     for gen in gens:
-        du = _right_zeta_derivative(u, gen)
-        if du.is_zero():
+        du = [(m.index(gen), m, c) for m, c in u.terms.items() if gen in m]
+        if not du:
             continue
         var = ctx.vars[ctx.nparams + gen]
         for m2, c2 in v.terms.items():
             dc = c2.derivative(var)
             if dc.is_zero():
                 continue
-            for m1, c1 in du.terms.items():
-                key, sign = _sort_block(m1 + m2)
+            for pos, m1, c1 in du:
+                key, sign = _sort_block(m1[:pos] + m1[pos + 1:] + m2)
                 if key is None:
                     continue
+                if (len(m1) - 1 - pos) % 2:
+                    sign = -sign
                 c = c1 * dc
                 items.append((key, c if sign > 0 else -c))
     return Multivector.from_terms(ctx, items)

@@ -98,37 +98,34 @@ def _base_var(ctx, j):
     return ctx.vars[ctx.nparams + j]
 
 
-def _lie_fn(ctx, a, I1, j, c, I2):
-    """L_{a dx^I1 (x) d/dx_j} (c dx^I2) as a list of (form tuple, coeff).
+def _lie_fn(ctx, a, I1, j, c, I2, rest, sign, items):
+    """Append sign * L_{a dx^I1 (x) d/dx_j} (c dx^I2) to items, each form
+    block followed by the blocks `rest`.
 
     The Froelicher-Nijenhuis Lie derivative of a form along a trivial lift:
     a * (dc/dx_j) dx^I1^I2 + (-1)^|I1| (da ^ dx^I1) ^ i_{d/dx_j}(dx^I2) * c.
     """
-    out = []
     dc = c.derivative(_base_var(ctx, j))
     if not dc.is_zero():
         key, s = _sort_block(I1 + I2)
         if key is not None:
             v = a * dc
-            out.append((key, v if s > 0 else -v))
-    try:
-        pos = I2.index(j)
-    except ValueError:
-        return out
-    sign2 = 1 if pos % 2 == 0 else -1
+            items.append(((key,) + rest, v if s * sign > 0 else -v))
+    if j not in I2:
+        return
+    pos = I2.index(j)
     I2c = I2[:pos] + I2[pos + 1:]
-    sign0 = 1 if len(I1) % 2 == 0 else -1
+    if (len(I1) + pos) % 2:
+        sign = -sign
     for m in range(ctx.p):
         da = a.derivative(_base_var(ctx, m))
         if da.is_zero():
             continue
-        key, s1 = _sort_block((m,) + I1 + I2c)
+        key, s = _sort_block((m,) + I1 + I2c)
         if key is None:
             continue
         v = da * c
-        s = sign0 * s1 * sign2
-        out.append((key, v if s > 0 else -v))
-    return out
+        items.append(((key,) + rest, v if s * sign > 0 else -v))
 
 
 def _vv_pair(ctx, t1, c1, t2, c2, items):
@@ -148,32 +145,12 @@ def _vv_pair(ctx, t1, c1, t2, c2, items):
         items.append(((form, (), km), cm if s > 0 else -cm))
 
 
-def _hv_pair(ctx, t1, c1, t2, c2, items):
-    I1, J1, _ = t1
-    I2, _, K2 = t2
-    j = J1[0]
-    for key, coeff in _lie_fn(ctx, c1, I1, j, c2, I2):
-        items.append(((key, (), K2), coeff))
-
-
-def _hh_pair(ctx, t1, c1, t2, c2, items):
-    I1, J1, _ = t1
-    I2, J2, _ = t2
-    i, j = J1[0], J2[0]
-    r, s = len(I1), len(I2)
-    for key, coeff in _lie_fn(ctx, c1, I1, i, c2, I2):
-        items.append(((key, (j,), ()), coeff))
-    sgn = -1 if (r * s) % 2 == 0 else 1
-    # -(-1)^{rs} L_{beta (x) Y}(alpha) (x) X
-    for key, coeff in _lie_fn(ctx, c2, I2, j, c1, I1):
-        items.append(((key, (i,), ()), coeff if sgn > 0 else -coeff))
-
-
 def ltimes_bracket(u, v):
     """The graded bracket of the extended algebra.
 
     Operands may hold several bidegrees (a Dirac element does); each pair of
-    bidegree-homogeneous terms is bracketed with its own signs.
+    bidegree-homogeneous terms is bracketed with its own signs, and every
+    term goes into one list that becomes the result's store at the end.
     """
     u._same(v)
     _require_tilde(u)
@@ -181,19 +158,21 @@ def ltimes_bracket(u, v):
     ctx = u.context
     items = []
     for (t1, c1) in u.terms.items():
-        deg1 = len(t1[0]) + len(t1[1]) + len(t1[2]) - 1
+        I1, J1, K1 = t1
         for (t2, c2) in v.terms.items():
-            if t1[1] and t2[1]:
-                _hh_pair(ctx, t1, c1, t2, c2, items)
-            elif t1[1]:
-                _hv_pair(ctx, t1, c1, t2, c2, items)
-            elif t2[1]:
-                deg2 = len(t2[0]) + len(t2[1]) + len(t2[2]) - 1
-                flip = []
-                _hv_pair(ctx, t2, c2, t1, c1, flip)
-                s = -1 if (deg1 * deg2) % 2 == 0 else 1
-                for key, coeff in flip:
-                    items.append((key, coeff if s > 0 else -coeff))
+            I2, J2, K2 = t2
+            if J1 and J2:
+                # L_{a (x) X}(b) (x) Y - (-1)^(|I1| |I2|) L_{b (x) Y}(a) (x) X
+                _lie_fn(ctx, c1, I1, J1[0], c2, I2, (J2, ()), 1, items)
+                _lie_fn(ctx, c2, I2, J2[0], c1, I1, (J1, ()),
+                        -1 if (len(I1) * len(I2)) % 2 == 0 else 1, items)
+            elif J1:
+                _lie_fn(ctx, c1, I1, J1[0], c2, I2, ((), K2), 1, items)
+            elif J2:
+                # [v, h] = -(-1)^{deg v deg h} [h, v], deg h = |I2|
+                deg1 = len(I1) + len(K1) - 1
+                _lie_fn(ctx, c2, I2, J2[0], c1, I1, ((), K1),
+                        -1 if (deg1 * len(I2)) % 2 == 0 else 1, items)
             else:
                 _vv_pair(ctx, t1, c1, t2, c2, items)
     return MixedElement.from_terms(ctx, items)

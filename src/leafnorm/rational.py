@@ -1229,6 +1229,8 @@ def _den_needs_parens(den):
 
 def ratfunc_normalize(num, den):
     """Canonical reduced fraction (the module's single normalization point)."""
+    if num.ctx is not den.ctx:
+        _same_chart(num.ctx, den.ctx)
     if den.is_zero():
         raise ZeroDenominator("zero denominator")
     if num.is_zero():
@@ -1257,9 +1259,10 @@ def _content_free_part(d, i):
 
     c = x^mu e, with mu the least exponent of each other variable over d.
     A certificate comes first, with no gcd: e is the coefficient of a power
-    of x_i with the fewest terms, stripped of its monomial and integer
-    content, and is certified when it divides every coefficient (a
-    monomial coefficient makes e = 1, and a constant one c = 1).  A
+    of x_i with the fewest terms (of those, the least sorted term list),
+    stripped of its monomial and integer content, and is certified when it
+    divides every coefficient (a monomial coefficient makes e = 1, and a
+    constant one c = 1).  A
     coefficient that e does not divide replaces e by their gcd, and the
     divisions start over (docs/conventions.md, "The quotient rule").
     """
@@ -1271,6 +1274,10 @@ def _content_free_part(d, i):
         k = (m >> s) & _FIELD
         coeffs.setdefault(k, {})[m - k * step] = c
     smallest = min(coeffs.values(), key=len)
+    ties = [t for t in coeffs.values() if len(t) == len(smallest)]
+    if len(ties) > 1:
+        # by value, so the gcd work does not depend on d's term order
+        smallest = min(ties, key=lambda t: sorted(t.items()))
     if len(smallest) == 1 and 0 in smallest:
         return Poly(ctx, {0: 1}), d  # a constant coefficient: c = 1
     mu = _fieldwise(min, d)

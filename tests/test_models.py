@@ -4,8 +4,8 @@ import re
 import pytest
 
 from leafnorm.errors import (
-    JacobiFailed, NonRationalInput, SingularPoint, VariableOverlap,
-    ZeroGenerator,
+    ContextMismatch, JacobiFailed, NonRationalInput, SingularPoint,
+    VariableOverlap, ZeroGenerator,
 )
 from leafnorm.models import (
     LieAlgebraData, PeriodModel, affine_in_params, aff1,
@@ -200,6 +200,19 @@ def test_monodromy_singular_point():
         bad = PeriodModel(ctx, ["t"], [pi / RatFunc.from_poly(1 - t)])
         monodromy(bad, at={"t": 1})
     del m
+
+
+def test_period_model_rejects_a_period_from_another_chart():
+    # PI and r swap places between the two charts: a period from the first
+    # one was refused as having PI in its denominator
+    ctx = ChartContext(base=[], fiber=[], params=("r", "PI"))
+    other = ChartContext(base=[], fiber=[], params=("PI", "r"))
+    r = Poly.var(other, "r")
+    period = RatFunc.var(other, "PI") / RatFunc.from_poly(1 + r * r)
+    with pytest.raises(ContextMismatch):
+        PeriodModel(ctx, ["r"], [period])
+    assert PeriodModel(ctx, ["r"], [period.cast(ctx)]).periods == \
+        sphere_period_model().periods[:1]
 
 
 def test_monodromy_at_a_regular_point_evaluates(monkeypatch):

@@ -103,21 +103,21 @@ def test_schouten_vector_fields_is_lie_bracket():
 
 
 def test_schouten_sums_over_the_operands_generators(monkeypatch):
-    # two of the chart's five generators occur: one right derivative by each
-    # in each half of the bracket
+    # two of the chart's five generators occur: each half of the bracket
+    # runs over those two and no other
     calls = []
-    derive = multivector._right_zeta_derivative
+    half = multivector._d_half
 
-    def spy(u, gen):
-        calls.append(gen)
-        return derive(u, gen)
+    def spy(u, v, gens):
+        calls.append(list(gens))
+        return half(u, v, gens)
 
-    monkeypatch.setattr(multivector, "_right_zeta_derivative", spy)
+    monkeypatch.setattr(multivector, "_d_half", spy)
     x1 = Poly.var(CTX, "x1")
     y1 = Poly.var(CTX, "y1")
     got = schouten(vec(0, coeff(x1 * y1)), vec(2, coeff(x1)))
     assert got == vec(2, coeff(y1 * x1)) - vec(0, coeff(x1 * x1))
-    assert calls == [0, 2, 0, 2]
+    assert calls == [[0, 2], [0, 2]]
 
 
 def test_schouten_requires_homogeneous():

@@ -253,6 +253,30 @@ def test_uncertified_content_is_found_by_gcd(monkeypatch):
     assert fx == rf(-(y * y + y), d * d)
 
 
+def test_content_gcd_work_does_not_depend_on_term_order(monkeypatch):
+    # the coefficients y^2 - 1 and y + 1 of x^2 and x tie on two terms; the
+    # tie is broken by value, so both term orders take the same gcd calls
+    x, y = v("x"), v("y")
+    d = x * x * (y * y - 1) + x * (y + 1)
+    reverse = Poly(CTX, dict(reversed(list(d.terms.items()))))
+    assert reverse == d and list(reverse.terms) != list(d.terms)
+    calls = []
+    gcd = rational.poly_gcd
+
+    def gcd_spy(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(rational, "poly_gcd", gcd_spy)
+    counts = []
+    for p in (d, reverse):
+        calls.clear()
+        assert rational._content_free_part(p, CTX.var_index("x")) == \
+            (y + 1, x * x * y - x * x + x)
+        counts.append(list(calls))
+    assert counts[0] == counts[1]
+
+
 def _sphere_quotient_rule_inputs():
     """(f, name) of every derivative the shipped sphere pipeline takes whose
     denominator depends on the variable."""
@@ -711,6 +735,22 @@ def test_arithmetic_rejects_operands_from_two_charts():
     assert RatFunc.var(a, "v") * RatFunc.var(a2, "y") \
         == rf(Poly.var(a, "v") * Poly.var(a, "y"))
     assert Poly.var(a, "v") + Poly.var(a2, "v") == 2 * Poly.var(a, "v")
+
+
+def test_normalize_rejects_operands_from_two_charts():
+    # x on [x, y] and a on [a; b] are both packed as variable 0, so without
+    # the check x*y / a cancelled x against a and returned y
+    a = ChartContext(base=["x", "y"], fiber=[])
+    b = ChartContext(base=["a"], fiber=["b"])
+    xy = Poly.var(a, "x") * Poly.var(a, "y")
+    with pytest.raises(ContextMismatch):
+        ratfunc_normalize(xy, Poly.var(b, "a"))
+    with pytest.raises(ContextMismatch):
+        ratfunc_normalize(Poly.var(b, "a"), xy)
+    # an equal chart built twice is the same chart
+    a2 = ChartContext(base=["x", "y"], fiber=[])
+    assert ratfunc_normalize(xy, Poly.var(a2, "x")) == \
+        RatFunc.var(a, "y")
 
 
 def test_operators_leave_other_operand_types_to_python():
