@@ -16,7 +16,7 @@ Grammar (one chart per program, bindings before commands):
                | ("ratio_constancy"|"affine"|"emit") "(" NAME ")" ";"
                | "jet" "(" NAME "," INT ")" ";"
                | "chain_map" "(" NAME "," NAME ")" ";"
-               | "monodromy" "(" NAME ("," "[" exprs "]")? ")" ";"
+               | "monodromy" "(" NAME ("," "[" exprs? "]")? ")" ";"
                | "int_identity" "(" expr ";" exprs ")" ";"
     exprs     := expr ("," expr)*
 
@@ -489,7 +489,7 @@ _ARGS = {
     "bool": (",", _Parser.boolean, lambda b: "true" if b else "false"),
     "expr": (",", _Parser.expr, _pexpr),
     "exprs": (",", _Parser.exprs, _pexprs),
-    "point": (",", lambda p: p.bracketed(p.expr),
+    "point": (",", lambda p: p.bracketed(p.expr, empty=True),
               lambda exprs: "[%s]" % _pexprs(exprs)),
     "basis": (";", _Parser.exprs, _pexprs),
 }

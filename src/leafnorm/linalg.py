@@ -48,22 +48,21 @@ class MatrixRF:
     __hash__ = None
 
     def __mul__(self, other):
-        if isinstance(other, MatrixRF):
-            if self.cols != other.rows:
-                raise ValueError("dimension mismatch")
-            z = RatFunc.zero(self.ctx)
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = z
-                    for k in range(self.cols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return MatrixRF(self.ctx, out, other.cols)
-        return MatrixRF(self.ctx, [[e * other for e in row]
-                                   for row in self.entries], self.cols)
+        if not isinstance(other, MatrixRF):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        z = RatFunc.zero(self.ctx)
+        out = []
+        for i in range(self.rows):
+            row = []
+            for j in range(other.cols):
+                acc = z
+                for k in range(self.cols):
+                    acc = acc + self.entries[i][k] * other.entries[k][j]
+                row.append(acc)
+            out.append(row)
+        return MatrixRF(self.ctx, out, other.cols)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -376,16 +376,10 @@ class Poly:
         return Poly(self.ctx, out)
 
     def substitute(self, mapping):
-        """Simultaneous substitution {var index: RatFunc | Poly | Q} -> RatFunc."""
+        """Simultaneous substitution {var index: RatFunc | Q} -> RatFunc."""
         ctx = self.ctx
-        values = {}
-        for i, v in mapping.items():
-            if isinstance(v, RatFunc):
-                values[i] = v
-            elif isinstance(v, Poly):
-                values[i] = RatFunc.from_poly(v)
-            else:
-                values[i] = RatFunc.const(ctx, v)
+        values = {i: v if isinstance(v, RatFunc) else RatFunc.const(ctx, v)
+                  for i, v in mapping.items()}
         total = RatFunc.zero(ctx)
         pow_cache = {}
         for m, c in self.exponents():
@@ -909,37 +903,33 @@ def _values_and_slopes(p, point, slopes):
     Polys over Z in the variables the point leaves free and D a positive
     int.  A value is an int, a Fraction or a constant RatFunc.
 
-    Each variable of the point takes one pass over the value and the slopes
-    so far.  At a/b, with k its degree in them, x^e becomes a^e b^(k-e) and,
-    in the value's pass of a slope variable, its derivative e x^(e-1)
-    becomes e a^(e-1) b^(k-e+1), both over b^k.  A slope by a variable that
-    the point leaves free is the derivative of the value at the end.
+    The derivatives are `Poly.derivative`s of p, and each variable of the
+    point that one of them has takes one pass over p and them.  At a/b,
+    with k its highest degree among them, x^e becomes a^e b^(k-e), so all
+    of them share the one denominator b^k.
     """
     ctx = p.ctx
-    terms, den, outs = p.terms, 1, {}
+    polys = [p.terms] + [p.derivative(j).terms for j in slopes]
+    den = 1
     for i, v in point.items():
         if i not in range(len(ctx.vars)):
             raise UnknownVariable("no variable of index %r" % (i,))
         a, b = _split(v)
         s, step = ctx._shifts[i], ctx.var_mono(i)
         mask = _FIELD << s
-        k = max([max(map(mask.__and__, t), default=0)
-                 for t in (terms, *outs.values())]) >> s
+        k = max([max(map(mask.__and__, t), default=0) for t in polys]) >> s
+        # a variable that none of them has leaves them and D as they are
+        if not k:
+            continue
         values = _powers(a, k)
         # an int value needs no denominator powers
         if b != 1:
             bs = _powers(b, k)
             values = [x * y for x, y in zip(values, reversed(bs))]
             den *= bs[k]
-        outs = {j: _at(t, s, step, values) for j, t in outs.items()}
-        if i in slopes:
-            # e a^(e-1) b^(k-e+1) is e values[e-1]
-            outs[i] = _at(terms, s, step,
-                          [0] + [e * x for e, x in enumerate(values[:-1], 1)])
-        terms = _at(terms, s, step, values)
-    value = Poly(ctx, terms)
-    return value, den, [Poly(ctx, outs[j]) if j in outs
-                        else value.derivative(j) for j in slopes]
+        polys = [_at(t, s, step, values) for t in polys]
+    value, *derivatives = [Poly(ctx, t) for t in polys]
+    return value, den, derivatives
 
 
 def _at(terms, s, step, values):
@@ -1149,7 +1139,7 @@ class RatFunc:
         return _canonical_scale(num, den * r)
 
     def substitute(self, mapping):
-        """Simultaneous substitution {name: RatFunc|Poly|Q} -> RatFunc."""
+        """Simultaneous substitution {name: RatFunc | Q} -> RatFunc."""
         imap = {self.ctx.var_index(k): v for k, v in mapping.items()}
         num = self.num.substitute(imap)
         den = self.den.substitute(imap)

@@ -455,6 +455,24 @@ monodromy(m, [1/2]);
     assert rec.value == "(-16*PI/25, PI)"
 
 
+def test_monodromy_at_the_empty_point():
+    # a model with no transverse parameter is evaluated at the point []
+    src = """
+chart { base:[u]; fiber:[y]; params:[PI]; }
+let m = period_model(PI, 2*PI);
+monodromy(m, []);
+monodromy(m, [1]);
+"""
+    prog = parse(src)
+    assert prog.commands[0] == dsl.CmdMonodromy("m", ())
+    assert "monodromy(m, []);" in print_program(prog)
+    assert parse(print_program(prog)) == prog
+    ok, wrong = execute(prog).records
+    assert ok.ok and ok.value == "((), ())"
+    assert not wrong.ok and wrong.value == (
+        "error: _EvalError: evaluation point needs 0 entries, got 1")
+
+
 def test_monodromy_point_must_be_scalar():
     # a non-scalar entry used to be read as its scalar part: [d/du] as 0
     src = """

@@ -54,6 +54,13 @@ def test_identity():
     assert matrix_inverse(i3) == i3
 
 
+def test_a_matrix_multiplies_only_a_matrix():
+    i2 = MatrixRF.identity(CTX, 2)
+    for scalar in (2, Q(1, 2), const(3)):
+        with pytest.raises(TypeError):
+            i2 * scalar
+
+
 def test_random_3x3_vs_adjugate_oracle():
     rng = random.Random(9)
     pool = [Poly.zero(CTX), Poly.one(CTX), -Poly.one(CTX),

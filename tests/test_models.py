@@ -245,9 +245,10 @@ def test_monodromy_at_a_regular_point_evaluates(monkeypatch):
         monodromy(m, at={"t1": Q(1), "t2": Q(2)})
 
 
-def test_monodromy_at_a_point_takes_no_derivative(monkeypatch):
-    # the kernel's evaluator gives each numerator's and denominator's
-    # values and slopes at the point: no Poly is differentiated
+def test_monodromy_at_a_point_differentiates_each_polynomial_once(
+        monkeypatch):
+    # the slopes at the point are the Poly derivatives of each denominator
+    # and numerator, one per transverse variable, evaluated with the value
     ctx = ChartContext(base=[], fiber=[], params=("t1", "t2", "PI"))
     t1 = RatFunc.var(ctx, "t1")
     t2 = RatFunc.var(ctx, "t2")
@@ -260,12 +261,13 @@ def test_monodromy_at_a_point_takes_no_derivative(monkeypatch):
     derivative, calls = Poly.derivative, []
 
     def spy(p, i):
-        calls.append(i)
+        calls.append((p, i))
         return derivative(p, i)
 
     monkeypatch.setattr(Poly, "derivative", spy)
     assert monodromy(m, at=at) == expect
-    assert calls == []
+    assert calls == [(p, i) for f in m.periods for p in (f.den, f.num)
+                     for i in (0, 1)]
 
 
 def test_lattice_discreteness():

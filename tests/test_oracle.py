@@ -176,14 +176,28 @@ def test_scale_fiber_is_the_substitution(f, t):
     assert f.scale_fiber(t) == f.substitute(mapping)
 
 
+_indices = st.sampled_from(range(len(CTX.vars)))
+
+
 @SETTINGS
-@given(polys, st.dictionaries(st.sampled_from(range(len(CTX.vars))),
-                              st.fractions(-3, 3, max_denominator=4)))
-def test_evaluate_is_the_substitution(p, point):
-    # the variables the point leaves free stay in P
-    P, D = p.evaluate(point)
+@given(polys,
+       st.dictionaries(_indices, st.fractions(-3, 3, max_denominator=4)),
+       st.lists(_indices, max_size=3))
+# the zero polynomial; a slope by a variable the point leaves free, by one
+# it fixes and by one it fixes that p does not have
+@example(Poly.zero(CTX), {0: Q(1, 2)}, [0, 1])
+@example(_x * _x * _y - 3 * _y + 1, {1: Q(-2, 3), 2: Q(1, 2)}, [0, 1, 2])
+def test_evaluate_is_the_substitution(p, point, slopes):
+    # the variables the point leaves free stay in P, and each P_j / D is
+    # the derivative by x_j at the point
+    P, D, derivatives = rational._values_and_slopes(p, point, slopes)
+    assert p.evaluate(point) == (P, D)
     assert D > 0
     assert RatFunc.from_poly(P) / D == p.substitute(point)
+    f, at = RatFunc.from_poly(p), {CTX.vars[i]: v for i, v in point.items()}
+    for j, P_j in zip(slopes, derivatives):
+        assert RatFunc.from_poly(P_j) / D == \
+            f.derivative(CTX.vars[j]).substitute(at)
 
 
 # --- differential test against sympy ----------------------------------------

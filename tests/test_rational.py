@@ -690,6 +690,16 @@ def test_one_scalar_boundary_at_every_entry_point():
     assert pi.scale(Poly.zero(ctx)).is_zero()
 
 
+def test_substitute_takes_a_ratfunc_or_a_rational():
+    x, y = v("x"), v("y")
+    f = rf(x + 1, y)
+    assert f.substitute({"x": RatFunc.from_poly(y), "y": Q(2)}) == \
+        rf(y + 1, c(2))
+    # a polynomial value is given as the RatFunc it stands for
+    with pytest.raises(TypeError, match="Poly"):
+        f.substitute({"x": y})
+
+
 def test_evaluate_refuses_an_index_outside_the_chart():
     ctx = ChartContext(base=["u"], fiber=["y"])
     p = Poly.var(ctx, "u") + 10 * Poly.var(ctx, "y")
