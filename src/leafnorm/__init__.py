@@ -4,8 +4,7 @@ Everything computes over exact rationals; an identity "holds" exactly when
 its residual normalizes to the zero rational function.
 """
 
-from .rational import ChartContext, Poly, RatFunc, fiber_taylor, \
-    ratfunc_normalize
+from .rational import ChartContext, Poly, RatFunc, ratfunc_normalize
 from .linalg import MatrixRF, matrix_inverse
 from .multivector import (
     DiffForm, Multivector, cotangent_bracket, d_scalar, exterior_derivative,

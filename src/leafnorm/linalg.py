@@ -65,6 +65,8 @@ class MatrixRF:
         return MatrixRF(self.ctx, out, other.cols)
 
     def __add__(self, other):
+        if not isinstance(other, MatrixRF):
+            return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
         return MatrixRF(self.ctx, [
@@ -72,6 +74,8 @@ class MatrixRF:
             for r1, r2 in zip(self.entries, other.entries)], self.cols)
 
     def __sub__(self, other):
+        if not isinstance(other, MatrixRF):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):

@@ -329,17 +329,9 @@ def d_scalar(f):
 def exterior_derivative(omega):
     """Exterior derivative on the total space."""
     ctx = omega.context
-    items = []
-    for m, c in omega.terms.items():
-        for i in range(ctx.p + ctx.q):
-            dc = c.derivative(ctx.vars[ctx.nparams + i])
-            if dc.is_zero():
-                continue
-            key, sign = _sort_block((i,) + m)
-            if key is None:
-                continue
-            items.append((key, dc if sign > 0 else -dc))
-    return DiffForm.from_terms(ctx, items)
+    return DiffForm.from_terms(ctx, [
+        ((i,) + m, c.derivative(ctx.vars[ctx.nparams + i]))
+        for m, c in omega.terms.items() for i in range(ctx.p + ctx.q)])
 
 
 def _contract(a, u):

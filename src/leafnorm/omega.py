@@ -283,6 +283,8 @@ def ds_n(u, n):
 
 def jet_n(u, n):
     """j^n = sum of the derivatives of orders 0..n along S."""
+    if n < 0:
+        raise ValueError("jet order must be >= 0")
     total = MixedElement.zero(u.context)
     for k in range(n + 1):
         total = total + ds_n(u, k)

@@ -303,6 +303,12 @@ def test_expression_shapes():
     assert report.records[0].ok
 
 
+def test_unary_plus_is_no_operation():
+    chart = "chart { base:[u]; fiber:[y]; }\n"
+    assert parse(chart + "let a = +u * +(1 - +2);") \
+        == parse(chart + "let a = u * (1 - 2);")
+
+
 def test_product_catalog():
     src = """
 chart { base:[u, v]; fiber:[y1, y2, y3]; }

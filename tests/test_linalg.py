@@ -61,6 +61,15 @@ def test_a_matrix_multiplies_only_a_matrix():
             i2 * scalar
 
 
+def test_a_matrix_adds_only_a_matrix():
+    i2 = MatrixRF.identity(CTX, 2)
+    for scalar in (1, Q(1, 2), const(3)):
+        with pytest.raises(TypeError):
+            i2 + scalar
+        with pytest.raises(TypeError):
+            i2 - scalar
+
+
 def test_random_3x3_vs_adjugate_oracle():
     rng = random.Random(9)
     pool = [Poly.zero(CTX), Poly.one(CTX), -Poly.one(CTX),
@@ -96,6 +105,8 @@ def test_singular_rejected():
     m = MatrixRF(CTX, [[one, one], [one, one]])
     with pytest.raises(SingularMatrix):
         matrix_inverse(m)
+    with pytest.raises(SingularMatrix):
+        m.solve(MatrixRF.identity(CTX, 2))
 
 
 def test_shape_without_rows():

@@ -54,6 +54,13 @@ def test_structure_constant_indices_lie_in_the_algebra():
             LieAlgebraData(2, {key: 1})
 
 
+def test_structure_constants_drop_zero_and_diagonal_entries():
+    # c^k_aa is 0 by antisymmetry, and a zero constant adds no term
+    g = LieAlgebraData(3, {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+                           (1, 1, 0): 5, (1, 0, 2): 0})
+    assert g.c == so3().c
+
+
 def test_jacobi_failed_detected():
     rng = random.Random(163)
     # random tables essentially never satisfy Jacobi; demand one failure

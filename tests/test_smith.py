@@ -96,6 +96,7 @@ def test_rational_rank():
     from fractions import Fraction as Q
     assert rational_rank([[Q(1)], [Q(3, 7)]]) == 1
     assert rational_rank([[Q(0)]]) == 0
+    assert rational_rank([]) == 0
     assert rational_rank([[Q(1), Q(0)], [Q(0), Q(2, 3)]]) == 2
     assert rational_rank([[Q(1), Q(2)], [Q(2), Q(4)]]) == 1
 

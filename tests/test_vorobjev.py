@@ -280,6 +280,16 @@ def test_tau_horizontal_frozen():
     assert tau(theta, u) == MixedElement(CTX, {((1,), (), ()): RatFunc.one(CTX)})
 
 
+def test_tau_drops_a_fiber_direction_the_key_holds():
+    # the mixed block gives d/dx2 = hor_2 - y1 d/dy1, whose d/dy1 part meets
+    # the d/dy1 of d/dx2 ^ d/dy1 and drops out
+    theta = symplectic_2d(CTX) + Multivector(CTX, {(0, 2): rf(pv("y1"))})
+    u = Multivector(CTX, {(1, 2): RatFunc.one(CTX)})
+    e = tau(theta, u)
+    assert e == MixedElement(CTX, {((0,), (), (2,)): -RatFunc.one(CTX)})
+    assert tau_inverse(theta, e) == u
+
+
 def test_chain_map_over_catalog():
     rng = random.Random(131)
     heis = Multivector.from_terms(CTX3, [((2, 3), rf(pv("y3", CTX3)))])
@@ -351,6 +361,16 @@ def test_leaf_check_degenerate_at_s():
     f = MixedElement(CTX, {((0, 1), (), ()): rf(pv("y1"))})
     gamma = DiracElement(MixedElement.zero(CTX), gamma_S(CTX), f)
     assert not leaf_check(gamma).ok
+
+
+def test_leaf_check_fails_when_the_leaf_form_is_not_closed():
+    # x3 dx1 ^ dx2 on a 3-dimensional base: d of it is dx3 ^ dx1 ^ dx2
+    ctx = ChartContext(base=["x1", "x2", "x3"], fiber=["y1"])
+    x3 = RatFunc.var(ctx, "x3")
+    f = MixedElement(ctx, {((0, 1), (), ()): x3})
+    chk = leaf_check(DiracElement(MixedElement.zero(ctx), gamma_S(ctx), f))
+    assert not chk.ok
+    assert chk.omega == DiffForm(ctx, {(0, 1): -x3})
 
 
 def test_leaf_check_fails_when_not_20():
