@@ -38,7 +38,7 @@ def _write_stdout(data):
 
 def _load_program(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             source = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print("leafnorm: cannot read %s: %s" % (path, exc), file=sys.stderr)

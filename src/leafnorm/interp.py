@@ -111,11 +111,9 @@ def _eval_expr(node, ctx):
 
 
 def _gen_index(ctx, name):
-    if name in ctx.base:
-        return ctx.base.index(name)
-    if name in ctx.fiber:
-        return ctx.p + ctx.fiber.index(name)
-    raise UnknownIdentifier("no chart direction named %r" % name)
+    if name not in ctx.gens:
+        raise UnknownIdentifier("no chart direction named %r" % name)
+    return ctx.gens.index(name)
 
 
 def _scalar(val):

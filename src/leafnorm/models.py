@@ -9,7 +9,7 @@ in the test suite and recorded here.
 """
 
 import operator
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .errors import (
     JacobiFailed,
@@ -66,22 +66,20 @@ class LieAlgebraData:
 
     def _check_jacobi(self):
         n = self.dim
-        for a in range(n):
-            for b in range(a + 1, n):
-                for cc in range(b + 1, n):
-                    for l in range(n):
-                        total = 0
-                        for m in range(n):
-                            total += self.bracket_coeff(a, b, m) * \
-                                self.bracket_coeff(m, cc, l)
-                            total += self.bracket_coeff(b, cc, m) * \
-                                self.bracket_coeff(m, a, l)
-                            total += self.bracket_coeff(cc, a, m) * \
-                                self.bracket_coeff(m, b, l)
-                        if total != 0:
-                            raise JacobiFailed(
-                                "structure constants violate the Jacobi "
-                                "identity at (%d,%d,%d;%d)" % (a, b, cc, l))
+        for a, b, cc in combinations(range(n), 3):
+            for l in range(n):
+                total = 0
+                for m in range(n):
+                    total += self.bracket_coeff(a, b, m) * \
+                        self.bracket_coeff(m, cc, l)
+                    total += self.bracket_coeff(b, cc, m) * \
+                        self.bracket_coeff(m, a, l)
+                    total += self.bracket_coeff(cc, a, m) * \
+                        self.bracket_coeff(m, b, l)
+                if total != 0:
+                    raise JacobiFailed(
+                        "structure constants violate the Jacobi "
+                        "identity at (%d,%d,%d;%d)" % (a, b, cc, l))
 
 
 def so3():
@@ -129,7 +127,7 @@ def _support(pi):
     used = set()
     for key, c in pi.terms.items():
         for g in key:
-            used.add(ctx.vars[ctx.nparams + g])
+            used.add(ctx.gens[g])
         for poly in (c.num, c.den):
             for i, name in enumerate(ctx.vars):
                 if poly.depends_on(i):
@@ -300,15 +298,11 @@ def ratio_constancy(model):
     a dense set of transverse parameter values.
     """
     flat = monodromy(model)
-    n = len(flat)
     for row in flat:
         if all(e.is_zero() for e in row):
             raise ZeroGenerator("a monodromy generator vanishes identically")
-    results = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            results[(i, j)] = _proportional_constant(flat[i], flat[j])
-    return results
+    return {(i, j): _proportional_constant(flat[i], flat[j])
+            for i, j in combinations(range(len(flat)), 2)}
 
 
 def _proportional_constant(row_a, row_b):

@@ -44,6 +44,15 @@ def _sort_block(block):
     return sblock, sign
 
 
+def _operand(x, kind, need, degree=None):
+    """Refuse x, saying what the caller needs: TypeError unless it is a
+    `kind`, WrongDegree unless it is zero or of the given degree."""
+    if not isinstance(x, kind):
+        raise TypeError("%s, not a %s" % (need, type(x).__name__))
+    if degree is not None and x.degree() not in (None, degree):
+        raise WrongDegree(need)
+
+
 def _accumulate(out, key, c):
     """Add c to out[key], dropping the key when the sum vanishes."""
     prev = out.get(key)
@@ -191,7 +200,7 @@ class Graded:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = self.context.base + self.context.fiber
+        names = self.context.gens
         parts = []
         for m in sorted(self.terms,
                         key=lambda k: (sum(map(len, self._blocks(k))), k)):
@@ -283,7 +292,7 @@ def _d_half(u, v, gens):
         du = [(m.index(gen), m, c) for m, c in u.terms.items() if gen in m]
         if not du:
             continue
-        var = ctx.vars[ctx.nparams + gen]
+        var = ctx.gens[gen]
         for m2, c2 in v.terms.items():
             dc = c2.derivative(var)
             if dc.is_zero():
@@ -305,6 +314,7 @@ def schouten(u, v):
     The sums run over the generators that occur in u or v, in increasing
     order: any other one has zero right derivative in both operands.
     """
+    _operand(u, Multivector, "schouten needs multivectors")
     u._same(v)
     du = u.degree()
     dv = v.degree()
@@ -323,15 +333,17 @@ def schouten(u, v):
 
 def d_scalar(f):
     """Differential of a function as a 1-form (base and fiber directions)."""
+    _operand(f, RatFunc, "d_scalar needs a function")
     return exterior_derivative(DiffForm.scalar(f))
 
 
 def exterior_derivative(omega):
     """Exterior derivative on the total space."""
+    _operand(omega, DiffForm, "exterior_derivative needs a form")
     ctx = omega.context
     return DiffForm.from_terms(ctx, [
-        ((i,) + m, c.derivative(ctx.vars[ctx.nparams + i]))
-        for m, c in omega.terms.items() for i in range(ctx.p + ctx.q)])
+        ((i,) + m, c.derivative(name))
+        for m, c in omega.terms.items() for i, name in enumerate(ctx.gens)])
 
 
 def _contract(a, u):
@@ -350,13 +362,15 @@ def _contract(a, u):
 
 def interior_form(x, omega):
     """i_X omega for a degree-1 multivector X (first-slot contraction)."""
-    if x.degree() not in (None, 1):
-        raise WrongDegree("interior product needs a vector field")
+    _operand(x, Multivector, "interior product needs a vector field", 1)
+    _operand(omega, DiffForm, "interior product needs a form")
     return _contract(x, omega)
 
 
 def pairing(u, omega):
     """Full contraction <u, omega> of equal-degree multivector and form."""
+    _operand(u, Multivector, "pairing needs a multivector")
+    _operand(omega, DiffForm, "pairing needs a form")
     if u.context != omega.context:
         raise ContextMismatch("operands live on different charts")
     total = RatFunc.zero(u.context)
@@ -369,8 +383,7 @@ def pairing(u, omega):
 
 def lie_derivative(x, omega):
     """Cartan formula L_X = i_X d + d i_X on forms."""
-    if x.degree() not in (None, 1):
-        raise WrongDegree("lie_derivative needs a vector field")
+    _operand(x, Multivector, "lie_derivative needs a vector field", 1)
     return interior_form(x, exterior_derivative(omega)) + \
         exterior_derivative(interior_form(x, omega))
 
@@ -381,10 +394,8 @@ def lie_derivative(x, omega):
 
 def sharp(pi, alpha):
     """pi^#(alpha), the convention pinned by pi^#(alpha)(beta) = pi(alpha, beta)."""
-    if pi.degree() not in (None, 2):
-        raise WrongDegree("sharp needs a bivector")
-    if alpha.degree() not in (None, 1):
-        raise WrongDegree("contraction needs a 1-form")
+    _operand(pi, Multivector, "sharp needs a bivector", 2)
+    _operand(alpha, DiffForm, "contraction needs a 1-form", 1)
     return _contract(alpha, pi)
 
 
@@ -400,8 +411,8 @@ def poisson_bracket(pi, f, g):
 
 def cotangent_bracket(pi, alpha, beta):
     """[alpha, beta]_pi = L_{pi#a}(beta) - L_{pi#b}(alpha) - d pi(alpha, beta)."""
-    if alpha.degree() not in (None, 1) or beta.degree() not in (None, 1):
-        raise WrongDegree("cotangent bracket needs 1-forms")
+    _operand(alpha, DiffForm, "cotangent bracket needs 1-forms", 1)
+    _operand(beta, DiffForm, "cotangent bracket needs 1-forms", 1)
     xa = sharp(pi, alpha)
     xb = sharp(pi, beta)
     pab = pairing(pi, alpha.wedge(beta))
@@ -414,7 +425,6 @@ class PoissonCheck(Verdict):
 
 def is_poisson(pi):
     """Zero test of [pi, pi]; returns the exact residual alongside."""
-    if pi.degree() not in (None, 2):
-        raise WrongDegree("is_poisson needs a bivector")
+    _operand(pi, Multivector, "is_poisson needs a bivector", 2)
     residual = schouten(pi, pi)
     return PoissonCheck(residual.is_zero(), residual)

@@ -27,7 +27,8 @@ from .errors import (
     NotFiberPolynomial,
     ZeroParameter,
 )
-from .multivector import DiffForm, Graded, Multivector, _sort_block, schouten
+from .multivector import (DiffForm, Graded, Multivector, _operand,
+                          _sort_block, schouten)
 from .rational import RatFunc
 
 __all__ = [
@@ -71,6 +72,7 @@ class MixedElement(Graded):
 
 def validate_membership(e):
     """Classify as OMEGA_E, OMEGA_TILDE or INVALID per the term constraints."""
+    _operand(e, MixedElement, "validate_membership needs a mixed element")
     tilde = False
     for (I, J, K), c in e.terms.items():
         if not J:
@@ -84,19 +86,13 @@ def validate_membership(e):
 
 
 def _require_tilde(e):
-    m = validate_membership(e)
-    if m == INVALID:
+    if validate_membership(e) == INVALID:
         raise InvalidElement("element is not in the extended bigraded algebra")
-    return m
 
 
 # ---------------------------------------------------------------------------
 # the ltimes bracket
 # ---------------------------------------------------------------------------
-
-def _base_var(ctx, j):
-    return ctx.vars[ctx.nparams + j]
-
 
 def _lie_fn(ctx, a, I1, j, c, I2, rest, sign, items):
     """Append sign * L_{a dx^I1 (x) d/dx_j} (c dx^I2) to items, each form
@@ -105,7 +101,7 @@ def _lie_fn(ctx, a, I1, j, c, I2, rest, sign, items):
     The Froelicher-Nijenhuis Lie derivative of a form along a trivial lift:
     a * (dc/dx_j) dx^I1^I2 + (-1)^|I1| (da ^ dx^I1) ^ i_{d/dx_j}(dx^I2) * c.
     """
-    dc = c.derivative(_base_var(ctx, j))
+    dc = c.derivative(ctx.gens[j])
     if not dc.is_zero():
         key, s = _sort_block(I1 + I2)
         if key is not None:
@@ -118,7 +114,7 @@ def _lie_fn(ctx, a, I1, j, c, I2, rest, sign, items):
     if (len(I1) + pos) % 2:
         sign = -sign
     for m in range(ctx.p):
-        da = a.derivative(_base_var(ctx, m))
+        da = a.derivative(ctx.gens[m])
         if da.is_zero():
             continue
         key, s = _sort_block((m,) + I1 + I2c)
@@ -137,8 +133,6 @@ def _vv_pair(ctx, t1, c1, t2, c2, items):
     u = Multivector(ctx, {K1: c1})
     v = Multivector(ctx, {K2: c2})
     sv = schouten(u, v)
-    if sv.is_zero():
-        return
     s0 = 1 if (len(I2) * (len(K1) - 1)) % 2 == 0 else -1
     s = s0 * fsign
     for km, cm in sv.terms.items():
@@ -152,6 +146,7 @@ def ltimes_bracket(u, v):
     bidegree-homogeneous terms is bracketed with its own signs, and every
     term goes into one list that becomes the result's store at the end.
     """
+    _operand(u, MixedElement, "ltimes_bracket needs mixed elements")
     u._same(v)
     _require_tilde(u)
     _require_tilde(v)
@@ -199,11 +194,13 @@ def euler_field(ctx):
 
 def p_S(u):
     """Projection to the base: the horizontal lift terms only."""
+    _operand(u, MixedElement, "p_S needs a mixed element")
     return u.horizontal_part()
 
 
 def mixed_from_multivector(mv):
     """Raw repackaging of a multivector as a form-degree-zero element."""
+    _operand(mv, Multivector, "mixed_from_multivector needs a multivector")
     ctx = mv.context
     out = {}
     for key, c in mv.terms.items():
@@ -216,6 +213,7 @@ def mixed_from_multivector(mv):
 
 def mixed_from_base_form(omega):
     """A base differential form as a (p, 0) element."""
+    _operand(omega, DiffForm, "mixed_from_base_form needs a form")
     ctx = omega.context
     out = {}
     for key, c in omega.terms.items():
@@ -227,6 +225,7 @@ def mixed_from_base_form(omega):
 
 def base_form_of(e):
     """Inverse of mixed_from_base_form on pure (p, 0) elements."""
+    _operand(e, MixedElement, "base_form_of needs a mixed element")
     out = {}
     for (I, J, K), c in e.terms.items():
         if J or K:
@@ -237,6 +236,7 @@ def base_form_of(e):
 
 def curvature(gamma):
     """R = (1/2)[Gamma, Gamma] for an Ehresmann connection element."""
+    _operand(gamma, MixedElement, "curvature needs a mixed element")
     if gamma.horizontal_part() != gamma_S(gamma.context):
         raise NotAConnection("projection to the base is not the identity")
     return ltimes_bracket(gamma, gamma).scale(RatFunc.half(gamma.context))
@@ -248,6 +248,7 @@ def curvature(gamma):
 
 def dilation(u, t):
     """phi_t: per term t^(|J|-1) c(x, t y) dx^I (x) d/dx^J ^ d/dy^K."""
+    _operand(u, MixedElement, "dilation needs a mixed element")
     ctx = u.context
     if not isinstance(t, RatFunc):
         t = RatFunc.const(ctx, t)
@@ -268,21 +269,17 @@ def dilation(u, t):
 def ds_n(u, n):
     """The degree-n derivative along S: per term, the fiber-homogeneous
     part of degree n - |J| of the coefficient."""
+    _operand(u, MixedElement, "ds_n needs a mixed element")
     if n < 0:
         raise ValueError("derivative order must be >= 0")
-    out = []
-    for (I, J, K), c in u.terms.items():
-        d = n - len(J)
-        if d < 0:
-            continue
-        part = c.fiber_homogeneous_part(d)
-        if not part.is_zero():
-            out.append((((I, J, K)), part))
-    return MixedElement.from_terms(u.context, out)
+    return MixedElement.from_terms(u.context, [
+        (key, c.fiber_homogeneous_part(n - len(key[1])))
+        for key, c in u.terms.items() if len(key[1]) <= n])
 
 
 def jet_n(u, n):
     """j^n = sum of the derivatives of orders 0..n along S."""
+    _operand(u, MixedElement, "jet_n needs a mixed element")
     if n < 0:
         raise ValueError("jet order must be >= 0")
     total = MixedElement.zero(u.context)
@@ -293,6 +290,7 @@ def jet_n(u, n):
 
 def gr_project(u, l):
     """Projection on the homogeneity-l part of a fiber-polynomial element."""
+    _operand(u, MixedElement, "gr_project needs a mixed element")
     for _, c in u.terms.items():
         if not c.is_fiber_polynomial():
             raise NotFiberPolynomial(

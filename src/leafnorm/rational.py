@@ -107,13 +107,15 @@ class ChartContext:
     """
 
     __slots__ = ("params", "base", "fiber", "vars", "_index", "nparams", "p",
-                 "q", "_shifts", "deg_shift", "guard", "fiber_mask")
+                 "q", "_shifts", "deg_shift", "guard", "fiber_mask", "gens")
 
     def __init__(self, base, fiber, params=()):
         self.params = tuple(params)
         self.base = tuple(base)
         self.fiber = tuple(fiber)
-        self.vars = self.params + self.base + self.fiber
+        # generator g of a graded object is the variable gens[g]
+        self.gens = self.base + self.fiber
+        self.vars = self.params + self.gens
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable names in chart")
         for name in self.vars:
@@ -703,12 +705,7 @@ def poly_gcd(f, g):
                 Poly(ctx, {m - low: c for m, c in a.items()}),
                 Poly(ctx, {m - low: c for m, c in b.items()}))
     low, F, G = _gcd_operands(f, g)
-    # operands that share no variable are coprime once their monomial
-    # content is out
-    if any(F.depends_on(i) and G.depends_on(i) for i in range(len(ctx.vars))):
-        h, qf, qg = _trial_divisor(F, G) or _heu_gcd(F, G) or _prs(F, G)
-    else:
-        h, qf, qg = Poly(ctx, {0: 1}), F, G
+    h, qf, qg = _trial_divisor(F, G) or _heu_gcd(F, G) or _prs(F, G)
     # F and G are primitive, so h is too, with a positive leading
     # coefficient; multiplying it by the monomial gcd is a shift
     if low:
@@ -763,13 +760,15 @@ def _cofactor(q, f, F, low):
 
 
 def _prs(f, g):
-    """(h, f/h, g/h) for primitive f and g that share a variable, with h
-    their canonical gcd: the primitive PRS in the shared variable x of
-    least degree.  `_content_free_part` splits off the content in x of each
-    operand and of each pseudo-remainder; the contents' gcd comes from
+    """(h, f/h, g/h) for primitive f and g, with h their canonical gcd: 1 if
+    they share no variable, else by the primitive PRS in the shared variable
+    x of least degree.  `_content_free_part` splits off the content in x of
+    each operand and of each pseudo-remainder; the contents' gcd comes from
     `poly_gcd`, and has one variable fewer than the PRS that asks for it."""
     fdeg, gdeg = _fieldwise(max, f), _fieldwise(max, g)
     shared = [i for i, (df, dg) in enumerate(zip(fdeg, gdeg)) if df and dg]
+    if not shared:
+        return Poly(f.ctx, {0: 1}), f, g
     x = min(shared, key=lambda i: min(fdeg[i], gdeg[i]))
     cf, a = _content_free_part(f, x)
     cg, b = _content_free_part(g, x)
@@ -1188,22 +1187,13 @@ class RatFunc:
         num = str(self.num)
         if len(self.num.terms) > 1:
             num = "(%s)" % num
+        # a sum or a product needs parentheses to re-parse as the denominator
         den = str(self.den)
-        if len(self.den.terms) > 1 or _den_needs_parens(self.den):
+        if len(self.den.terms) > 1 or "*" in den:
             den = "(%s)" % den
         return "%s/%s" % (num, den)
 
     __repr__ = __str__
-
-
-def _den_needs_parens(den):
-    # single-term denominators need parens unless they are a bare constant
-    # or a bare variable power (so the printed string re-parses to the same value)
-    (mono, c), = den.exponents()
-    nfac = sum(1 for e in mono if e)
-    if nfac == 0:
-        return False
-    return not (nfac == 1 and c == 1)
 
 
 def ratfunc_normalize(num, den):

@@ -10,6 +10,8 @@ With these signs the leaf form is omega_S = -gamma|_S = (theta|_S)^-1 and
 assemble inverts decompose exactly.
 """
 
+from itertools import combinations
+
 from .errors import (
     ContextMismatch,
     DegenerateFPart,
@@ -21,12 +23,12 @@ from .errors import (
     Record,
     SingularMatrix,
     Verdict,
-    WrongDegree,
 )
 from .linalg import MatrixRF, matrix_inverse
 from .multivector import (
     DiffForm,
     Multivector,
+    _operand,
     _sort_block,
     exterior_derivative,
     schouten,
@@ -113,12 +115,11 @@ class HorizontalData(Record):
 
 def _antisymmetric(ctx, n, entries):
     """The n x n antisymmetric matrix with the given ((i, j), c) entries."""
-    z = RatFunc.zero(ctx)
-    m = [[z for _ in range(n)] for _ in range(n)]
+    m = MatrixRF.zero(ctx, n, n)
     for (i, j), c in entries:
-        m[i][j] = c
-        m[j][i] = -c
-    return MatrixRF(ctx, m)
+        m.entries[i][j] = c
+        m.entries[j][i] = -c
+    return m
 
 
 def _upper(m):
@@ -129,22 +130,20 @@ def _upper(m):
 
 def horizontal_blocks(theta):
     """Read the blocks off a degree-2 multivector (uniquely)."""
-    if theta.degree() not in (None, 2):
-        raise WrongDegree("block decomposition needs a bivector")
+    _operand(theta, Multivector, "block decomposition needs a bivector", 2)
     ctx = theta.context
     p, q = ctx.p, ctx.q
-    z = RatFunc.zero(ctx)
     A = []
-    B = [[z for _ in range(q)] for _ in range(p)]
+    B = MatrixRF.zero(ctx, p, q)
     C = []
     for (i, j), c in theta.terms.items():
         if j < p:
             A.append(((i, j), c))
         elif i < p:
-            B[i][j - p] = c
+            B.entries[i][j - p] = c
         else:
             C.append(((i - p, j - p), c))
-    return HorizontalData(_antisymmetric(ctx, p, A), MatrixRF(ctx, B, q),
+    return HorizontalData(_antisymmetric(ctx, p, A), B,
                           _antisymmetric(ctx, q, C))
 
 
@@ -417,9 +416,8 @@ def linearization_cocycle(theta, omega):
     ctx = theta.context
     total = Multivector.zero(ctx)
     for (i, j), c in omega.terms.items():
-        di = DiffForm(ctx, {(i,): RatFunc.one(ctx)})
-        dj = DiffForm(ctx, {(j,): RatFunc.one(ctx)})
-        total = total + sharp(theta, di).wedge(sharp(theta, dj)).scale(c)
+        total = total + sharp(theta, DiffForm.basis(ctx, i)).wedge(
+            sharp(theta, DiffForm.basis(ctx, j))).scale(c)
     cocycle = theta - total
     if not schouten(theta, cocycle).is_zero():
         raise InvalidElement("linearization cocycle is not d_pi-closed")
@@ -431,10 +429,11 @@ def linearization_cocycle(theta, omega):
 # ---------------------------------------------------------------------------
 
 def _pair(form, lifts):
-    """A base k-form on a k-vector of horizontal lifts: the sum of the terms
-    of their wedge whose form and lift blocks agree."""
-    return sum((c for (I, J, K), c in form.wedge(lifts).terms.items()
-                if I == J and not K), RatFunc.zero(form.context))
+    """A base k-form on a k-vector of horizontal lifts: the sum, over the
+    form's terms c dx^I, of c times the coefficient of the lift d/dx^I."""
+    return sum((c * lifts.terms[((), I, ())]
+                for (I, _, _), c in form.terms.items()
+                if ((), I, ()) in lifts.terms), RatFunc.zero(form.context))
 
 
 class AlgebroidData(Record):
@@ -448,9 +447,6 @@ class AlgebroidData(Record):
     __slots__ = ("context", "v_part", "conn_part", "sigma")
 
     # -- frame -----------------------------------------------------------
-
-    def zero_section(self):
-        return MixedElement.zero(self.context)
 
     def frame(self):
         """The unit sections, base directions first."""
@@ -503,15 +499,8 @@ class AlgebroidData(Record):
             self.bracket(self.bracket(s3, s1), s2)
 
     def jacobi_residuals(self):
-        frame = self.frame()
-        out = []
-        n = len(frame)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    out.append(self.jacobi_residual(frame[i], frame[j],
-                                                    frame[k]))
-        return out
+        return [self.jacobi_residual(*triple)
+                for triple in combinations(self.frame(), 3)]
 
     def leibniz_residual(self, s1, s2, f):
         lhs = self.bracket(s1, s2.scale(f))

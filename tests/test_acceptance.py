@@ -466,7 +466,6 @@ def test_criterion_11_property_suites():
     for _ in range(n):
         picks = []
         for _ in range(3):
-            s = data.zero_section()
             base = rng.choice(frame)
             f = rf(Poly.var(CTX3, rng.choice(CTX3.base)) ** rng.randint(0, 1) *
                    Q(rng.randint(1, 2)))

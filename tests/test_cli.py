@@ -295,6 +295,26 @@ def test_non_utf8_program_exits_2(tmp_path):
     assert "cannot read" in res.stderr
 
 
+def test_program_with_a_byte_order_mark_runs(tmp_path):
+    # a leading mark is the file's encoding signature, as in Python source;
+    # dsl.parse still refuses U+FEFF inside program text
+    plain, marked = tmp_path / "plain.lnf", tmp_path / "marked.lnf"
+    plain.write_text(GOOD, encoding="utf-8")
+    marked.write_text(GOOD, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    for fmt in ("json", "text"):
+        res = run_cli(["run", "--format", fmt, str(marked)])
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == run_cli(["run", "--format", fmt,
+                                      str(plain)]).stdout
+    assert run_cli(["check", str(marked)]).returncode == 0
+    inner = tmp_path / "inner.lnf"
+    inner.write_text(GOOD + "\ufeff", encoding="utf-8")
+    res = run_cli(["run", str(inner)])
+    assert res.returncode == 2
+    assert "unexpected character '\\ufeff'" in res.stderr
+
+
 def test_repeated_chart_name_exits_2(tmp_path):
     f = tmp_path / "repeat.lnf"
     for chart, col in (("chart { base:[u, u]; fiber:[y]; }", 18),

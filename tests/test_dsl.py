@@ -521,3 +521,26 @@ def test_zero_factor_leaves_no_terms():
            "emit(a);\nemit(b);\n")
     report = execute(parse(src))
     assert [r.value for r in report.records] == ["0", "1"]
+
+
+def test_emit_prints_a_period_model():
+    src = """
+chart { base:[u]; fiber:[y]; params:[r, PI]; }
+let m = period_model(PI/(1 + r^2), PI*r);
+emit(m);
+"""
+    (rec,) = execute(parse(src)).records
+    assert rec.ok
+    assert rec.value == ("period_model(transverse=[r]; "
+                         "periods=(PI/(r^2 + 1), r*PI))")
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ("dx[y1] ^ d/du", "mixed elements only take base covariant directions"),
+    ("dx[u] ^ d/du ^ d/dv", "element violates the mixed-degree constraints"),
+], ids=["fiber-form", "two-lifts"])
+def test_malformed_mixed_elements_are_refused(rhs, message):
+    src = "chart { base:[u, v]; fiber:[y1]; }\nlet a = %s;\n" % rhs
+    (rec,) = execute(parse(src)).records
+    assert not rec.ok
+    assert rec.value == "error: _EvalError: %s" % message

@@ -317,3 +317,70 @@ def test_is_poisson_flags_non_jacobi():
     assert not chk.residual.is_zero()
     with pytest.raises(WrongDegree):
         is_poisson(vec(0))
+
+
+
+# --- operand kinds ------------------------------------------------------------
+
+# operands of the right degree but the wrong kind
+_PI = so3_linear()
+_TWO_FORM = DiffForm(CTX, {(2, 3): RatFunc.one(CTX)})
+_ONE_FORM = DiffForm.basis(CTX, 0)
+_F = coeff(Poly.var(CTX, "y1"))
+
+
+@pytest.mark.parametrize("call, kind", [
+    pytest.param(lambda: is_poisson(_TWO_FORM), "DiffForm", id="is_poisson"),
+    pytest.param(lambda: sharp(_PI, vec(0)), "Multivector", id="sharp-alpha"),
+    pytest.param(lambda: sharp(_TWO_FORM, _ONE_FORM), "DiffForm",
+                 id="sharp-pi"),
+    pytest.param(lambda: interior_form(_ONE_FORM, _TWO_FORM), "DiffForm",
+                 id="interior_form-x"),
+    pytest.param(lambda: interior_form(vec(0), _PI), "Multivector",
+                 id="interior_form-omega"),
+    pytest.param(lambda: pairing(_TWO_FORM, _PI), "DiffForm", id="pairing-u"),
+    pytest.param(lambda: pairing(_PI, _PI), "Multivector",
+                 id="pairing-omega"),
+    pytest.param(lambda: schouten(_TWO_FORM, _TWO_FORM), "DiffForm",
+                 id="schouten"),
+    pytest.param(lambda: exterior_derivative(vec(0)), "Multivector",
+                 id="exterior_derivative"),
+    pytest.param(lambda: d_scalar(Poly.var(CTX, "y1")), "Poly",
+                 id="d_scalar"),
+    pytest.param(lambda: lie_derivative(_ONE_FORM, _TWO_FORM), "DiffForm",
+                 id="lie_derivative-x"),
+    pytest.param(lambda: lie_derivative(vec(0), _PI), "Multivector",
+                 id="lie_derivative-omega"),
+    pytest.param(lambda: cotangent_bracket(_PI, vec(0), _ONE_FORM),
+                 "Multivector", id="cotangent_bracket-alpha"),
+    pytest.param(lambda: cotangent_bracket(_PI, _ONE_FORM, vec(1)),
+                 "Multivector", id="cotangent_bracket-beta"),
+    pytest.param(lambda: hamiltonian(_TWO_FORM, _F), "DiffForm",
+                 id="hamiltonian-pi"),
+    pytest.param(lambda: hamiltonian(_PI, vec(0)), "Multivector",
+                 id="hamiltonian-f"),
+    pytest.param(lambda: poisson_bracket(_TWO_FORM, _F, _F), "DiffForm",
+                 id="poisson_bracket-pi"),
+    pytest.param(lambda: poisson_bracket(_PI, _F, _ONE_FORM), "DiffForm",
+                 id="poisson_bracket-g"),
+])
+def test_operands_of_the_wrong_kind_are_refused(call, kind):
+    with pytest.raises(TypeError, match=r", not a %s$" % kind):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: interior_form(_PI, _ONE_FORM),
+                 "interior product needs a vector field", id="interior_form"),
+    pytest.param(lambda: lie_derivative(_PI, _ONE_FORM),
+                 "lie_derivative needs a vector field", id="lie_derivative"),
+    pytest.param(lambda: sharp(vec(0), _ONE_FORM), "sharp needs a bivector",
+                 id="sharp-pi"),
+    pytest.param(lambda: sharp(_PI, _TWO_FORM), "contraction needs a 1-form",
+                 id="sharp-alpha"),
+    pytest.param(lambda: cotangent_bracket(_PI, _ONE_FORM, _TWO_FORM),
+                 "cotangent bracket needs 1-forms", id="cotangent_bracket"),
+])
+def test_operands_of_the_wrong_degree_are_refused(call, message):
+    with pytest.raises(WrongDegree, match="^%s$" % message):
+        call()

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from leafnorm.errors import (
-    InvalidElement, NotAConnection, NotFiberPolynomial, ZeroParameter,
+    ContextMismatch, InvalidElement, NotAConnection, NotFiberPolynomial,
+    ZeroParameter,
 )
 from leafnorm.multivector import DiffForm, Multivector, exterior_derivative, schouten
 from leafnorm.omega import (
@@ -386,3 +387,62 @@ def test_base_form_roundtrip():
     assert base_form_of(mixed_from_base_form(omega)) == omega
     with pytest.raises(InvalidElement):
         mixed_from_base_form(DiffForm(CTX, {(2,): RatFunc.one(CTX)}))
+
+
+# --- operand kinds and refusals -----------------------------------------------
+
+_BIVECTOR = Multivector(CTX, {(2, 3): rf(pv("y1"))})
+
+
+@pytest.mark.parametrize("call, kind", [
+    pytest.param(lambda: ltimes_bracket(_BIVECTOR, _BIVECTOR), "Multivector",
+                 id="ltimes_bracket"),
+    pytest.param(lambda: ds_n(_BIVECTOR, 1), "Multivector", id="ds_n"),
+    pytest.param(lambda: jet_n(_BIVECTOR, 1), "Multivector", id="jet_n"),
+    pytest.param(lambda: dilation(_BIVECTOR, 2), "Multivector",
+                 id="dilation"),
+    pytest.param(lambda: curvature(_BIVECTOR), "Multivector", id="curvature"),
+    pytest.param(lambda: gr_project(_BIVECTOR, 1), "Multivector",
+                 id="gr_project"),
+    pytest.param(lambda: is_homogeneous(_BIVECTOR, 1), "Multivector",
+                 id="is_homogeneous"),
+    pytest.param(lambda: validate_membership(_BIVECTOR), "Multivector",
+                 id="validate_membership"),
+    pytest.param(lambda: p_S(_BIVECTOR), "Multivector", id="p_S"),
+    pytest.param(lambda: base_form_of(DiffForm.basis(CTX, 0)), "DiffForm",
+                 id="base_form_of"),
+    pytest.param(lambda: mixed_from_base_form(_BIVECTOR), "Multivector",
+                 id="mixed_from_base_form"),
+    pytest.param(lambda: mixed_from_multivector(DiffForm.basis(CTX, 0)),
+                 "DiffForm", id="mixed_from_multivector"),
+])
+def test_operands_of_the_wrong_kind_are_refused(call, kind):
+    with pytest.raises(TypeError, match=r", not a %s$" % kind):
+        call()
+
+
+def test_bracket_refuses_an_element_outside_the_algebra():
+    # a horizontal lift with a fiber-dependent coefficient
+    bad = me(CTX, [(((), (0,), ()), rf(pv("y1")))])
+    with pytest.raises(InvalidElement,
+                       match="^element is not in the extended bigraded "
+                             "algebra$"):
+        ltimes_bracket(gamma_S(CTX), bad)
+
+
+def test_base_form_of_refuses_contravariant_directions():
+    with pytest.raises(InvalidElement,
+                       match="^element has contravariant directions$"):
+        base_form_of(gamma_S(CTX))
+
+
+def test_dilation_parameter_on_another_chart_is_refused():
+    other = ChartContext(base=["x1", "x2"], fiber=["y1", "y2"], params=["t"])
+    with pytest.raises(ContextMismatch,
+                       match="^parameter lives on a different chart$"):
+        dilation(gamma_S(CTX), RatFunc.var(other, "t"))
+
+
+def test_derivative_along_s_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="^derivative order must be >= 0$"):
+        ds_n(gamma_S(CTX), -1)

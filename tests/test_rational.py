@@ -817,10 +817,12 @@ def test_print_determinism_and_reparse_shape():
     s2 = str(rf(-2 * x * y + y, (1 + x * x) ** 2))
     assert s1 == s2
     assert "/" in s1 and "(" in s1
-    # a single-term denominator takes parentheses unless it is a bare power
+    # a single-term denominator takes parentheses when it prints with a
+    # "*", and a bare constant or power takes none
     chart = "chart { base:[x, y]; fiber:[y1, y2, y3]; }\n"
     for f, text in ((rf(c(1), 2 * x), "1/(2*x)"), (rf(c(1), x * x), "1/x^2"),
-                    (rf(c(1), x * y), "1/(x*y)")):
+                    (rf(c(1), x * y), "1/(x*y)"), (rf(x, c(2)), "x/2"),
+                    (rf(c(1), 3 * x * x * y), "1/(3*x^2*y)")):
         assert str(f) == text
         rhs = dsl.parse(chart + "let f = %s;\n" % text).bindings[0].rhs
         assert interp._eval_expr(rhs, CTX) == f
@@ -894,6 +896,24 @@ def test_poly_gcd_cofactors_restore_monomial_and_integer_content():
     # only monomial content in common: the early exit divides
     assert poly_gcd(f, 2 * u * y1 * (1 + y2)) == (u * y1, -6 * u * (u + y2),
                                                   2 + 2 * y2)
+
+
+def test_operands_that_share_no_variable_are_coprime():
+    ctx = ChartContext(base=["u"], fiber=["y1", "y2"])
+    u, y1, y2 = (Poly.var(ctx, n) for n in ctx.vars)
+    # the gcd is the monomial content the two share
+    f = 6 * u * y2 * (u + 1)
+    g = 4 * u * y1 * (y1 + 3)
+    assert poly_gcd(f, g) == (u, 6 * y2 * (u + 1), 4 * y1 * (y1 + 3))
+    assert poly_gcd(u + 1, y1 + y2) == (1, u + 1, y1 + y2)
+    # the PRS has no shared variable to run in: the gcd is 1
+    assert rational._prs(u + 1, y1 + 3) == (1, u + 1, y1 + 3)
+
+
+def test_chart_generators_are_the_base_then_the_fiber():
+    ctx = ChartContext(base=["u"], fiber=["y1", "y2"], params=["t"])
+    assert ctx.gens == ("u", "y1", "y2")
+    assert ctx.vars == ("t",) + ctx.gens
 
 
 def test_normalize_and_multiply_leave_division_to_poly_gcd(monkeypatch):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from leafnorm import vorobjev
 from leafnorm.errors import (
-    DegenerateFPart, InvalidElement, LeafCheckFailed, NotFirstOrder,
-    NotHorizontallyNondegenerate,
+    ContextMismatch, DegenerateFPart, InvalidElement, LeafCheckFailed,
+    NotDivisibleByT, NotFirstOrder, NotHorizontallyNondegenerate, WrongDegree,
 )
 from leafnorm.linalg import MatrixRF
 from leafnorm.models import linear_poisson, so3
@@ -16,7 +17,7 @@ from leafnorm.rational import ChartContext, Poly, RatFunc
 from leafnorm.vorobjev import (
     DiracElement, algebroid_from_jet, assemble,
     chain_map_residual, decompose, first_jet_model, gamma_dot_1,
-    graded_differential, is_horizontally_nondegenerate,
+    graded_differential, horizontal_blocks, is_horizontally_nondegenerate,
     leaf_check, linearization_cocycle, moser_at, moser_gamma_dot, moser_path,
     structure_equations, tau, tau_inverse,
 )
@@ -653,3 +654,98 @@ def test_graded_differential_matches_chevalley_eilenberg():
         (((), (), (4,)), RatFunc.var(CTX3, "y2")),
         (((), (), (3,)), -RatFunc.var(CTX3, "y3"))])
     assert out == expected
+
+
+# --- refusals -----------------------------------------------------------------
+
+def _sphere_gamma():
+    return decompose(sphere_bivector(CTX3, True))
+
+
+@pytest.mark.parametrize("parts, error, message", [
+    pytest.param(lambda g: (g.v_part.cast(ChartContext(
+        base=["u", "v"], fiber=["y1", "y2", "y3"], params=["s"])),
+        g.conn_part, g.f_part), ContextMismatch,
+        "components live on different charts", id="chart"),
+    pytest.param(lambda g: (g.v_part, g.conn_part, g.f_part + MixedElement(
+        CTX3, {((0,), (), (2,)): RatFunc.one(CTX3)})), InvalidElement,
+        r"two-form part must be of bidegree \(2,0\)", id="two-form"),
+    pytest.param(lambda g: (g.v_part, MixedElement.zero(CTX3), g.f_part),
+                 InvalidElement,
+                 "connection part does not project to the identity",
+                 id="projection"),
+    pytest.param(lambda g: (g.v_part, g.conn_part + MixedElement(
+        CTX3, {((0, 1), (), ()): RatFunc.one(CTX3)}), g.f_part),
+        InvalidElement, r"connection part must be of bidegree \(1,1\)",
+        id="connection"),
+])
+def test_dirac_element_refuses_malformed_parts(parts, error, message):
+    with pytest.raises(error, match="^%s$" % message):
+        DiracElement(*parts(_sphere_gamma()))
+
+
+def test_horizontal_blocks_need_a_bivector():
+    with pytest.raises(WrongDegree,
+                       match="^block decomposition needs a bivector$"):
+        horizontal_blocks(Multivector.basis(CTX3, 0))
+
+
+def test_horizontal_blocks_refuse_a_form():
+    with pytest.raises(TypeError,
+                       match="^block decomposition needs a bivector, "
+                             "not a DiffForm$"):
+        horizontal_blocks(DiffForm(CTX3, {(0, 1): RatFunc.one(CTX3)}))
+
+
+def test_tau_inverse_refuses_lift_terms():
+    with pytest.raises(InvalidElement,
+                       match="^tau inverse expects an element with no "
+                             "horizontal lift terms$"):
+        tau_inverse(symplectic_2d(CTX3), gamma_S(CTX3))
+
+
+def test_moser_path_refuses_a_coefficient_singular_at_t_zero(monkeypatch):
+    # with phi_t the identity, (t gamma - gamma|_S) / t has the pole
+    # gamma|_S / t, which no valid dilation produces
+    monkeypatch.setattr(vorobjev, "dilation", lambda u, t: u)
+    with pytest.raises(NotDivisibleByT,
+                       match="^path coefficient is singular at t = 0$"):
+        moser_path(_sphere_gamma())
+
+
+def test_gamma_dot_needs_a_leaf():
+    f = MixedElement(CTX, {((0, 1), (), ()): rf(pv("y1"))})
+    gamma = DiracElement(MixedElement.zero(CTX), gamma_S(CTX), f)
+    with pytest.raises(LeafCheckFailed,
+                       match="^the zero section is not a symplectic leaf$"):
+        gamma_dot_1(gamma)
+
+
+def test_graded_differential_refusals():
+    gamma = decompose(symplectic_2d(CTX3) + so3_linear(CTX3))
+    delta = ds_n(gamma.as_mixed(), 1)
+    with pytest.raises(ValueError, match="^grading level must be >= 0$"):
+        graded_differential(delta, -1)
+    y1 = RatFunc.var(CTX3, "y1")
+    with pytest.raises(InvalidElement,
+                       match="^argument is not homogeneous of degree 1$"):
+        graded_differential(delta, 1)(MixedElement.scalar(y1 * y1))
+
+
+def test_algebroid_pairs_forms_and_lifts_by_key():
+    # the pairing is the sum of the wedge's terms whose blocks agree
+    u, v = rf(pv("u", CTX3)), rf(pv("v", CTX3))
+    y1 = rf(pv("y1", CTX3))
+    form = MixedElement.from_terms(CTX3, [
+        (((0, 1), (), ()), u * y1), (((0,), (), ()), v)])
+    lifts = MixedElement.from_terms(CTX3, [
+        (((), (0, 1), ()), v), (((), (1,), ()), u),
+        (((), (0,), ()), y1 + 1)])
+    for k in (1, 2):
+        f_k = form.bidegree_part(k, 0)
+        l_k = lifts.bidegree_part(0, k)
+        expected = sum((c for (I, J, K), c in f_k.wedge(l_k).terms.items()
+                        if I == J and not K), RatFunc.zero(CTX3))
+        assert vorobjev._pair(f_k, l_k) == expected
+    assert vorobjev._pair(form.bidegree_part(2, 0),
+                          lifts.bidegree_part(0, 2)) == u * v * y1
