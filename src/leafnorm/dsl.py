@@ -231,11 +231,10 @@ class _Parser:
             items.append(item())
         return tuple(items)
 
-    def bracketed(self, item, empty=False):
-        """A list [item, item, ...] as a tuple; "[]" only if empty is set."""
+    def bracketed(self, item):
+        """A list [item, item, ...] as a tuple, "[]" the empty one."""
         self.expect("[")
-        items = () if empty and self.tokens[self.pos] == "]" else \
-            self.comma_list(item)
+        items = () if self.tokens[self.pos] == "]" else self.comma_list(item)
         self.expect("]")
         return items
 
@@ -276,7 +275,7 @@ class _Parser:
                 continue
             self.expect(word)
             self.expect(":")
-            lists.append(self.bracketed(name, empty=True))
+            lists.append(self.bracketed(name))
             self.expect(";")
         self.expect("}")
         return ChartDecl(*lists)
@@ -489,7 +488,7 @@ _ARGS = {
     "bool": (",", _Parser.boolean, lambda b: "true" if b else "false"),
     "expr": (",", _Parser.expr, _pexpr),
     "exprs": (",", _Parser.exprs, _pexprs),
-    "point": (",", lambda p: p.bracketed(p.expr, empty=True),
+    "point": (",", lambda p: p.bracketed(p.expr),
               lambda exprs: "[%s]" % _pexprs(exprs)),
     "basis": (";", _Parser.exprs, _pexprs),
 }

@@ -20,7 +20,6 @@ a small program (docs/conventions.md, "Imports").
 """
 
 import math
-import operator
 import sys
 
 from .errors import (
@@ -597,8 +596,6 @@ def poly_exact_div(f, g):
 
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero():
-        return Poly.zero(f.ctx)
     gm, gc = g.leading()
     guard = f.ctx.guard
     gtail = [(m, c) for m, c in g.terms.items() if m != gm]
@@ -754,8 +751,6 @@ def _cofactor(q, f, F, low):
     Fm, Fc = F.leading()
     c = fc // Fc
     shift = fm - Fm - low
-    if c == 1 and not shift:
-        return q
     return Poly(q.ctx, {m + shift: v * c for m, v in q.terms.items()})
 
 
@@ -832,7 +827,6 @@ def _heu_gcd(f, g):
         f, g = [Poly(ctx, {m: c // content for m, c in p.terms.items()})
                 for p in (f, g)]
     fdeg, gdeg = _fieldwise(max, f), _fieldwise(max, g)
-    bound = list(map(min, fdeg, gdeg))
     # the variable of highest degree first: its images have the fewest terms
     x = max(range(nvars), key=lambda i: (max(fdeg[i], gdeg[i]), i))
     xi = 2 * min(max(map(abs, f.terms.values())),
@@ -865,11 +859,8 @@ def _heu_gcd(f, g):
             # a unit divides both, and the cofactors are f and g themselves
             if h.is_const():
                 return Poly(ctx, {0: content}), f, g
-            # a divisor has no higher degree in any variable, and the
-            # degrees are far cheaper to compare than a trial division;
             # the quotients of the trial divisions are the cofactors
-            if all(map(operator.le, _fieldwise(max, h), bound)) \
-                    and (qf := poly_exact_div(f, h)) is not None \
+            if (qf := poly_exact_div(f, h)) is not None \
                     and (qg := poly_exact_div(g, h)) is not None:
                 return Poly(ctx, {m: c * content
                                   for m, c in h.terms.items()}), qf, qg
@@ -909,12 +900,9 @@ def _values_and_slopes(p, point, slopes):
         # a variable that none of them has leaves them and D as they are
         if not k:
             continue
-        values = _powers(a, k)
-        # an int value needs no denominator powers
-        if b != 1:
-            bs = _powers(b, k)
-            values = [x * y for x, y in zip(values, reversed(bs))]
-            den *= bs[k]
+        bs = _powers(b, k)
+        values = [x * y for x, y in zip(_powers(a, k), reversed(bs))]
+        den *= bs[k]
         polys = [_at(t, s, step, values) for t in polys]
     value, *derivatives = [Poly(ctx, t) for t in polys]
     return value, den, derivatives

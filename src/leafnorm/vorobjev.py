@@ -260,11 +260,16 @@ def _substitute_vec_gens(mv, repl):
         part for key, c in mv.terms.items() for part in _expand(key, c, repl)])
 
 
-def _frames(theta):
+def _nondegenerate_blocks(theta):
     blocks = horizontal_blocks(theta)
     if blocks.A.det().is_zero():
         raise NotHorizontallyNondegenerate(
             "horizontal block is singular as a rational function")
+    return blocks
+
+
+def _frames(theta):
+    blocks = _nondegenerate_blocks(theta)
     ainv = matrix_inverse(blocks.A)
     w = ainv * blocks.B
     return blocks, ainv, w
@@ -291,9 +296,7 @@ def tau(theta, u):
 def tau_inverse(theta, e):
     """Inverse of tau on form-valued verticals: dx^j -> -theta^#(dx^j), which
     is -sum A[j][i] hor_i; verticals stay, written after the forms."""
-    if not is_horizontally_nondegenerate(theta).ok:
-        raise NotHorizontallyNondegenerate(
-            "horizontal block is singular as a rational function")
+    _nondegenerate_blocks(theta)
     ctx = theta.context
     images = [-sharp(theta, DiffForm.basis(ctx, j)) for j in range(ctx.p)]
     out = Multivector.zero(ctx)

@@ -224,12 +224,14 @@ CHART = "chart { base:[u]; fiber:[y]; }"
      "unknown command 'frobnicate'", 3, 1),
     (CHART + "\nlet a = " + "9" * 5000 + ";\n", DslSyntaxError,
      "integer literal of 5000 digits is too long", 2, 9),
+    (CHART + "\nlet p = sphere_so3(maybe);\n", DslSyntaxError,
+     "expected true or false, found 'maybe'", 2, 20),
 ], ids=["form-feed", "nbsp", "bom", "dd-superscript", "dollar", "tab-at",
         "lexical-before-syntax", "crlf", "trailing-comment", "trailing-cr",
         "trailing-newline", "empty", "comment-only", "comment-line",
         "blank-only", "minus-150", "paren-150", "dx-bracket-at-end",
         "repeated-chart-name", "second-chart", "unbound", "unknown-command",
-        "long-integer"])
+        "long-integer", "not-a-boolean"])
 def test_error_positions(source, error, message, line, col):
     with pytest.raises(DslError) as info:
         parse(source)
@@ -246,6 +248,12 @@ def test_comment_ends_at_a_carriage_return():
     assert [b.name for b in program.bindings] == ["a"]
     assert program.commands == (CmdEmit("a"),)
     assert program == parse(source.replace("\r", "\n"))
+
+
+def test_printer_refuses_a_value_that_is_no_expression():
+    p = parse(CHART + "\nlet a = u;\n")
+    with pytest.raises(TypeError, match="^not an expression node: 42$"):
+        print_program(dsl.Program(p.chart, (dsl.Binding("a", 42),), ()))
 
 
 def test_binding_after_command_rejected():
@@ -536,11 +544,52 @@ emit(m);
 
 
 @pytest.mark.parametrize("rhs, message", [
-    ("dx[y1] ^ d/du", "mixed elements only take base covariant directions"),
-    ("dx[u] ^ d/du ^ d/dv", "element violates the mixed-degree constraints"),
-], ids=["fiber-form", "two-lifts"])
+    ("dx[y1] ^ d/du",
+     "_EvalError: mixed elements only take base covariant directions"),
+    ("dx[u] ^ d/du ^ d/dv",
+     "_EvalError: element violates the mixed-degree constraints"),
+    ("zz + 1", "UnknownIdentifier: unknown variable 'zz'"),
+    ("d/dzz", "UnknownIdentifier: no chart direction named 'zz'"),
+    ("d/du * d/dv",
+     "_EvalError: '*' needs a scalar factor; use '^' for wedges"),
+    ("u / d/du", "_EvalError: division by a non-scalar"),
+    ("(d/du)^2", "_EvalError: cannot raise a wedge to a power"),
+    ("period_model(d/du)", "_EvalError: period entries must be scalars"),
+], ids=["fiber-form", "two-lifts", "unknown-variable", "unknown-direction",
+        "product-of-vectors", "division-by-vector", "power-of-vector",
+        "vector-period"])
 def test_malformed_mixed_elements_are_refused(rhs, message):
     src = "chart { base:[u, v]; fiber:[y1]; }\nlet a = %s;\n" % rhs
     (rec,) = execute(parse(src)).records
     assert not rec.ok
-    assert rec.value == "error: _EvalError: %s" % message
+    assert rec.value == "error: %s" % message
+
+
+@pytest.mark.parametrize("chart, body, cmd, message", [
+    ("params:[r];", "let a = period_model(r);", "let a",
+     "period_model needs a formal parameter named PI"),
+    ("params:[r, PI];", "let m = period_model(PI*r); check jacobi(m);",
+     "check jacobi(m)",
+     "name 'm' is bound to PeriodModel, expected Multivector"),
+    ("", "int_identity(d/du; 1);", "int_identity(d/du; 1)",
+     "int_identity needs scalar arguments"),
+], ids=["period-model-without-PI", "jacobi-of-a-model",
+        "int-identity-of-a-vector"])
+def test_interpreter_refusals_are_recorded(chart, body, cmd, message):
+    src = "chart { base:[u, v]; fiber:[y1]; %s }\n%s\n" % (chart, body)
+    (rec,) = execute(parse(src)).records
+    assert (rec.cmd, rec.ok, rec.value) == (
+        cmd, False, "error: _EvalError: %s" % message)
+
+
+def test_a_scalar_joins_the_term_store_and_heisenberg_binds():
+    src = """
+chart { base:[u, v]; fiber:[x, y, z]; }
+let a = 1 + d/du;
+let h = heisenberg3;
+emit(a);
+emit(h);
+"""
+    records = execute(parse(src)).records
+    assert [(r.ok, r.value) for r in records] == [
+        (True, "1 + (d/du)"), (True, "z*(d/dx ^ d/dy)")]

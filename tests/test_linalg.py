@@ -120,6 +120,21 @@ def test_shape_without_rows():
         square - MatrixRF.zero(CTX, 3, 2)
 
 
+def test_shapes_are_checked():
+    one = RatFunc.one(CTX)
+    wide = MatrixRF(CTX, [[one, one, one], [one, one, one]])
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        MatrixRF(CTX, [[one, one], [one]])
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        wide * wide
+    with pytest.raises(ValueError, match="^determinant of a non-square"):
+        wide.det()
+    with pytest.raises(ValueError, match="^solve needs a square matrix$"):
+        wide.solve(MatrixRF.identity(CTX, 2))
+    with pytest.raises(ValueError, match="^inverse of a non-square"):
+        matrix_inverse(wide)
+
+
 def test_det_matches_permutation_expansion():
     rng = random.Random(2)
     x = Poly.var(CTX, "x")

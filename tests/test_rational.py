@@ -82,6 +82,37 @@ def test_normalize_zero_denominator_rejected():
         ratfunc_normalize(v("x"), c(0))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ChartContext(["x"], ["x"]), ValueError,
+     "duplicate variable names in chart"),
+    (lambda: ChartContext(["x"], [""]), ValueError,
+     "variable names must be nonempty strings"),
+    (lambda: CTX.pack((1, 0)), ValueError, "bad exponent vector (1, 0)"),
+    (lambda: CTX.pack((0, -1, 0, 0, 0)), ValueError,
+     "bad exponent vector (0, -1, 0, 0, 0)"),
+    (lambda: CTX.with_param("y1"), ValueError,
+     "variable 'y1' already in chart"),
+    (lambda: v("x").const_value(), ValueError, "not a constant polynomial"),
+    (lambda: v("x") ** -1, ValueError, "negative power of Poly"),
+    (lambda: poly_exact_div(v("x"), c(0)), ZeroDivisionError,
+     "polynomial division by zero"),
+    (lambda: rf(v("x")) / 0, ZeroDenominator,
+     "division by zero rational function"),
+], ids=["duplicate-name", "empty-name", "short-exponents",
+        "negative-exponent", "param-in-chart", "not-constant",
+        "negative-power", "division-by-zero-poly",
+        "division-by-zero-ratfunc"])
+def test_malformed_arguments_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args == (message,)
+
+
+def test_zero_has_total_degree_minus_one():
+    assert Poly.zero(CTX).total_degree() == -1
+    assert (v("x") * v("y1") + 1).total_degree() == 2
+
+
 def test_canonical_form_is_representation_equality():
     x, y = v("x"), v("y")
     a = rf(x * y + y, y)          # x + 1

@@ -318,6 +318,7 @@ def test_tau_inverse_computes_one_determinant_and_no_solve(monkeypatch):
     e = tau(theta, u)
     calls = []
     det, solve = MatrixRF.det, MatrixRF.solve
+    fiber_parts = Poly.fiber_parts
 
     def det_spy(self):
         calls.append("det")
@@ -327,10 +328,16 @@ def test_tau_inverse_computes_one_determinant_and_no_solve(monkeypatch):
         calls.append("solve")
         return solve(self, rhs)
 
+    def fiber_parts_spy(self):
+        calls.append("fiber_parts")
+        return fiber_parts(self)
+
     monkeypatch.setattr(MatrixRF, "det", det_spy)
     monkeypatch.setattr(MatrixRF, "solve", solve_spy)
+    monkeypatch.setattr(Poly, "fiber_parts", fiber_parts_spy)
     assert tau_inverse(theta, e) == u
-    # the non-degeneracy test; theta^# needs no inverse
+    # the non-degeneracy test reads only whether det A is zero, not its
+    # part at the leaf; theta^# needs no inverse
     assert calls == ["det"]
 
 
