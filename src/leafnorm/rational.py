@@ -1198,9 +1198,9 @@ def ratfunc_normalize(num, den):
 
 
 def _canonical_scale(num, den):
-    """Joint integral scaling with content 1 and positive leading denominator."""
-    if num.is_zero():
-        return RatFunc(Poly.zero(num.ctx), Poly.one(num.ctx))
+    """Joint integral scaling with content 1 and positive leading denominator.
+    The numerator is nonzero unless the denominator is 1, as every caller
+    ensures."""
     terms = den.terms
     if len(terms) == 1 and terms.get(0) == 1:
         return RatFunc(num, den)

@@ -240,24 +240,12 @@ def _expand(gens, c, repl):
     return parts
 
 
-def _replacements(matrix, offset, keep):
-    """Row g of the matrix as a replacement of generator g: the sum of
-    matrix[g][k] times generator offset + k over the nonzero entries, plus g
-    itself when keep is set."""
-    table = {}
-    for g, row in enumerate(matrix.entries):
-        repl = [(g, None)] if keep else []
-        for k, e in enumerate(row):
-            if not e.is_zero():
-                repl.append((offset + k, e))
-        table[g] = tuple(repl)
-    return table
-
-
-def _substitute_vec_gens(mv, repl):
-    """Expand generators of a multivector through linear replacements."""
-    return Multivector.from_terms(mv.context, [
-        part for key, c in mv.terms.items() for part in _expand(key, c, repl)])
+def _images(matrix, offset):
+    """Row g of the matrix, negated, as the image of generator g: minus
+    matrix[g][k] times generator offset + k over the nonzero entries."""
+    return {g: tuple((offset + k, -e) for k, e in enumerate(row)
+                     if not e.is_zero())
+            for g, row in enumerate(matrix.entries)}
 
 
 def _nondegenerate_blocks(theta):
@@ -282,9 +270,12 @@ def tau(theta, u):
     p = ctx.p
     blocks, ainv, w = _frames(theta)
     # coordinate basis -> connection frame: d/dx_i = hor_i - sum W[i][a] d/dy_a
-    framed = _substitute_vec_gens(u, _replacements(-w, p, True))
+    to_frame = {g: ((g, None),) + r for g, r in _images(w, p).items()}
+    framed = Multivector.from_terms(ctx, [
+        part for key, c in u.terms.items()
+        for part in _expand(key, c, to_frame)])
     # map hor_i -> -sum_j F[i][j] dx^j, keep verticals; forms precede verticals
-    to_forms = _replacements(-ainv, 0, False)
+    to_forms = _images(ainv, 0)
     items = []
     for key, c in framed.terms.items():
         vert = tuple(g for g in key if g >= p)
@@ -295,20 +286,17 @@ def tau(theta, u):
 
 def tau_inverse(theta, e):
     """Inverse of tau on form-valued verticals: dx^j -> -theta^#(dx^j), which
-    is -sum A[j][i] hor_i; verticals stay, written after the forms."""
-    _nondegenerate_blocks(theta)
-    ctx = theta.context
-    images = [-sharp(theta, DiffForm.basis(ctx, j)) for j in range(ctx.p)]
-    out = Multivector.zero(ctx)
-    for (I, J, K), c in e.terms.items():
-        if J:
-            raise InvalidElement("tau inverse expects an element with no "
-                                 "horizontal lift terms")
-        term = Multivector.scalar(c)
-        for j in I:
-            term = term.wedge(images[j])
-        out = out + term.wedge(Multivector(ctx, {K: RatFunc.one(ctx)}))
-    return out
+    is -sum A[j][i] d/dx^i - sum B[j][a] d/dy^a; verticals stay, written
+    after the forms."""
+    blocks = _nondegenerate_blocks(theta)
+    if any(J for (_, J, _) in e.terms):
+        raise InvalidElement("tau inverse expects an element with no "
+                             "horizontal lift terms")
+    fiber = _images(blocks.B, theta.context.p)
+    images = {j: r + fiber[j] for j, r in _images(blocks.A, 0).items()}
+    return Multivector.from_terms(theta.context, [
+        part for (I, _, K), c in e.terms.items()
+        for part in _expand(I + K, c, images)])
 
 
 def chain_map_residual(theta, u):

@@ -593,3 +593,19 @@ emit(h);
     records = execute(parse(src)).records
     assert [(r.ok, r.value) for r in records] == [
         (True, "1 + (d/du)"), (True, "z*(d/dx ^ d/dy)")]
+
+
+# --- hand-built programs and formats the parser never makes ---------------------
+
+def test_execute_records_a_command_on_an_unbound_name():
+    program = dsl.Program(ChartDecl(("u",), ("y",), ()), (),
+                          (CmdCheckJacobi("p"),))
+    (record,) = execute(program).records
+    assert record == CommandRecord(
+        "check jacobi(p)", False, None,
+        "error: UnknownIdentifier: name 'p' is not bound")
+
+
+def test_emit_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        interp.emit(execute(parse(SMOKE)), "xml")

@@ -155,3 +155,9 @@ def test_det_matches_permutation_expansion():
                 term = term * m.entries[i][perm[i]]
             expect = expect + term
         assert m.det() == expect
+
+
+def test_matrix_prints_rows_separated_by_semicolons():
+    x = rfp(Poly.var(CTX, "x"))
+    m = MatrixRF(CTX, [[x, const(Q(1, 2))], [const(0), -x]])
+    assert str(m) == repr(m) == "[x, 1/2; 0, -x]"

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from leafnorm import execute, parse
 from leafnorm.errors import (
     ContextMismatch, JacobiFailed, NonRationalInput, SingularPoint,
     VariableOverlap, ZeroGenerator,
@@ -511,3 +512,29 @@ def test_period_model_validation():
         PeriodModel(ctx, ["t"], [RatFunc.from_poly(t)])
     with pytest.raises(SingularPoint):
         PeriodModel(ctx, ["t"], [pi / RatFunc.from_poly(t)])
+
+
+# --- catalog entries on a chart of the wrong shape ------------------------------
+
+def test_catalog_entries_refuse_a_chart_of_the_wrong_shape():
+    report = execute(parse("chart { base:[u, v]; fiber:[y]; }\n"
+                           "let p = so3;\n"))
+    assert report.records[0].value == (
+        "error: VariableOverlap: chart has 1 fiber variables, algebra "
+        "needs 3")
+    report = execute(parse("chart { base:[u]; fiber:[y1, y2, y3]; }\n"
+                           "let p = sphere_so3(true);\n"))
+    assert report.records[0].value == (
+        "error: VariableOverlap: sphere model needs a 2-base, 3-fiber chart")
+
+
+def test_product_poisson_refuses_two_charts():
+    other = ChartContext(base=["u"], fiber=["y1", "y2", "y3"])
+    with pytest.raises(VariableOverlap,
+                       match="^factors must live on one chart$"):
+        product_poisson(linear_poisson(so3()), linear_poisson(so3(), other))
+
+
+def test_lattice_discreteness_refuses_a_generator_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^generator has wrong dimension$"):
+        lattice_discreteness([(Q(1), Q(2)), (Q(1),)], 2)

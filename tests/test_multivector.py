@@ -384,3 +384,15 @@ def test_operands_of_the_wrong_kind_are_refused(call, kind):
 def test_operands_of_the_wrong_degree_are_refused(call, message):
     with pytest.raises(WrongDegree, match="^%s$" % message):
         call()
+
+
+# --- operands of another kind or chart ------------------------------------------
+
+def test_operands_of_another_kind_or_chart_are_refused():
+    with pytest.raises(TypeError,
+                       match="^cannot mix Multivector and DiffForm$"):
+        Multivector.basis(CTX, 0) + DiffForm.basis(CTX, 0)
+    other = ChartContext(base=["x1"], fiber=["y1"])
+    with pytest.raises(ContextMismatch,
+                       match="^operands live on different charts$"):
+        pairing(Multivector.basis(CTX, 0), DiffForm.basis(other, 0))

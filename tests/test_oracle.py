@@ -13,6 +13,7 @@ random factor so that the gcd has something to cancel.
 """
 
 import math
+import pathlib
 import signal
 
 import pytest
@@ -20,7 +21,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from leafnorm import rational
+import leafnorm
+from leafnorm import emit, execute, parse, rational
 from leafnorm.rational import (
     ChartContext, Poly, Q, RatFunc, _canonical_scale, _primitive,
     poly_exact_div, poly_gcd, ratfunc_normalize,
@@ -563,17 +565,30 @@ def test_zero_and_single_term_operands_divide_nothing(monkeypatch):
 
 
 @SETTINGS
-@given(polys, nonzero_polys, st.integers(-6, 6).filter(bool))
+@given(nonzero_polys, nonzero_polys, st.integers(-6, 6).filter(bool))
 def test_canonical_scale_shortcut(num, den, k):
+    # the numerator is nonzero, as every engine call passes it
     for n, d in ((num, Poly.one(CTX)), (num * k, Poly.const(CTX, k)),
                  (num * k, den)):
         f = _canonical_scale(n, d)
-        if n.is_zero():
-            assert f == RatFunc.zero(CTX)
-            continue
         # the general path: joint content out, leading denominator positive
         gn, gd = _primitive([n, d], d.leading_coeff())
         assert f.num.terms == gn.terms and f.den.terms == gd.terms
+
+
+def test_canonical_scale_sees_no_zero_numerator(monkeypatch):
+    calls, scale = [], rational._canonical_scale
+
+    def spy(num, den):
+        calls.append(num.is_zero())
+        return scale(num, den)
+
+    monkeypatch.setattr(rational, "_canonical_scale", spy)
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    for path in sorted(fixtures.glob("*.lnf")) + [
+            pathlib.Path(leafnorm.sphere_pipeline_path())]:
+        emit(execute(parse(path.read_text(encoding="utf-8-sig"))))
+    assert calls and not any(calls)
 
 
 # --- no operation changes its operands ---------------------------------------

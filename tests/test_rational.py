@@ -113,6 +113,19 @@ def test_zero_has_total_degree_minus_one():
     assert (v("x") * v("y1") + 1).total_degree() == 2
 
 
+def test_chart_hashes_by_its_variables_and_prints_them():
+    same = ChartContext(base=["x", "y"], fiber=["y1", "y2", "y3"])
+    assert same == CTX and hash(same) == hash(CTX)
+    assert repr(ChartContext(base=["u"], fiber=["y"], params=["t"])) == (
+        "ChartContext(base=['u'], fiber=['y'], params=['t'])")
+
+
+def test_a_string_is_not_a_polynomial_or_function():
+    # __eq__ answers NotImplemented, and Python falls back to identity
+    assert (v("x") == "x") is False
+    assert (rf(v("x")) == "x") is False
+
+
 def test_canonical_form_is_representation_equality():
     x, y = v("x"), v("y")
     a = rf(x * y + y, y)          # x + 1

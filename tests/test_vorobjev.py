@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafnorm import vorobjev
 from leafnorm.errors import (
@@ -9,7 +10,9 @@ from leafnorm.errors import (
 )
 from leafnorm.linalg import MatrixRF
 from leafnorm.models import linear_poisson, so3
-from leafnorm.multivector import DiffForm, Multivector, is_poisson, schouten
+from leafnorm.multivector import (
+    DiffForm, Graded, Multivector, is_poisson, schouten,
+)
 from leafnorm.omega import (
     MixedElement, dilation, ds_n, euler_field, gamma_S, jet_n, ltimes_bracket,
 )
@@ -291,17 +294,19 @@ def test_tau_drops_a_fiber_direction_the_key_holds():
     assert tau_inverse(theta, e) == u
 
 
+CATALOG = [
+    (CTX, symplectic_2d(CTX)),
+    (CTX3, symplectic_2d(CTX3) + so3_linear(CTX3)),
+    (CTX3, symplectic_2d(CTX3) + Multivector.from_terms(
+        CTX3, [((2, 3), rf(pv("y3", CTX3)))])),
+    (CTX3, sphere_bivector(CTX3, True)),
+    (CTX, symplectic_2d(CTX) + Multivector(CTX, {(0, 2): rf(pv("y1"))})),
+]
+
+
 def test_chain_map_over_catalog():
     rng = random.Random(131)
-    heis = Multivector.from_terms(CTX3, [((2, 3), rf(pv("y3", CTX3)))])
-    catalog = [
-        (CTX, symplectic_2d(CTX)),
-        (CTX3, symplectic_2d(CTX3) + so3_linear(CTX3)),
-        (CTX3, symplectic_2d(CTX3) + heis),
-        (CTX3, sphere_bivector(CTX3, True)),
-        (CTX, symplectic_2d(CTX) + Multivector(CTX, {(0, 2): rf(pv("y1"))})),
-    ]
-    for ctx, theta in catalog:
+    for ctx, theta in CATALOG:
         assert is_poisson(theta).ok
         for deg in (0, 1, 2):
             gens = range(ctx.p + ctx.q)
@@ -310,6 +315,49 @@ def test_chain_map_over_catalog():
             u = Multivector(ctx, {key: rf(c)})
             assert chain_map_residual(theta, u).is_zero()
             assert tau_inverse(theta, tau(theta, u)) == u
+
+
+@st.composite
+def _catalog_sums(draw):
+    """A catalog bivector and a sum of 1-4 terms of degrees 0-3, each a
+    nonzero integer times a monomial of degree at most 2."""
+    ctx, theta = draw(st.sampled_from(CATALOG))
+    gens = range(ctx.p + ctx.q)
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        key = tuple(sorted(draw(st.sets(st.sampled_from(gens),
+                                        max_size=3))))
+        c = Poly.const(ctx, draw(st.integers(-3, 3).filter(bool)))
+        for name in draw(st.lists(st.sampled_from(ctx.vars), max_size=2)):
+            c = c * Poly.var(ctx, name)
+        items.append((key, rf(c)))
+    return theta, Multivector.from_terms(ctx, items)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_catalog_sums())
+def test_chain_map_round_trip_on_sums(theta_u):
+    theta, u = theta_u
+    assert tau_inverse(theta, tau(theta, u)) == u
+
+
+def test_tau_inverse_makes_no_wedge(monkeypatch):
+    theta = sphere_bivector(CTX3, True)
+    u = Multivector.from_terms(CTX3, [
+        ((0, 1, 3), rf(pv("y1", CTX3))), ((1, 2), rf(pv("u", CTX3))),
+        ((), RatFunc.one(CTX3))])
+    e = tau(theta, u)
+    calls = []
+    wedge = Graded.wedge
+
+    def wedge_spy(self, other):
+        calls.append(type(self).__name__)
+        return wedge(self, other)
+
+    monkeypatch.setattr(Graded, "wedge", wedge_spy)
+    assert tau_inverse(theta, e) == u
+    # both directions are one generator substitution: no wedge of images
+    assert calls == []
 
 
 def test_tau_inverse_computes_one_determinant_and_no_solve(monkeypatch):
@@ -756,3 +804,30 @@ def test_algebroid_pairs_forms_and_lifts_by_key():
         assert vorobjev._pair(f_k, l_k) == expected
     assert vorobjev._pair(form.bidegree_part(2, 0),
                           lifts.bidegree_part(0, 2)) == u * v * y1
+
+
+# --- refusals of a non-Poisson input -------------------------------------------
+
+def _non_jacobi_vertical(ctx):
+    """y1 d/dy1^d/dy2 + y1 d/dy2^d/dy3 + y2 d/dy1^d/dy3, which fails Jacobi."""
+    y1, y2 = (RatFunc.var(ctx, n) for n in ("y1", "y2"))
+    return [((2, 3), y1), ((3, 4), y1), ((2, 4), y2)]
+
+
+def test_first_jet_model_refuses_a_jet_that_is_not_dirac():
+    v = MixedElement.from_terms(CTX3, [
+        (((), (), key), c) for key, c in _non_jacobi_vertical(CTX3)])
+    f = MixedElement(CTX3, {((0, 1), (), ()): RatFunc.one(CTX3)})
+    gamma = DiracElement(v, gamma_S(CTX3), f)
+    assert leaf_check(gamma).ok
+    with pytest.raises(InvalidElement,
+                       match="^first jet fails the Dirac equation$"):
+        first_jet_model(gamma)
+
+
+def test_linearization_cocycle_refuses_a_non_poisson_bivector():
+    theta = Multivector.from_terms(CTX3, _non_jacobi_vertical(CTX3))
+    assert not is_poisson(theta).ok
+    with pytest.raises(InvalidElement,
+                       match="^linearization cocycle is not d_pi-closed$"):
+        linearization_cocycle(theta, DiffForm.zero(CTX3))
