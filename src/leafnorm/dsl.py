@@ -515,8 +515,9 @@ def _prhs(rhs):
 
 
 def _pcmd(cmd):
+    """A command as source text, without its closing semicolon."""
     words, kinds = _WORDS[type(cmd)]
-    return _pentry(words, kinds, tuple(cmd.fields().values())) + ";"
+    return _pentry(words, kinds, tuple(cmd.fields().values()))
 
 
 def print_program(p):
@@ -529,5 +530,5 @@ def print_program(p):
     for b in p.bindings:
         lines.append("let %s = %s;" % (b.name, _prhs(b.rhs)))
     for c in p.commands:
-        lines.append(_pcmd(c))
+        lines.append(_pcmd(c) + ";")
     return "\n".join(lines) + "\n"

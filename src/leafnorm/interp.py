@@ -273,17 +273,13 @@ def _lookup(env, name, kind):
 # --- command dispatch ----------------------------------------------------------------
 
 
-def _render(cmd):
-    return dsl._pcmd(cmd)[:-1]  # drop the trailing semicolon
-
-
 def _residual_record(cmd, residual_strs, value=None):
     ok = all(s == "0" for s in residual_strs)
     if len(residual_strs) == 1:
         res = residual_strs[0]
     else:
         res = "0" if ok else "[" + "; ".join(residual_strs) + "]"
-    return CommandRecord(_render(cmd), ok, res, value)
+    return CommandRecord(dsl._pcmd(cmd), ok, res, value)
 
 
 def _run_command(cmd, ctx, env):
@@ -296,7 +292,7 @@ def _run_command(cmd, ctx, env):
         return _residual_record(cmd, [str(gamma.dirac_residual())])
     if isinstance(cmd, dsl.CmdDecompose):
         gamma = decompose(_lookup(env, cmd.target, Multivector))
-        return CommandRecord(_render(cmd), True, None, str(gamma))
+        return CommandRecord(dsl._pcmd(cmd), True, None, str(gamma))
     if isinstance(cmd, dsl.CmdStructureEqs):
         gamma = decompose(_lookup(env, cmd.target, Multivector))
         rs = structure_equations(gamma)
@@ -354,16 +350,16 @@ def _run_command(cmd, ctx, env):
         else:
             value = "(" + ", ".join(
                 "(" + ", ".join(str(e) for e in row) + ")" for row in gens) + ")"
-        return CommandRecord(_render(cmd), True, None, value)
+        return CommandRecord(dsl._pcmd(cmd), True, None, value)
     if isinstance(cmd, dsl.CmdRatioConstancy):
         model = _lookup(env, cmd.target, PeriodModel)
         res = ratio_constancy(model)
         parts = ["(%d,%d): %s" % (i, j, "constant" if v else "non-constant")
                  for (i, j), v in sorted(res.items())]
-        return CommandRecord(_render(cmd), True, None, "; ".join(parts))
+        return CommandRecord(dsl._pcmd(cmd), True, None, "; ".join(parts))
     if isinstance(cmd, dsl.CmdAffine):
         model = _lookup(env, cmd.target, PeriodModel)
-        return CommandRecord(_render(cmd), True, None,
+        return CommandRecord(dsl._pcmd(cmd), True, None,
                              "true" if affine_in_params(model) else "false")
     if isinstance(cmd, dsl.CmdIntIdentity):
         f = _scalar(_eval_expr(cmd.func, ctx))
@@ -375,10 +371,10 @@ def _run_command(cmd, ctx, env):
             value = "m = (" + ", ".join(map(int_str, res.coefficients)) + ")"
         else:
             value = "infeasible"
-        return CommandRecord(_render(cmd), True, None, value)
+        return CommandRecord(dsl._pcmd(cmd), True, None, value)
     if isinstance(cmd, dsl.CmdEmit):
         val = _lookup(env, cmd.target, object)
-        return CommandRecord(_render(cmd), True, None, str(val))
+        return CommandRecord(dsl._pcmd(cmd), True, None, str(val))
     raise _EvalError("unknown command node %r" % (cmd,))
 
 
@@ -402,7 +398,7 @@ def execute(program):
             records.append(_run_command(cmd, ctx, env))
         except Exception as exc:
             records.append(CommandRecord(
-                _render(cmd), False, None,
+                dsl._pcmd(cmd), False, None,
                 "error: %s: %s" % (type(exc).__name__, exc)))
     return Report(tuple(records))
 

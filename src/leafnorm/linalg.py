@@ -73,15 +73,6 @@ class MatrixRF:
             [a + b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.entries, other.entries)], self.cols)
 
-    def __sub__(self, other):
-        if not isinstance(other, MatrixRF):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return MatrixRF(self.ctx, [[-e for e in row] for row in self.entries],
-                        self.cols)
-
     def transpose(self):
         return MatrixRF(self.ctx, [[self.entries[i][j]
                                     for i in range(self.rows)]

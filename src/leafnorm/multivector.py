@@ -19,7 +19,7 @@ X(f) on (vector field, function), and is pinned by the invariant suite
 (graded antisymmetry, Leibniz, Jacobi).
 """
 
-from .rational import Poly, RatFunc
+from .rational import Poly, RatFunc, _same_chart
 from .errors import ContextMismatch, NonHomogeneous, Verdict, WrongDegree
 
 __all__ = [
@@ -179,6 +179,10 @@ class Graded:
     __hash__ = None
 
     def cast(self, new_ctx):
+        # keys hold generator indices, and index p starts the fiber
+        if new_ctx.gens != self.context.gens or new_ctx.p != self.context.p:
+            raise ContextMismatch(
+                "a cast may change only the formal parameters of the chart")
         return type(self)(new_ctx,
                           {m: c.cast(new_ctx) for m, c in self.terms.items()})
 
@@ -194,8 +198,7 @@ class Graded:
         if type(self) is not type(other):
             raise TypeError("cannot mix %s and %s"
                             % (type(self).__name__, type(other).__name__))
-        if self.context != other.context:
-            raise ContextMismatch("operands live on different charts")
+        _same_chart(self.context, other.context)
 
     def __str__(self):
         if not self.terms:
@@ -348,8 +351,7 @@ def exterior_derivative(omega):
 
 def _contract(a, u):
     """First-slot contraction of the degree-1 terms of a into u."""
-    if a.context != u.context:
-        raise ContextMismatch("operands live on different charts")
+    _same_chart(a.context, u.context)
     items = []
     for (i,), ca in a.terms.items():
         for m, c in u.terms.items():
@@ -371,8 +373,7 @@ def pairing(u, omega):
     """Full contraction <u, omega> of equal-degree multivector and form."""
     _operand(u, Multivector, "pairing needs a multivector")
     _operand(omega, DiffForm, "pairing needs a form")
-    if u.context != omega.context:
-        raise ContextMismatch("operands live on different charts")
+    _same_chart(u.context, omega.context)
     total = RatFunc.zero(u.context)
     for m, c in u.terms.items():
         o = omega.terms.get(m)

@@ -21,7 +21,6 @@ combinatorics on index tuples plus exact coefficient calculus.
 """
 
 from .errors import (
-    ContextMismatch,
     InvalidElement,
     NotAConnection,
     NotFiberPolynomial,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .multivector import (DiffForm, Graded, Multivector, _operand,
                           _sort_block, schouten)
-from .rational import RatFunc
+from .rational import RatFunc, _same_chart
 
 __all__ = [
     "MixedElement", "OMEGA_E", "OMEGA_TILDE", "INVALID",
@@ -254,8 +253,7 @@ def dilation(u, t):
         t = RatFunc.const(ctx, t)
     if t.is_zero():
         raise ZeroParameter("dilation parameter must be nonzero")
-    if t.ctx != ctx:
-        raise ContextMismatch("parameter lives on a different chart")
+    _same_chart(t.ctx, ctx)
     items = []
     for (I, J, K), c in u.terms.items():
         c2 = c.scale_fiber(t)

@@ -1145,11 +1145,8 @@ class RatFunc:
     # -- fiber expansion ---------------------------------------------------
 
     def fiber_homogeneous_part(self, d):
-        """Fiber-degree-d homogeneous part of the Taylor expansion at y = 0."""
-        return self._fiber_parts(d)[d]
-
-    def _fiber_parts(self, n):
-        """Taylor parts h_0..h_n solving num = f*den order by order."""
+        """Fiber-degree-d homogeneous part of the Taylor expansion at y = 0:
+        the Taylor parts h_0..h_d solve num = f*den order by order."""
         nparts, dparts = self.num.fiber_parts(), self.den.fiber_parts()
         if 0 not in dparts:
             raise SingularAtZeroSection(
@@ -1157,7 +1154,7 @@ class RatFunc:
         inv0 = ratfunc_normalize(Poly.one(self.ctx), dparts[0])
         zero = Poly.zero(self.ctx)
         parts = []
-        for k in range(n + 1):
+        for k in range(d + 1):
             acc = RatFunc.from_poly(nparts.get(k, zero))
             for j in range(k):
                 dk = dparts.get(k - j)
@@ -1165,7 +1162,7 @@ class RatFunc:
                     continue
                 acc = acc - parts[j] * dk
             parts.append(acc * inv0)
-        return parts
+        return parts[d]
 
     # -- printing -----------------------------------------------------------
 

@@ -13,7 +13,6 @@ assemble inverts decompose exactly.
 from itertools import combinations
 
 from .errors import (
-    ContextMismatch,
     DegenerateFPart,
     InvalidElement,
     LeafCheckFailed,
@@ -46,7 +45,7 @@ from .omega import (
     ltimes_bracket,
     p_S,
 )
-from .rational import RatFunc
+from .rational import RatFunc, _same_chart
 
 __all__ = [
     "DiracElement", "HorizontalData", "HorizontalCheck", "horizontal_blocks",
@@ -66,8 +65,8 @@ class DiracElement(Record):
 
     def __init__(self, v_part, conn_part, f_part):
         ctx = conn_part.context
-        if v_part.context != ctx or f_part.context != ctx:
-            raise ContextMismatch("components live on different charts")
+        _same_chart(v_part.context, ctx)
+        _same_chart(f_part.context, ctx)
         for (I, J, K) in v_part.terms:
             if I or J or len(K) != 2:
                 raise InvalidElement("vertical part must be of bidegree (0,2)")
@@ -85,8 +84,11 @@ class DiracElement(Record):
     @classmethod
     def from_mixed(cls, g):
         """Split an element into its (0,2), (1,1) and (2,0) parts."""
-        return cls(g.bidegree_part(0, 2), g.bidegree_part(1, 1),
-                   g.bidegree_part(2, 0))
+        parts = [g.bidegree_part(i, 2 - i) for i in range(3)]
+        if sum(len(part.terms) for part in parts) != len(g.terms):
+            raise InvalidElement("element has terms outside bidegrees "
+                                 "(0,2), (1,1) and (2,0)")
+        return cls(*parts)
 
     @property
     def context(self):
@@ -191,14 +193,13 @@ def assemble(gamma):
     ctx = gamma.context
     p, q = ctx.p, ctx.q
     blocks = horizontal_blocks(_dual(gamma))
-    F = blocks.A
     try:
-        A = matrix_inverse(F)
+        A = matrix_inverse(blocks.A)
     except SingularMatrix:
         raise DegenerateFPart("two-form component is degenerate as a "
                               "rational-function matrix") from None
     B = A * blocks.B
-    C = blocks.C - B.transpose() * F * B
+    C = blocks.C + blocks.B.transpose() * B
     items = _upper(A)
     for i in range(p):
         for a in range(q):

@@ -117,7 +117,7 @@ def test_shape_without_rows():
     with pytest.raises(ValueError):
         square + MatrixRF.zero(CTX, 0, 0)
     with pytest.raises(ValueError):
-        square - MatrixRF.zero(CTX, 3, 2)
+        square + MatrixRF.zero(CTX, 3, 2)
 
 
 def test_shapes_are_checked():

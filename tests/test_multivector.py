@@ -396,3 +396,21 @@ def test_operands_of_another_kind_or_chart_are_refused():
     with pytest.raises(ContextMismatch,
                        match="^operands live on different charts$"):
         pairing(Multivector.basis(CTX, 0), DiffForm.basis(other, 0))
+
+
+def test_a_cast_keeps_the_generators_and_may_change_the_parameters():
+    ctx = ChartContext(base=["u", "v"], fiber=[])
+    field = Multivector(ctx, {(0,): RatFunc.var(ctx, "v")})
+    with_t = ChartContext(base=["u", "v"], fiber=[], params=["t"])
+    assert str(field.cast(with_t)) == "v*(d/du)"
+    assert field.cast(with_t).cast(ctx) == field
+    # a key holds generator indices: d/du on the chart [v, u] is d/dv, on a
+    # chart of one generator the key names none, and the base/fiber split
+    # decides which blocks a key may use
+    for target in (ChartContext(base=["v", "u"], fiber=[]),
+                   ChartContext(base=["u"], fiber=["v"]),
+                   ChartContext(base=["u"], fiber=[], params=["v"])):
+        with pytest.raises(ContextMismatch,
+                           match="^a cast may change only the formal "
+                                 "parameters of the chart$"):
+            field.cast(target)

@@ -439,7 +439,7 @@ def test_base_form_of_refuses_contravariant_directions():
 def test_dilation_parameter_on_another_chart_is_refused():
     other = ChartContext(base=["x1", "x2"], fiber=["y1", "y2"], params=["t"])
     with pytest.raises(ContextMismatch,
-                       match="^parameter lives on a different chart$"):
+                       match="^operands live on different charts$"):
         dilation(gamma_S(CTX), RatFunc.var(other, "t"))
 
 

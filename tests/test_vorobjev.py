@@ -160,6 +160,23 @@ def test_assemble_computes_one_determinant(monkeypatch):
     assert len(calls) == 1
 
 
+def test_assemble_forms_the_vertical_block_with_one_product(monkeypatch):
+    theta = sphere_bivector(CTX3, True)
+    gamma = decompose(theta)
+    calls = []
+    mul = MatrixRF.__mul__
+
+    def spy(self, other):
+        calls.append((self.rows, self.cols, other.cols))
+        return mul(self, other)
+
+    monkeypatch.setattr(MatrixRF, "__mul__", spy)
+    assert assemble(gamma) == theta
+    # B = A W, then C = V + W^T B: F A = 1 and A^T = -A give
+    # B^T F B = B^T W = -W^T B, so no product with F is needed
+    assert calls == [(2, 2, 3), (3, 2, 3)]
+
+
 def test_assemble_degenerate_f_rejected():
     z = MixedElement.zero(CTX)
     gamma = DiracElement(z, gamma_S(CTX), z)
@@ -721,7 +738,7 @@ def _sphere_gamma():
     pytest.param(lambda g: (g.v_part.cast(ChartContext(
         base=["u", "v"], fiber=["y1", "y2", "y3"], params=["s"])),
         g.conn_part, g.f_part), ContextMismatch,
-        "components live on different charts", id="chart"),
+        "operands live on different charts", id="chart"),
     pytest.param(lambda g: (g.v_part, g.conn_part, g.f_part + MixedElement(
         CTX3, {((0,), (), (2,)): RatFunc.one(CTX3)})), InvalidElement,
         r"two-form part must be of bidegree \(2,0\)", id="two-form"),
@@ -737,6 +754,17 @@ def _sphere_gamma():
 def test_dirac_element_refuses_malformed_parts(parts, error, message):
     with pytest.raises(error, match="^%s$" % message):
         DiracElement(*parts(_sphere_gamma()))
+
+
+def test_from_mixed_refuses_terms_of_other_bidegrees():
+    gamma = _sphere_gamma()
+    assert DiracElement.from_mixed(gamma.as_mixed()) == gamma
+    one = RatFunc.one(CTX3)
+    extra = MixedElement(CTX3, {((), (), ()): one, ((0,), (), (2, 3)): one})
+    with pytest.raises(InvalidElement,
+                       match=r"^element has terms outside bidegrees "
+                             r"\(0,2\), \(1,1\) and \(2,0\)$"):
+        DiracElement.from_mixed(gamma.as_mixed() + extra)
 
 
 def test_horizontal_blocks_need_a_bivector():
