@@ -547,6 +547,9 @@ _HEU_POINTS = 6
 # bounds the growth of the images' integers, which otherwise compounds over
 # the levels of the recursion (the benchmark workloads stay below 900)
 _HEU_MAX_BITS = 32768
+# the coprimality certificate declines images of more bits than this:
+# `math.gcd` of 83 000-bit integers takes longer than the heuristic it spares
+_COPRIME_MAX_BITS = 2048
 
 
 def _icontent(polys):
@@ -660,11 +663,12 @@ def poly_gcd(f, g):
 
     A zero or a single-term operand is settled from the operands alone,
     with no division.  Otherwise the divisor pre-check answers first, then
-    the heuristic gcd, and the primitive PRS when it gives up.  Each takes
-    the operands made primitive and free of monomial content, and returns
-    their canonical gcd with its two cofactors, the quotients of the
-    divisions that verified it; so the result does not depend on the path,
-    and the cofactors are mapped back to f and g once.
+    the coprimality certificate, then the heuristic gcd, and the primitive
+    PRS when it gives up.  Each takes the operands made primitive and free
+    of monomial content, and returns their canonical gcd with its two
+    cofactors: the quotients of the divisions that verified it, or the
+    operands themselves for a certified unit gcd.  So the result does not
+    depend on the path, and the cofactors are mapped back to f and g once.
     """
     # a nonzero constant operand: the gcd is 1 (most calls on small inputs)
     a, b = f.terms, g.terms
@@ -702,7 +706,8 @@ def poly_gcd(f, g):
                 Poly(ctx, {m - low: c for m, c in a.items()}),
                 Poly(ctx, {m - low: c for m, c in b.items()}))
     low, F, G = _gcd_operands(f, g)
-    h, qf, qg = _trial_divisor(F, G) or _heu_gcd(F, G) or _prs(F, G)
+    h, qf, qg = (_trial_divisor(F, G) or _coprime(F, G) or _heu_gcd(F, G)
+                 or _prs(F, G))
     # F and G are primitive, so h is too, with a positive leading
     # coefficient; multiplying it by the monomial gcd is a shift
     if low:
@@ -740,6 +745,62 @@ def _trial_divisor(f, g):
         return None
     one = Poly(f.ctx, {0: 1})
     return (f, q, one) if swapped else (f, one, q)
+
+
+def _coprime(f, g):
+    """(1, f, g) when f and g, primitive, free of monomial content and not
+    constant, are certified coprime; None otherwise, which decides nothing.
+
+    A common factor h of positive degree has only variables that both
+    operands have, so it divides each coefficient f_u of f as a polynomial
+    in its other variables, and each g_v.  The Kronecker substitution K,
+    x_i -> X^(w_i) on the shared variables with radices above their
+    exponents, keeps those coefficients, so each root of K(h) has modulus
+    below 1 + min(|f|, |g|) by Cauchy's bound.  At xi = 2^bits >=
+    2 min(|f|, |g|) + 2, |K(h)(xi)| > (xi/2)^deg >= xi/2, and K(h)(xi)
+    divides gamma, the gcd of every K(f_u)(xi) and K(g_v)(xi); so
+    gamma <= xi/2 rules h out.  The images can share factors that f and g
+    lack, and then the heuristic decides (docs/conventions.md, "The
+    coprimality certificate").
+    """
+    a, b = f.terms, g.terms
+    fo = go = 0
+    for m in a:
+        fo |= m
+    for m in b:
+        go |= m
+    # an operand has x_i when its field of fo (go) is not zero, whichever
+    # bits are set, and the field of fo | go is at least every exponent of
+    # x_i; x_i -> X^(w_i), with w the product of the radices so far, and u
+    # is the monomial of a term in the variables one operand has alone
+    shared, umask, w = [], 0, 1
+    for s in f.ctx._shifts:
+        mask = _FIELD << s
+        if fo & mask and go & mask:
+            shared.append((s, w))
+            w *= (((fo | go) >> s) & _FIELD) + 1
+        else:
+            umask |= mask
+    # xi = 2^bits with 8 bits to spare over 2 min(|f|, |g|) + 2
+    bits = (min(max(map(abs, a.values())),
+                max(map(abs, b.values()))) + 1).bit_length() + 9
+    if bits * w > _COPRIME_MAX_BITS:
+        return None
+    gamma = 0
+    for terms in (a, b):
+        # K(f_u)(xi) for each u
+        images = {}
+        for m, c in terms.items():
+            k = 0
+            for s, wi in shared:
+                k += ((m >> s) & _FIELD) * wi
+            u = m & umask
+            images[u] = images.get(u, 0) + (c << bits * k)
+        gamma = math.gcd(gamma, *images.values())
+    # the images of the operand of least norm are nonzero, so gamma is too
+    if gamma > 1 << (bits - 1):
+        return None
+    return Poly(f.ctx, {0: 1}), f, g
 
 
 def _cofactor(q, f, F, low):
@@ -832,28 +893,18 @@ def _heu_gcd(f, g):
     xi = 2 * min(max(map(abs, f.terms.values())),
                  max(map(abs, g.terms.values()))) + 2
     xdeg = max(fdeg[x], gdeg[x])
-    # in one variable the images are ints, and math.gcd is the level below
-    univariate = sum(fdeg) == fdeg[x] and sum(gdeg) == gdeg[x]
-    s = ctx.deg_shift
     for _ in range(_HEU_POINTS):
         if xdeg * xi.bit_length() > _HEU_MAX_BITS:
             return None
-        if univariate:
-            powers = _powers(xi, xdeg)
-            fx = sum([c * powers[m >> s] for m, c in f.terms.items()])
-            gx = sum([c * powers[m >> s] for m, c in g.terms.items()])
-            image = Poly(ctx, {0: math.gcd(fx, gx)}) if fx and gx else None
-        else:
-            fx, gx = f.evaluate({x: xi})[0], g.evaluate({x: xi})[0]
-            image = None
-            if fx.terms and gx.terms:
-                found = _heu_gcd(fx, gx)
-                # an inner level that gives up ends the heuristic (as
-                # sympy): trying further points here would multiply its
-                # cost per level
-                if found is None:
-                    return None
-                image = found[0]
+        fx, gx = f.evaluate({x: xi})[0], g.evaluate({x: xi})[0]
+        image = None
+        if fx.terms and gx.terms:
+            found = _heu_gcd(fx, gx)
+            # an inner level that gives up ends the heuristic (as sympy):
+            # trying further points here would multiply its cost per level
+            if found is None:
+                return None
+            image = found[0]
         if image is not None:
             h = _iprimitive(_xi_adic(image, x, xi))
             # a unit divides both, and the cofactors are f and g themselves

@@ -1,11 +1,11 @@
 """Exactness oracle for the kernel: canonical-form invariants, field laws and
 calculus rules as Hypothesis properties, the quotient rule against its plain
 form over d^2, the fiber dilation and evaluation against substitution,
-differential tests of `ratfunc_normalize` and `poly_gcd` against sympy and
-of the heuristic gcd against the primitive PRS, gcd cofactors, exact
-division undoing multiplication, packed monomials against their exponent
-tuples, the small-operand shortcuts against the general path, and operands
-that no operation changes.
+differential tests of `ratfunc_normalize`, `poly_gcd` and the coprimality
+certificate against sympy and of the heuristic gcd against the primitive
+PRS, gcd cofactors, exact division undoing multiplication, packed monomials
+against their exponent tuples, the small-operand shortcuts against the
+general path, and operands that no operation changes.
 
 Inputs are random multivariate polynomials with small integer coefficients,
 built through the public constructors.  Numerators and denominators share a
@@ -244,9 +244,11 @@ def test_poly_gcd_matches_sympy(g, a, b, k):
 
 def _prs_alone(f, g):
     """The canonical gcd by the primitive PRS alone: `poly_gcd` with the
-    divisor pre-check and the heuristic giving up at every call."""
+    divisor pre-check, the coprimality certificate and the heuristic giving
+    up at every call."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rational, "_trial_divisor", lambda f, g: None)
+        mp.setattr(rational, "_coprime", lambda f, g: None)
         mp.setattr(rational, "_heu_gcd", lambda f, g: None)
         return poly_gcd(f, g)[0]
 
@@ -271,8 +273,8 @@ def _nesting(monkeypatch):
 @SETTINGS
 @given(nonzero_polys, polys, polys, st.integers(-6, 6).filter(bool),
        st.tuples(*[st.integers(0, 2)] * len(CTX.vars)))
-# operands in one variable, where the heuristic's images are ints: a shared
-# factor, a coprime pair, and a variable other than the first
+# operands in one variable: a shared factor, a coprime pair, and a variable
+# other than the first
 @example(3 * _x ** 3 - _x + 4, _x ** 2 - 5, 2 * _x + 1, 2, (1, 0, 0))
 @example(Poly.one(CTX), _y ** 4 + 7, _y ** 3 - 2 * _y, -3, (0, 2, 0))
 @example(_z ** 2 - 2 * _z - 9, _z - 1, _z ** 4 + _z + 1, 5, (0, 0, 2))
@@ -305,6 +307,50 @@ def test_divisor_pre_check_matches_the_heuristic(f, q, k, mono, swap):
         assert found == poly_gcd(a, b)
     h, ca, cb = found
     assert h * ca == a and h * cb == b
+
+
+@st.composite
+def _certificate_operands(draw):
+    """Two terms or more in a drawn set of the variables, the others absent,
+    with exponents 0, 1, 2 and 4, so that one variable's exponents can set
+    no bit in common (x^2 against x); negative coefficients and an integer
+    content."""
+    names = draw(st.sets(st.sampled_from(CTX.vars), min_size=1))
+    exponents = st.sampled_from([0, 1, 2, 4])
+    monos = st.tuples(*[exponents if name in names else st.just(0)
+                        for name in CTX.vars])
+    terms = draw(st.dictionaries(monos, st.integers(-9, 9).filter(bool),
+                                 min_size=2, max_size=4))
+    k = draw(st.integers(1, 6))
+    return Poly.from_exponents(CTX, {m: k * c for m, c in terms.items()})
+
+
+def _certified(f, g):
+    """f and g made primitive and free of monomial content, as `poly_gcd`
+    hands them to the certificate, and whether it certifies them."""
+    _, F, G = rational._gcd_operands(f, g)
+    return F, G, rational._coprime(F, G) is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_certificate_operands(), _certificate_operands(),
+       _certificate_operands())
+# x^2 - 1 against x y - y + x - 1 share x, although the x fields of the
+# two operands set no bit in common; a pair in x^2 and y^2 alone, whose
+# images share X^2 + 1 under x -> X, y -> X^3
+@example(_x + 1, _y + 1, _x - 1)
+@example(2 * _x ** 2 * _y ** 2 + _x ** 2 + _y ** 2,
+         (_x ** 2 + 1) * (_y ** 2 + 1), _z - 2)
+def test_coprimality_certificate_against_sympy(f, g, h):
+    # a certified pair has a constant gcd; a common factor h with two terms
+    # or more keeps a nonconstant part once the monomial content is out,
+    # so f h and g h are never certified
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(CTX.vars)
+    F, G, certified = _certified(f, g)
+    if certified:
+        assert sympy.gcd(_to_sympy(F, syms), _to_sympy(G, syms)).is_number
+    assert not _certified(f * h, g * h)[2]
 
 
 def test_poly_gcd_falls_back_to_prs(monkeypatch):

@@ -522,27 +522,6 @@ def test_poly_gcd_keeps_integer_content_out_of_the_images():
     assert poly_gcd(3 * f, 6 * f) == (f, 3, 6)
 
 
-def test_heuristic_in_one_variable_takes_int_images(monkeypatch):
-    # two operands in one variable: each point's images are ints, so the
-    # heuristic makes no nested call and evaluates no Poly
-    x = v("y1")
-    g = 2 * x * x - 3 * x + 5
-    f1, g1 = g * (x + 2), g * (x * x - 7)
-    heu, calls = rational._heu_gcd, []
-
-    def refuse(name):
-        def spy(*args):
-            calls.append(name)
-            raise AssertionError("%s called" % name)
-        return spy
-
-    monkeypatch.setattr(rational, "_heu_gcd", refuse("nested _heu_gcd"))
-    monkeypatch.setattr(Poly, "evaluate", refuse("Poly.evaluate"))
-    assert heu(f1, g1) == (g, x + 2, x * x - 7)
-    assert heu(3 * f1, 6 * (x - 1)) == (3, f1, 2 * x - 2)
-    assert calls == []
-
-
 def test_heuristic_gives_up_after_its_points(monkeypatch):
     # when no point's candidate divides, the heuristic tries _HEU_POINTS
     # points and gives up, and the PRS still finds the canonical answer
@@ -625,6 +604,55 @@ def test_divisor_pre_check_bounds_the_value_gate(monkeypatch):
         f = 3 * x ** (2 * n) - 1
         assert rational._trial_divisor(f, (3 * x ** (2 * n) + 1) ** 2) is None
         assert bool(divisions) == divided
+
+
+RS = ChartContext(base=["u", "r", "s"], fiber=["y1", "y2"])
+
+
+def _refuse_heuristic(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("_heu_gcd called on %s, %s" % (f, g))
+    monkeypatch.setattr(rational, "_heu_gcd", refuse)
+
+
+def test_coprimality_certificate_settles_a_coprime_pair(monkeypatch):
+    # 4r + 3 does not divide r^2 + 1, and the images 4 xi + 3 and xi^2 + 1
+    # have a gcd of at most 25, far below xi/2: no heuristic
+    r = v("r", RS)
+    f, g = 4 * r + 3, r * r + 1
+    _refuse_heuristic(monkeypatch)
+    h, qf, qg = poly_gcd(f, g)
+    assert (h, qf, qg) == (1, f, g)
+    assert qf is f and qg is g
+
+
+def test_coprimality_certificate_declines_colliding_images(monkeypatch):
+    # 2 r^2 s^2 + r^2 + s^2 is prime to (r^2 + 1)(s^2 + 1), but under
+    # r -> X, s -> X^3 both images are multiples of X^2 + 1, whose value
+    # passes xi/2: the certificate declines and the heuristic answers 1
+    r, s = v("r", RS), v("s", RS)
+    f, g = 2 * r * r * s * s + r * r + s * s, (r * r + 1) * (s * s + 1)
+    assert rational._coprime(f, g) is None
+    heu, calls = rational._heu_gcd, []
+
+    def spy(*args):
+        calls.append(args)
+        return heu(*args)
+
+    monkeypatch.setattr(rational, "_heu_gcd", spy)
+    assert poly_gcd(f, g) == (1, f, g)
+    assert calls
+
+
+def test_coprimality_certificate_keeps_the_monomial_gcd(monkeypatch):
+    # the certificate settles u + 1 against y2 + 3, and the monomial gcd
+    # u y1 and the cofactors come from the operands it was handed
+    u, y1, y2 = v("u", RS), v("y1", RS), v("y2", RS)
+    _refuse_heuristic(monkeypatch)
+    assert poly_gcd(u * y1 * (u + 1), u * y1 * (y2 + 3)) == \
+        (u * y1, u + 1, y2 + 3)
+    assert poly_gcd(-6 * u * u * y1 * (u + 1), 4 * u * y1 * y1 * (y2 + 3)) \
+        == (u * y1, -6 * u * (u + 1), 4 * y1 * (y2 + 3))
 
 
 def test_poly_gcd_bounds_the_heuristic_on_sparse_high_degree(monkeypatch):
