@@ -111,9 +111,7 @@ def linear_poisson(g, ctx=None):
 
 def product_poisson(pi_a, pi_b):
     """Sum bivector of factors with disjoint variable support."""
-    if pi_a.context != pi_b.context:
-        raise VariableOverlap("factors must live on one chart")
-    ctx = pi_a.context
+    _same_chart(pi_a.context, pi_b.context)
     used_a = _support(pi_a)
     used_b = _support(pi_b)
     if used_a & used_b:

@@ -158,7 +158,8 @@ class ChartContext:
 
     def fiber_degree(self, m):
         """Degree of a packed monomial in the fiber variables."""
-        return sum(self.unpack(m)[self.nparams + self.p:])
+        return sum([(m >> s) & _FIELD
+                    for s in self._shifts[self.nparams + self.p:]])
 
     def with_param(self, name):
         """Context extended by one formal parameter (appended to params)."""
@@ -378,6 +379,9 @@ class Poly:
     def substitute(self, mapping):
         """Simultaneous substitution {var index: RatFunc | Q} -> RatFunc."""
         ctx = self.ctx
+        for i in mapping:
+            if i not in range(len(ctx.vars)):
+                raise UnknownVariable("no variable of index %r" % (i,))
         values = {i: v if isinstance(v, RatFunc) else RatFunc.const(ctx, v)
                   for i, v in mapping.items()}
         total = RatFunc.zero(ctx)
@@ -642,19 +646,30 @@ def _gcd_operands(f, g):
     ctx = f.ctx
     f = _iprimitive(f)
     g = _iprimitive(g)
-    nvars = len(ctx.vars)
-    # monomial content (a constant term makes every minimum zero); each field
-    # of a monomial is at least its minimum, so subtracting the packed
-    # minimum borrows nowhere
-    fmin = [0] * nvars if 0 in f.terms else _fieldwise(min, f)
-    gmin = [0] * nvars if 0 in g.terms else _fieldwise(min, g)
-    if any(fmin):
-        low = ctx.pack(fmin)
-        f = Poly(ctx, {m - low: c for m, c in f.terms.items()})
-    if any(gmin):
-        low = ctx.pack(gmin)
-        g = Poly(ctx, {m - low: c for m, c in g.terms.items()})
-    return ctx.pack(list(map(min, fmin, gmin))), f, g
+    flow, glow = _low(ctx, f.terms), _low(ctx, g.terms)
+    if flow:
+        f = Poly(ctx, {m - flow: c for m, c in f.terms.items()})
+    if glow:
+        g = Poly(ctx, {m - glow: c for m, c in g.terms.items()})
+    return _low(ctx, (flow, glow)), f, g
+
+
+def _low(ctx, monos):
+    """The packed monomial gcd of some packed monomials: 0 when one is the
+    constant monomial, else the least field of each variable the first one
+    has, with the total degree their sum.  Each field of each monomial is
+    at least the result's, so subtracting it borrows nowhere."""
+    if 0 in monos:
+        return 0
+    first = next(iter(monos))
+    low = degree = 0
+    for s in ctx._shifts:
+        mask = _FIELD << s
+        if first & mask:
+            e = min(map(mask.__and__, monos))
+            low += e
+            degree += e >> s
+    return low + (degree << ctx.deg_shift)
 
 
 def poly_gcd(f, g):
@@ -685,23 +700,14 @@ def poly_gcd(f, g):
         h = _primitive([p], c)[0]
         k = Poly(ctx, {0: c // h.terms[lead]})
         return (h, k, g) if a else (h, f, k)
-    # a single-term operand c x^alpha: the gcd is x^beta, with beta_i the
-    # least of alpha_i and the exponents of x_i in the other operand; each
-    # term of either operand is a multiple of x^beta, so the cofactors are
-    # shifts by -beta that borrow nowhere
+    # a single-term operand c x^alpha: the gcd is the monomial gcd of
+    # x^alpha and the other operand's monomial content, so the cofactors
+    # are shifts that borrow nowhere
     if len(a) == 1 or len(b) == 1:
         (alpha,), other = (a, b) if len(a) == 1 else (b, a)
-        low = degree = 0
-        if 0 not in other:
-            for s in ctx._shifts:
-                mask = _FIELD << s
-                if alpha & mask:
-                    e = min(alpha & mask, min(map(mask.__and__, other)))
-                    low += e
-                    degree += e >> s
+        low = _low(ctx, (alpha, _low(ctx, other)))
         if not low:
             return Poly(ctx, {0: 1}), f, g
-        low += degree << ctx.deg_shift
         return (Poly(ctx, {low: 1}),
                 Poly(ctx, {m - low: c for m, c in a.items()}),
                 Poly(ctx, {m - low: c for m, c in b.items()}))
@@ -821,7 +827,7 @@ def _prs(f, g):
     x of least degree.  `_content_free_part` splits off the content in x of
     each operand and of each pseudo-remainder; the contents' gcd comes from
     `poly_gcd`, and has one variable fewer than the PRS that asks for it."""
-    fdeg, gdeg = _fieldwise(max, f), _fieldwise(max, g)
+    fdeg, gdeg = _degrees(f), _degrees(g)
     shared = [i for i, (df, dg) in enumerate(zip(fdeg, gdeg)) if df and dg]
     if not shared:
         return Poly(f.ctx, {0: 1}), f, g
@@ -887,7 +893,7 @@ def _heu_gcd(f, g):
     if content != 1:
         f, g = [Poly(ctx, {m: c // content for m, c in p.terms.items()})
                 for p in (f, g)]
-    fdeg, gdeg = _fieldwise(max, f), _fieldwise(max, g)
+    fdeg, gdeg = _degrees(f), _degrees(g)
     # the variable of highest degree first: its images have the fewest terms
     x = max(range(nvars), key=lambda i: (max(fdeg[i], gdeg[i]), i))
     xi = 2 * min(max(map(abs, f.terms.values())),
@@ -919,11 +925,10 @@ def _heu_gcd(f, g):
     return None
 
 
-def _fieldwise(pick, f):
-    """`pick` (min or max) of the exponents of each variable over the terms
-    of nonzero f: the least exponents or the degrees."""
+def _degrees(f):
+    """The degree of nonzero f in each variable."""
     terms = f.terms
-    return [pick(map((_FIELD << s).__and__, terms)) >> s
+    return [max(map((_FIELD << s).__and__, terms)) >> s
             for s in f.ctx._shifts]
 
 
@@ -1198,6 +1203,8 @@ class RatFunc:
     def fiber_homogeneous_part(self, d):
         """Fiber-degree-d homogeneous part of the Taylor expansion at y = 0:
         the Taylor parts h_0..h_d solve num = f*den order by order."""
+        if d < 0:
+            raise ValueError("fiber degree must be >= 0")
         nparts, dparts = self.num.fiber_parts(), self.den.fiber_parts()
         if 0 not in dparts:
             raise SingularAtZeroSection(
@@ -1285,12 +1292,11 @@ def _content_free_part(d, i):
         smallest = min(ties, key=lambda t: sorted(t.items()))
     if len(smallest) == 1 and 0 in smallest:
         return Poly(ctx, {0: 1}), d  # a constant coefficient: c = 1
-    mu = _fieldwise(min, d)
-    mu[i] = 0
-    low = ctx.pack(mu)
-    e = Poly(ctx, smallest)
-    e_low = ctx.pack(_fieldwise(min, e))
-    e = _iprimitive(Poly(ctx, {m - e_low: c for m, c in e.terms.items()}))
+    # x^mu: the monomial gcd of d with its field of x_i cleared
+    low = _low(ctx, d.terms)
+    low -= ((low >> s) & _FIELD) * step
+    e_low = _low(ctx, smallest)
+    e = _iprimitive(Poly(ctx, {m - e_low: c for m, c in smallest.items()}))
     while True:
         # each coefficient is e x^mu times a quotient with monomial content
         # at least mu, so the shift by mu borrows nowhere

@@ -530,8 +530,8 @@ def test_catalog_entries_refuse_a_chart_of_the_wrong_shape():
 
 def test_product_poisson_refuses_two_charts():
     other = ChartContext(base=["u"], fiber=["y1", "y2", "y3"])
-    with pytest.raises(VariableOverlap,
-                       match="^factors must live on one chart$"):
+    with pytest.raises(ContextMismatch,
+                       match="^operands live on different charts$"):
         product_poisson(linear_poisson(so3()), linear_poisson(so3(), other))
 
 

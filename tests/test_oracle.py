@@ -610,6 +610,42 @@ def test_zero_and_single_term_operands_divide_nothing(monkeypatch):
         assert poly_gcd(f, g) == expect
 
 
+@st.composite
+def _monomial_gcd_operands(draw):
+    """(p, q): nonzero polynomials or single terms, each times one shared
+    monomial, and p with a constant term added or not."""
+    shared = Poly.from_exponents(CTX, {draw(exponents): 1})
+    p, q = (_nonzero(draw(st.one_of(polys, monomials))) * shared
+            for _ in range(2))
+    if draw(st.booleans()):
+        p = _nonzero(p + draw(st.integers(1, 5)))
+    return p, q
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_monomial_gcd_operands())
+# a constant term, two single terms, shared monomial content
+@example((_x * _y + 1, _y))
+@example((3 * _x ** 2 * _y, -_x * _z))
+@example((_x * _y * (_x + _z), _x * _y * _z * (_y - 2)))
+def test_monomial_gcd_is_the_least_exponent_tuple(pq):
+    # rational._low against the least exponents read as tuples; taking
+    # x^low out of each term borrows from no field's guard bit
+    guard = CTX.guard
+    lows = []
+    for p in pq:
+        low = rational._low(CTX, p.terms)
+        least = tuple(map(min, zip(*(m for m, _ in p.exponents()))))
+        assert low == CTX.pack(least)
+        assert all((m - low + guard) & guard == guard for m in p.terms)
+        lows.append(low)
+    # over two packed monomials: their fieldwise minimum
+    a, b = (CTX.unpack(low) for low in lows)
+    pair = rational._low(CTX, lows)
+    assert pair == CTX.pack(tuple(map(min, a, b)))
+    assert pair == rational._low(CTX, {**pq[0].terms, **pq[1].terms})
+
+
 @SETTINGS
 @given(nonzero_polys, nonzero_polys, st.integers(-6, 6).filter(bool))
 def test_canonical_scale_shortcut(num, den, k):

@@ -476,6 +476,11 @@ def test_fiber_homogeneous_part():
     assert f.fiber_homogeneous_part(2) == rf(x * y1 * y1)
 
 
+def test_fiber_homogeneous_part_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="^fiber degree must be >= 0$"):
+        rf(v("y1")).fiber_homogeneous_part(-1)
+
+
 # --- gcd / exact division internals ----------------------------------------
 
 def test_poly_gcd_random_products():
@@ -655,6 +660,46 @@ def test_coprimality_certificate_keeps_the_monomial_gcd(monkeypatch):
         == (u * y1, -6 * u * (u + 1), 4 * y1 * (y2 + 3))
 
 
+def _refuse_exponent_tuples(monkeypatch):
+    def refuse(ctx, arg):
+        raise AssertionError("exponent tuple of %r" % (arg,))
+    monkeypatch.setattr(ChartContext, "pack", refuse)
+    monkeypatch.setattr(ChartContext, "unpack", refuse)
+
+
+def test_monomial_gcd_reads_packed_monomials(monkeypatch):
+    # the single-term triage and the general path's operands take their
+    # monomial gcds from the packed monomials, with no exponent tuple
+    u, y1, y2 = v("u", RS), v("y1", RS), v("y2", RS)
+    _refuse_exponent_tuples(monkeypatch)
+    general = poly_gcd(u * y1 * (u + 1), u * y1 * (y2 + 3))
+    single = poly_gcd(3 * u * y1 * y1, u * y1 * (y2 + 3))
+    monkeypatch.undo()
+    assert general == (u * y1, u + 1, y2 + 3)
+    assert single == (u * y1, 3 * y1, y2 + 3)
+
+
+def test_quotient_rule_content_reads_packed_monomials(monkeypatch):
+    # the coefficients y^2 + y and y^2 + 2y of x are not constant, so the
+    # content split takes mu and e, and a gcd, from packed monomials
+    x, y = v("x"), v("y")
+    d = x * y * (y + 1) + y * (y + 2)
+    f, expect = rf(c(1), d), rf(-(y * y + y), d * d)
+    _refuse_exponent_tuples(monkeypatch)
+    fx = f.derivative("x")
+    monkeypatch.undo()
+    assert fx == expect
+
+
+def test_fiber_parts_read_packed_monomials(monkeypatch):
+    x, y1, y2 = v("x"), v("y1"), v("y2")
+    p = x * y1 * y2 + 3 * y1 + x * x
+    _refuse_exponent_tuples(monkeypatch)
+    parts = p.fiber_parts()
+    monkeypatch.undo()
+    assert parts == {0: x * x, 1: 3 * y1, 2: x * y1 * y2}
+
+
 def test_poly_gcd_bounds_the_heuristic_on_sparse_high_degree(monkeypatch):
     # the images of f and g at integer points grow with the product of the
     # degrees over the levels; without a bound the third level would raise
@@ -790,6 +835,15 @@ def test_evaluate_refuses_an_index_outside_the_chart():
     for index in (-1, 2):
         with pytest.raises(UnknownVariable):
             p.evaluate({index: 2})
+
+
+def test_substitute_refuses_an_index_outside_the_chart():
+    ctx = ChartContext(base=["u"], fiber=["y"])
+    u = Poly.var(ctx, "u")
+    for index in (5, -1):
+        with pytest.raises(UnknownVariable,
+                           match="^no variable of index %d$" % index):
+            u.substitute({index: 1})
 
 
 # --- casting / substitution -------------------------------------------------
