@@ -303,19 +303,18 @@ def _run_command(cmd, ctx, env):
                                 % (cmd.order, MAX_JET_ORDER))
         gamma = decompose(_lookup(env, cmd.target, Multivector))
         if cmd.order == 1:
-            j = first_jet_model(gamma).as_mixed()
+            j = first_jet_model(gamma).mixed
         else:
-            j = jet_n(gamma.as_mixed(), cmd.order)
+            j = jet_n(gamma.mixed, cmd.order)
         resid = ltimes_bracket(j, j)
         return _residual_record(cmd, [str(resid)], str(j))
     if isinstance(cmd, dsl.CmdMoser):
         gamma = decompose(_lookup(env, cmd.target, Multivector))
         path = moser_path(gamma)
-        g_t = path.gamma_t.as_mixed()
+        g_t = path.gamma_t.mixed
         residuals = [str(ltimes_bracket(g_t, g_t))]
-        end1 = moser_at(path, 1).as_mixed() - gamma.as_mixed()
-        end0 = moser_at(path, 0).as_mixed() - \
-            first_jet_model(gamma).as_mixed()
+        end1 = moser_at(path, 1).mixed - gamma.mixed
+        end0 = moser_at(path, 0).mixed - first_jet_model(gamma).mixed
         residuals.append(str(end1))
         residuals.append(str(end0))
         # auxiliary identity t^-1 phi_t(gdot_1) = gdot_t

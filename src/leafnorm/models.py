@@ -181,8 +181,12 @@ class PeriodModel(Record):
 
     def __init__(self, ctx, transverse, periods):
         super().__init__(ctx, tuple(transverse), tuple(periods))
-        for name in self.transverse + ("PI",):
+        names = self.transverse + ("PI",)
+        for k, name in enumerate(names):
             ctx.var_index(name)
+            if name in names[k + 1:]:
+                raise ValueError("%r occurs twice among the transverse "
+                                 "parameters and PI" % (name,))
         self._validate()
 
     def _validate(self):

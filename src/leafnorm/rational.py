@@ -137,6 +137,17 @@ class ChartContext:
         except KeyError:
             raise UnknownVariable("unknown variable %r" % (name,)) from None
 
+    def _shift(self, i):
+        """The offset of variable i's field; UnknownVariable for anything
+        but an index into the chart, a negative one included.  It is on
+        the derivative's path, so it tests only what indexing does not."""
+        try:
+            if i >= 0:
+                return self._shifts[i]
+        except (TypeError, IndexError):
+            pass
+        raise UnknownVariable("no variable of index %r" % (i,))
+
     def var_mono(self, i):
         """The packed monomial of variable i (adding it multiplies by x_i)."""
         return (1 << self._shifts[i]) | (1 << self.deg_shift)
@@ -258,7 +269,7 @@ class Poly:
         return max(self.terms) >> self.ctx.deg_shift
 
     def depends_on(self, i):
-        mask = _FIELD << self.ctx._shifts[i]
+        mask = _FIELD << self.ctx._shift(i)
         return any(m & mask for m in self.terms)
 
     def depends_on_fiber(self):
@@ -367,7 +378,7 @@ class Poly:
 
     def derivative(self, i):
         # distinct monomials stay distinct, so no two terms meet
-        s = self.ctx._shifts[i]
+        s = self.ctx._shift(i)
         step = self.ctx.var_mono(i)
         out = {}
         for m, c in self.terms.items():
@@ -379,9 +390,9 @@ class Poly:
     def substitute(self, mapping):
         """Simultaneous substitution {var index: RatFunc | Q} -> RatFunc."""
         ctx = self.ctx
+        # an index outside the chart is refused before any arithmetic
         for i in mapping:
-            if i not in range(len(ctx.vars)):
-                raise UnknownVariable("no variable of index %r" % (i,))
+            ctx._shift(i)
         values = {i: v if isinstance(v, RatFunc) else RatFunc.const(ctx, v)
                   for i, v in mapping.items()}
         total = RatFunc.zero(ctx)
@@ -947,10 +958,8 @@ def _values_and_slopes(p, point, slopes):
     polys = [p.terms] + [p.derivative(j).terms for j in slopes]
     den = 1
     for i, v in point.items():
-        if i not in range(len(ctx.vars)):
-            raise UnknownVariable("no variable of index %r" % (i,))
+        s, step = ctx._shift(i), ctx.var_mono(i)
         a, b = _split(v)
-        s, step = ctx._shifts[i], ctx.var_mono(i)
         mask = _FIELD << s
         k = max([max(map(mask.__and__, t), default=0) for t in polys]) >> s
         # a variable that none of them has leaves them and D as they are

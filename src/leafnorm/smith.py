@@ -52,6 +52,8 @@ def integer_solve(a, b, n):
     be 0.  With A V = H, solves H y = b by forward substitution, exactly in
     Z, and returns x = V y.
     """
+    if len(a) != len(b) or any(len(row) != n for row in a):
+        raise ValueError("A needs one row of length n per entry of b")
     h, v, pivots = _echelon(a, n)
     y = [0] * n
     c = 0

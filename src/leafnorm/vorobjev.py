@@ -45,7 +45,7 @@ from .omega import (
     ltimes_bracket,
     p_S,
 )
-from .rational import RatFunc, _same_chart
+from .rational import RatFunc
 
 __all__ = [
     "DiracElement", "HorizontalData", "HorizontalCheck", "horizontal_blocks",
@@ -59,47 +59,36 @@ __all__ = [
 
 
 class DiracElement(Record):
-    """Triple (vertical bivector, connection, two-form component)."""
+    """One element of bidegrees (0,2), (1,1) and (2,0): the vertical
+    bivector, the connection and the two-form component, stored in that
+    order; its parts are views by bidegree."""
 
-    __slots__ = ("v_part", "conn_part", "f_part")
+    __slots__ = ("mixed",)
 
-    def __init__(self, v_part, conn_part, f_part):
-        ctx = conn_part.context
-        _same_chart(v_part.context, ctx)
-        _same_chart(f_part.context, ctx)
-        for (I, J, K) in v_part.terms:
-            if I or J or len(K) != 2:
-                raise InvalidElement("vertical part must be of bidegree (0,2)")
-        for (I, J, K) in f_part.terms:
-            if J or K or len(I) != 2:
-                raise InvalidElement("two-form part must be of bidegree (2,0)")
-        if p_S(conn_part) != gamma_S(ctx):
-            raise InvalidElement(
-                "connection part does not project to the identity")
-        for (I, J, K) in conn_part.terms:
-            if not J and (len(I) != 1 or len(K) != 1):
-                raise InvalidElement("connection part must be of bidegree (1,1)")
-        super().__init__(v_part, conn_part, f_part)
-
-    @classmethod
-    def from_mixed(cls, g):
-        """Split an element into its (0,2), (1,1) and (2,0) parts."""
-        parts = [g.bidegree_part(i, 2 - i) for i in range(3)]
-        if sum(len(part.terms) for part in parts) != len(g.terms):
+    def __init__(self, mixed):
+        v, conn, f = (mixed.bidegree_part(i, 2 - i) for i in range(3))
+        if len(v.terms) + len(conn.terms) + len(f.terms) != len(mixed.terms):
             raise InvalidElement("element has terms outside bidegrees "
                                  "(0,2), (1,1) and (2,0)")
-        return cls(*parts)
+        if any(J for (_, J, _) in v.terms):
+            raise InvalidElement("vertical part must be of bidegree (0,2)")
+        if p_S(conn) != gamma_S(mixed.context):
+            raise InvalidElement(
+                "connection part does not project to the identity")
+        # sums and brackets add the terms that meet on a key in iteration
+        # order, which decides their gcd work: one order, v, conn, f
+        super().__init__(v + conn + f)
+
+    v_part = property(lambda self: self.mixed.bidegree_part(0, 2))
+    conn_part = property(lambda self: self.mixed.bidegree_part(1, 1))
+    f_part = property(lambda self: self.mixed.bidegree_part(2, 0))
 
     @property
     def context(self):
-        return self.conn_part.context
-
-    def as_mixed(self):
-        return self.v_part + self.conn_part + self.f_part
+        return self.mixed.context
 
     def dirac_residual(self):
-        g = self.as_mixed()
-        return ltimes_bracket(g, g)
+        return ltimes_bracket(self.mixed, self.mixed)
 
     def is_dirac(self):
         return self.dirac_residual().is_zero()
@@ -168,24 +157,19 @@ def decompose(theta):
     ctx = theta.context
     blocks, ainv, w = _frames(theta)
     p, q = ctx.p, ctx.q
-    conn_items = []
-    for i in range(p):
-        for a in range(q):
-            conn_items.append((((i,), (), (p + a,)), w.entries[i][a]))
-    conn = gamma_S(ctx) + MixedElement.from_terms(ctx, conn_items)
+    items = [(((i,), (), (p + a,)), w.entries[i][a])
+             for i in range(p) for a in range(q)]
     vmat = blocks.C + blocks.B.transpose() * ainv * blocks.B
-    v_part = MixedElement.from_terms(ctx, [
-        (((), (), (p + a, p + b)), c) for (a, b), c in _upper(vmat)])
-    f_part = MixedElement.from_terms(ctx, [
-        ((ij, (), ()), c) for ij, c in _upper(ainv)])
-    return DiracElement(v_part, conn, f_part)
+    items += [(((), (), (p + a, p + b)), c) for (a, b), c in _upper(vmat)]
+    items += [((ij, (), ()), c) for ij, c in _upper(ainv)]
+    return DiracElement(gamma_S(ctx) + MixedElement.from_terms(ctx, items))
 
 
 def _dual(gamma):
     """gamma's terms without horizontal lifts as one bivector, with dx^i read
     as d/dx^i: its blocks are (F, W, V)."""
     return Multivector(gamma.context, {
-        I + K: c for (I, J, K), c in gamma.as_mixed().terms.items() if not J})
+        I + K: c for (I, J, K), c in gamma.mixed.terms.items() if not J})
 
 
 def assemble(gamma):
@@ -304,7 +288,7 @@ def chain_map_residual(theta, u):
     """tau([theta, u]) - [gamma, tau(u)]; vanishes when theta is Poisson."""
     gamma = decompose(theta)
     lhs = tau(theta, schouten(theta, u))
-    rhs = ltimes_bracket(gamma.as_mixed(), tau(theta, u))
+    rhs = ltimes_bracket(gamma.mixed, tau(theta, u))
     return lhs - rhs
 
 
@@ -319,7 +303,7 @@ class LeafCheck(Verdict):
 def leaf_check(gamma):
     """S is a symplectic leaf iff gamma|_S is pure (2,0); then
     omega_S = -gamma|_S, verified closed and non-degenerate."""
-    g0 = ds_n(gamma.as_mixed(), 0)
+    g0 = ds_n(gamma.mixed, 0)
     if any(J or K for (_, J, K) in g0.terms):
         return LeafCheck(False, None)
     omega = base_form_of(-g0)
@@ -335,7 +319,7 @@ def first_jet_model(gamma):
     """j^1_S(gamma) = gamma|_S + d^1_S(gamma), verified to be Dirac."""
     if not leaf_check(gamma).ok:
         raise LeafCheckFailed("the zero section is not a symplectic leaf")
-    out = DiracElement.from_mixed(jet_n(gamma.as_mixed(), 1))
+    out = DiracElement(jet_n(gamma.mixed, 1))
     if not out.is_dirac():
         raise InvalidElement("first jet fails the Dirac equation")
     return out
@@ -360,12 +344,10 @@ def moser_path(gamma):
     while param in base_ctx.vars:
         k += 1
         param = "t%d" % k
-    g = gamma.as_mixed()
     ctx_t = base_ctx.with_param(param)
     t = RatFunc.var(ctx_t, param)
-    g_t = g.cast(ctx_t)
-    tphi = dilation(g_t, t).scale(t)
-    g0 = ds_n(g, 0).cast(ctx_t)
+    tphi = dilation(gamma.mixed.cast(ctx_t), t).scale(t)
+    g0 = ds_n(gamma.mixed, 0).cast(ctx_t)
     diff = tphi - g0
     t_index = ctx_t.var_index(param)
     items = []
@@ -377,30 +359,29 @@ def moser_path(gamma):
                 "path coefficient is singular at %s = 0" % param)
         items.append((key, c2))
     path = g0 + MixedElement.from_terms(ctx_t, items)
-    return MoserPath(DiracElement.from_mixed(path), param, base_ctx)
+    return MoserPath(DiracElement(path), param, base_ctx)
 
 
 def moser_at(path, value):
     """Evaluate the path at a rational parameter value, back on the chart."""
     at = {path.param: value}
-    g = path.gamma_t.as_mixed().map_coeffs(lambda c: c.substitute(at))
-    return DiracElement.from_mixed(g.cast(path.base_context))
+    g = path.gamma_t.mixed.map_coeffs(lambda c: c.substitute(at))
+    return DiracElement(g.cast(path.base_context))
 
 
 def moser_gamma_dot(path):
     """Derivative of the path in the formal parameter."""
     param = path.param
-    return path.gamma_t.as_mixed().map_coeffs(lambda c: c.derivative(param))
+    return path.gamma_t.mixed.map_coeffs(lambda c: c.derivative(param))
 
 
 def gamma_dot_1(gamma):
     """-omega_S - F + pi^v + [Euler, gamma]; the Moser velocity at t = 1."""
     if not leaf_check(gamma).ok:
         raise LeafCheckFailed("the zero section is not a symplectic leaf")
-    g = gamma.as_mixed()
-    g0 = ds_n(g, 0)
+    g0 = ds_n(gamma.mixed, 0)
     e = euler_field(gamma.context)
-    return g0 - gamma.f_part + gamma.v_part + ltimes_bracket(e, g)
+    return g0 - gamma.f_part + gamma.v_part + ltimes_bracket(e, gamma.mixed)
 
 
 def linearization_cocycle(theta, omega):
@@ -502,8 +483,7 @@ class AlgebroidData(Record):
 
 def algebroid_from_jet(gamma1):
     """Algebroid data of a first-order Dirac element on TS + E*."""
-    g = gamma1.as_mixed()
-    if jet_n(g, 1) != g:
+    if jet_n(gamma1.mixed, 1) != gamma1.mixed:
         raise NotFirstOrder("element carries terms beyond first order")
     sigma = ds_n(gamma1.f_part, 1)
     return AlgebroidData(gamma1.context, gamma1.v_part, gamma1.conn_part,

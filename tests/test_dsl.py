@@ -18,7 +18,7 @@ from leafnorm.models import (
     sphere_context, sphere_example, sphere_period_model,
 )
 from leafnorm.multivector import is_poisson
-from leafnorm.omega import ds_n
+from leafnorm.omega import ds_n, euler_field
 from leafnorm.rational import Q, RatFunc
 from leafnorm.vorobjev import (
     DiracElement, algebroid_from_jet, decompose, first_jet_model,
@@ -107,7 +107,7 @@ def engine_records():
         "MoserPath": moser_path(gamma),
         "AlgebroidData": algebroid,
         "GradedDifferential": graded_differential(
-            ds_n(gamma.as_mixed(), 1), 1),
+            ds_n(gamma.mixed, 1), 1),
         "LatticeResult": lattice_discreteness([[Q(1)], [Q(3, 7)]], 1),
         "PeriodModel": sphere_period_model(),
         "CommandRecord": report.records[0],
@@ -169,7 +169,7 @@ def test_validating_records_still_check_their_fields():
     assert PeriodModel(*model.fields().values()) == model
     gamma = decompose(sphere_example(False))
     with pytest.raises(InvalidElement):
-        DiracElement(gamma.f_part, gamma.conn_part, gamma.v_part)
+        DiracElement(gamma.mixed + euler_field(gamma.context))
     assert DiracElement(*gamma.fields().values()) == gamma
 
 

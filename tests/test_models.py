@@ -514,6 +514,17 @@ def test_period_model_validation():
         PeriodModel(ctx, ["t"], [pi / RatFunc.from_poly(t)])
 
 
+def test_period_model_refuses_a_repeated_or_formal_transverse_name():
+    # a repeated name gave monodromy two equal columns, and PI among them was
+    # differentiated as if it were a parameter
+    ctx = ChartContext(base=[], fiber=[], params=("r", "PI"))
+    period = RatFunc.var(ctx, "PI") * RatFunc.var(ctx, "r")
+    for names, name in ((["r", "r"], "'r'"), (["PI"], "'PI'")):
+        with pytest.raises(ValueError, match="^%s occurs twice among the "
+                           "transverse parameters and PI$" % name):
+            PeriodModel(ctx, names, [period])
+
+
 # --- catalog entries on a chart of the wrong shape ------------------------------
 
 def test_catalog_entries_refuse_a_chart_of_the_wrong_shape():

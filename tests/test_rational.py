@@ -787,7 +787,7 @@ def _entry_points():
         ("RatFunc.substitute", CTX, lambda s: f.substitute({"x": s})),
         ("monodromy", model.ctx, lambda s: monodromy(model, at={"r": s})),
         ("moser_at", path.context, lambda s: moser_at(path, s)),
-        ("dilation", pi.context, lambda s: dilation(gamma.as_mixed(), s)),
+        ("dilation", pi.context, lambda s: dilation(gamma.mixed, s)),
         ("Graded.scale", pi.context, lambda s: pi.scale(s)),
         ("LieAlgebraData", CTX, lambda s: LieAlgebraData(
             3, {(0, 1, 2): s, (1, 2, 0): s, (2, 0, 1): s}).c),
@@ -844,6 +844,17 @@ def test_substitute_refuses_an_index_outside_the_chart():
         with pytest.raises(UnknownVariable,
                            match="^no variable of index %d$" % index):
             u.substitute({index: 1})
+
+
+def test_derivative_and_depends_on_refuse_an_index_outside_the_chart():
+    # a negative index would silently name the last variable
+    ctx = ChartContext(["u", "v"], ["y"], ["r"])
+    y = Poly.var(ctx, "y")
+    for index in (-1, len(ctx.vars)):
+        for call in (y.derivative, y.depends_on):
+            with pytest.raises(UnknownVariable,
+                               match="^no variable of index %d$" % index):
+                call(index)
 
 
 # --- casting / substitution -------------------------------------------------

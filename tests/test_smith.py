@@ -126,3 +126,13 @@ def test_unique_non_integral_solution_is_none():
     assert integer_solve([[2, 0], [0, 3], [2, 3]], [1, 3, 4], 2) is None
     assert integer_solve([[2, 4], [0, 3]], [5, 3], 2) is None
     assert integer_solve([[2, 4], [0, 3]], [6, 3], 2) == [1, 1]
+
+
+def test_integer_solve_refuses_inconsistent_shapes():
+    # b one entry short used to drop the second row of A and call [1, 0] a
+    # solution; a short row was a bare IndexError
+    for a, b, n in (([[1, 2], [3, 4]], [1], 2), ([[1, 2], [3]], [1, 3], 2),
+                    ([[1, 2]], [1], 3)):
+        with pytest.raises(ValueError, match="^A needs one row of length n "
+                           "per entry of b$"):
+            integer_solve(a, b, n)

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from leafnorm import vorobjev
 from leafnorm.errors import (
-    ContextMismatch, DegenerateFPart, InvalidElement, LeafCheckFailed,
-    NotDivisibleByT, NotFirstOrder, NotHorizontallyNondegenerate, WrongDegree,
+    DegenerateFPart, InvalidElement, LeafCheckFailed, NotDivisibleByT,
+    NotFirstOrder, NotHorizontallyNondegenerate, WrongDegree,
 )
 from leafnorm.linalg import MatrixRF
 from leafnorm.models import linear_poisson, so3
@@ -28,6 +28,7 @@ from leafnorm.vorobjev import (
 
 CTX = ChartContext(base=["x1", "x2"], fiber=["y1"])
 CTX3 = ChartContext(base=["u", "v"], fiber=["y1", "y2", "y3"])
+CTX6 = ChartContext(base=["u", "v"], fiber=["y%d" % a for a in range(1, 7)])
 
 
 def rf(p):
@@ -42,11 +43,11 @@ def symplectic_2d(ctx):
     return Multivector(ctx, {(0, 1): RatFunc.one(ctx)})
 
 
-def so3_linear(ctx):
+def so3_linear(ctx, k=2):
+    """The linear so(3) bivector on the fiber generators k, k+1, k+2."""
+    y1, y2, y3 = (RatFunc.var(ctx, ctx.gens[k + a]) for a in range(3))
     return Multivector.from_terms(ctx, [
-        ((3, 4), RatFunc.var(ctx, "y1")),
-        ((4, 2), RatFunc.var(ctx, "y2")),
-        ((2, 3), RatFunc.var(ctx, "y3"))])
+        ((k + 1, k + 2), y1), ((k + 2, k), y2), ((k, k + 1), y3)])
 
 
 def sphere_bivector(ctx, deformed):
@@ -57,6 +58,16 @@ def sphere_bivector(ctx, deformed):
         y1, y2, y3 = (Poly.var(ctx, n) for n in ("y1", "y2", "y3"))
         factor = factor * rf(1 + y1 * y1 + y2 * y2 + y3 * y3)
     return Multivector(ctx, {(0, 1): factor}) + so3_linear(ctx)
+
+
+def so3x2_bivector():
+    """so(3)+so(3) over the sphere's base chart, its leaf factor deformed
+    by the Casimir 1 + |y|^2."""
+    u, v = pv("u", CTX6), pv("v", CTX6)
+    r2 = sum(pv(y, CTX6) ** 2 for y in CTX6.fiber)
+    factor = rf((1 + u * u + v * v) ** 2 * (1 + r2)) / 4
+    return Multivector(CTX6, {(0, 1): factor}) + so3_linear(CTX6) + \
+        so3_linear(CTX6, 5)
 
 
 # --- nondegeneracy / blocks ---------------------------------------------------
@@ -138,9 +149,8 @@ def test_decompose_point_leaf():
 
 
 def test_assemble_frozen_example():
-    z = MixedElement.zero(CTX)
     f = MixedElement(CTX, {((0, 1), (), ()): -RatFunc.one(CTX)})
-    gamma = DiracElement(z, gamma_S(CTX), f)
+    gamma = DiracElement(gamma_S(CTX) + f)
     assert assemble(gamma) == symplectic_2d(CTX)
 
 
@@ -178,8 +188,7 @@ def test_assemble_forms_the_vertical_block_with_one_product(monkeypatch):
 
 
 def test_assemble_degenerate_f_rejected():
-    z = MixedElement.zero(CTX)
-    gamma = DiracElement(z, gamma_S(CTX), z)
+    gamma = DiracElement(gamma_S(CTX))
     with pytest.raises(DegenerateFPart):
         assemble(gamma)
 
@@ -225,7 +234,7 @@ def random_dirac_data(rng, ctx):
                             rf(Poly.var(ctx, rng.choice(ctx.vars)) *
                                rng.randint(-2, 2))))
     v = MixedElement.from_terms(ctx, v_items)
-    return DiracElement(v, conn, f)
+    return DiracElement(v + conn + f)
 
 
 def test_roundtrip_randomized():
@@ -258,7 +267,7 @@ def test_vorobjev_equivalence_randomized():
         ok_schouten = is_poisson(theta).ok
         gamma = decompose(theta)
         r1, r2, r3, r4 = structure_equations(gamma)
-        g = gamma.as_mixed()
+        g = gamma.mixed
         full = ltimes_bracket(g, g)
         assert full.bidegree_part(0, 3) == r1
         assert full.bidegree_part(1, 2) == r2.scale(2)
@@ -280,7 +289,7 @@ def test_structure_equations_broken_vertical():
     v = MixedElement.from_terms(CTX3, [
         (((), (), (2, 3)), y1), (((), (), (3, 4)), y2)])
     f = MixedElement(CTX3, {((0, 1), (), ()): -RatFunc.one(CTX3)})
-    gamma = DiracElement(v, gamma_S(CTX3), f)
+    gamma = DiracElement(v + gamma_S(CTX3) + f)
     r1, r2, r3, r4 = structure_equations(gamma)
     assert not r1.is_zero()
     assert not gamma.is_dirac()
@@ -432,7 +441,7 @@ def test_leaf_check_examples():
 def test_leaf_check_degenerate_at_s():
     # F vanishing on S: gamma|_S = 0 is (2,0) but degenerate
     f = MixedElement(CTX, {((0, 1), (), ()): rf(pv("y1"))})
-    gamma = DiracElement(MixedElement.zero(CTX), gamma_S(CTX), f)
+    gamma = DiracElement(gamma_S(CTX) + f)
     assert not leaf_check(gamma).ok
 
 
@@ -441,7 +450,7 @@ def test_leaf_check_fails_when_the_leaf_form_is_not_closed():
     ctx = ChartContext(base=["x1", "x2", "x3"], fiber=["y1"])
     x3 = RatFunc.var(ctx, "x3")
     f = MixedElement(ctx, {((0, 1), (), ()): x3})
-    chk = leaf_check(DiracElement(MixedElement.zero(ctx), gamma_S(ctx), f))
+    chk = leaf_check(DiracElement(gamma_S(ctx) + f))
     assert not chk.ok
     assert chk.omega == DiffForm(ctx, {(0, 1): -x3})
 
@@ -449,7 +458,7 @@ def test_leaf_check_fails_when_the_leaf_form_is_not_closed():
 def test_leaf_check_fails_when_not_20():
     v = MixedElement.from_terms(CTX3, [(((), (), (2, 3)), RatFunc.one(CTX3))])
     f = MixedElement(CTX3, {((0, 1), (), ()): -RatFunc.one(CTX3)})
-    gamma = DiracElement(v, gamma_S(CTX3), f)
+    gamma = DiracElement(v + gamma_S(CTX3) + f)
     assert not leaf_check(gamma).ok
     with pytest.raises(LeafCheckFailed):
         first_jet_model(gamma)
@@ -465,7 +474,7 @@ def test_first_jet_examples():
 def test_first_jet_keeps_sigma():
     # F = -(1+y1) dx1^dx2 keeps its fiber-linear part in the jet
     f = MixedElement(CTX, {((0, 1), (), ()): -rf(1 + pv("y1"))})
-    gamma = DiracElement(MixedElement.zero(CTX), gamma_S(CTX), f)
+    gamma = DiracElement(gamma_S(CTX) + f)
     j = first_jet_model(gamma)
     assert j == gamma
     assert j.is_dirac()
@@ -482,7 +491,7 @@ def test_moser_product_constant():
 def test_moser_sphere():
     gamma = decompose(sphere_bivector(CTX3, True))
     path = moser_path(gamma)
-    g_t = path.gamma_t.as_mixed()
+    g_t = path.gamma_t.mixed
     assert ltimes_bracket(g_t, g_t).is_zero()
     assert moser_at(path, 1) == gamma
     assert moser_at(path, 0) == first_jet_model(gamma)
@@ -517,7 +526,7 @@ def test_gamma_dot_suite():
         gamma = decompose(theta)
         gd1 = gamma_dot_1(gamma)
         assert ds_n(gd1, 0).is_zero() and ds_n(gd1, 1).is_zero()
-        assert ltimes_bracket(gamma.as_mixed(), gd1).is_zero()
+        assert ltimes_bracket(gamma.mixed, gd1).is_zero()
     # first-order elements sit still, the deformed sphere does not
     assert gamma_dot_1(decompose(symplectic_2d(CTX3) + so3_linear(CTX3))).is_zero()
     assert not gamma_dot_1(decompose(sphere_bivector(CTX3, True))).is_zero()
@@ -533,7 +542,7 @@ def test_tau_inverse_of_gamma_dot_is_cocycle_plus_exact():
                                   RatFunc.from_poly(w2)})
     cocycle = linearization_cocycle(theta, omega_tilde)
     # the core identity, with the Euler term removed
-    core = gd1 - ltimes_bracket(euler_field(CTX3), gamma.as_mixed())
+    core = gd1 - ltimes_bracket(euler_field(CTX3), gamma.mixed)
     assert tau_inverse(theta, core) == cocycle
     # the Euler term is exact: tau^-1 of it is [E, theta] = -d_theta(E)
     e_mv = Multivector.from_terms(CTX3, [
@@ -549,13 +558,13 @@ def test_homotopy_equation_residual_check():
     # residual
     gamma = decompose(symplectic_2d(CTX3) + so3_linear(CTX3))
     path = moser_path(gamma)
-    g_t = path.gamma_t.as_mixed()
+    g_t = path.gamma_t.mixed
     v_t = MixedElement.zero(path.context)
     assert (ltimes_bracket(g_t, v_t) - moser_gamma_dot(path)).is_zero()
 
     gamma = decompose(sphere_bivector(CTX3, True))
     path = moser_path(gamma)
-    g_t = path.gamma_t.as_mixed()
+    g_t = path.gamma_t.mixed
     candidate = MixedElement.from_terms(
         path.context, [(((), (), (2,)), RatFunc.var(path.context, "y1"))])
     residual = ltimes_bracket(g_t, candidate) - moser_gamma_dot(path)
@@ -566,7 +575,7 @@ def test_moser_mixed_block_model():
     theta = symplectic_2d(CTX) + Multivector(CTX, {(0, 2): rf(pv("y1"))})
     gamma = decompose(theta)
     path = moser_path(gamma)
-    g_t = path.gamma_t.as_mixed()
+    g_t = path.gamma_t.mixed
     assert ltimes_bracket(g_t, g_t).is_zero()
     assert moser_at(path, 1) == gamma
     assert moser_at(path, 0) == first_jet_model(gamma)
@@ -574,15 +583,15 @@ def test_moser_mixed_block_model():
 
 def test_moser_rejects_bad_leaf():
     f = MixedElement(CTX, {((0, 1), (), ()): rf(pv("y1"))})
-    gamma = DiracElement(MixedElement.zero(CTX), gamma_S(CTX), f)
+    gamma = DiracElement(gamma_S(CTX) + f)
     with pytest.raises(LeafCheckFailed):
         moser_path(gamma)
 
 
 def test_moser_truncated_variant():
     gamma = decompose(sphere_bivector(CTX3, True))
-    path = moser_path(DiracElement.from_mixed(jet_n(gamma.as_mixed(), 2)))
-    g_t = path.gamma_t.as_mixed()
+    path = moser_path(DiracElement(jet_n(gamma.mixed, 2)))
+    g_t = path.gamma_t.mixed
     resid = ltimes_bracket(g_t, g_t)
     # identity holds modulo fiber degree > 2
     for k in range(3):
@@ -615,7 +624,7 @@ def test_algebroid_detects_non_dirac():
     v = MixedElement.from_terms(CTX3, [
         (((), (), (2, 3)), y1), (((), (), (3, 4)), y2)])
     f = MixedElement(CTX3, {((0, 1), (), ()): -RatFunc.one(CTX3)})
-    gamma = DiracElement(v, gamma_S(CTX3), f)
+    gamma = DiracElement(v + gamma_S(CTX3) + f)
     data = algebroid_from_jet(gamma)
     assert not all(r.is_zero() for r in data.jacobi_residuals())
 
@@ -624,7 +633,7 @@ def test_algebroid_central_extension():
     # abelian vertical, flat connection, constant sigma: Jacobi holds
     sigma = MixedElement(CTX, {((0, 1), (), ()): rf(pv("y1"))})
     f = MixedElement(CTX, {((0, 1), (), ()): -RatFunc.one(CTX)}) + sigma
-    gamma = DiracElement(MixedElement.zero(CTX), gamma_S(CTX), f)
+    gamma = DiracElement(gamma_S(CTX) + f)
     data = algebroid_from_jet(gamma)
     assert all(r.is_zero() for r in data.jacobi_residuals())
     assert not data.sigma.is_zero()
@@ -632,7 +641,7 @@ def test_algebroid_central_extension():
 
 def test_algebroid_requires_first_order():
     f = MixedElement(CTX, {((0, 1), (), ()): -rf(1 + pv("y1") * pv("y1"))})
-    gamma = DiracElement(MixedElement.zero(CTX), gamma_S(CTX), f)
+    gamma = DiracElement(gamma_S(CTX) + f)
     with pytest.raises(NotFirstOrder):
         algebroid_from_jet(gamma)
 
@@ -642,7 +651,7 @@ def test_algebroid_bracket_leaves_the_fiber_linear_sections():
     ctx = ChartContext(base=["u", "v"], fiber=["y1", "y2"])
     v = MixedElement(ctx, {((), (), (2, 3)): RatFunc.one(ctx)})
     f = MixedElement(ctx, {((0, 1), (), ()): -RatFunc.one(ctx)})
-    data = algebroid_from_jet(DiracElement(v, gamma_S(ctx), f))
+    data = algebroid_from_jet(DiracElement(v + gamma_S(ctx) + f))
     frame = data.frame()
     with pytest.raises(NotFirstOrder):
         data.bracket(frame[2], frame[3])
@@ -678,7 +687,7 @@ def test_algebroid_rejects_non_sections():
 
 def test_graded_differential_anchor_case():
     gamma = decompose(symplectic_2d(CTX3) + so3_linear(CTX3))
-    delta = ds_n(gamma.as_mixed(), 1)
+    delta = ds_n(gamma.mixed, 1)
     d0 = graded_differential(delta, 0)
     f = rf(Poly.var(CTX3, "u") ** 2)
     out = d0(MixedElement.scalar(f))
@@ -689,7 +698,7 @@ def test_graded_differential_anchor_case():
 def test_graded_differential_squares_to_zero():
     rng = random.Random(137)
     gamma = decompose(symplectic_2d(CTX3) + so3_linear(CTX3))
-    delta = ds_n(gamma.as_mixed(), 1)
+    delta = ds_n(gamma.mixed, 1)
     for level in (0, 1, 2):
         d = graded_differential(delta, level)
         for _ in range(6):
@@ -715,7 +724,7 @@ def test_graded_differential_squares_to_zero():
 
 def test_graded_differential_matches_chevalley_eilenberg():
     gamma = decompose(symplectic_2d(CTX3) + so3_linear(CTX3))
-    delta = ds_n(gamma.as_mixed(), 1)
+    delta = ds_n(gamma.mixed, 1)
     d1 = graded_differential(delta, 1)
     # psi = constant section of E*, i.e. the fiber-linear function y1
     psi = MixedElement.scalar(RatFunc.var(CTX3, "y1"))
@@ -734,37 +743,53 @@ def _sphere_gamma():
     return decompose(sphere_bivector(CTX3, True))
 
 
-@pytest.mark.parametrize("parts, error, message", [
-    pytest.param(lambda g: (g.v_part.cast(ChartContext(
-        base=["u", "v"], fiber=["y1", "y2", "y3"], params=["s"])),
-        g.conn_part, g.f_part), ContextMismatch,
-        "operands live on different charts", id="chart"),
-    pytest.param(lambda g: (g.v_part, g.conn_part, g.f_part + MixedElement(
-        CTX3, {((0,), (), (2,)): RatFunc.one(CTX3)})), InvalidElement,
-        r"two-form part must be of bidegree \(2,0\)", id="two-form"),
-    pytest.param(lambda g: (g.v_part, MixedElement.zero(CTX3), g.f_part),
-                 InvalidElement,
+@pytest.mark.parametrize("element, message", [
+    pytest.param(lambda g: g.v_part + g.f_part,
                  "connection part does not project to the identity",
                  id="projection"),
-    pytest.param(lambda g: (g.v_part, g.conn_part + MixedElement(
-        CTX3, {((0, 1), (), ()): RatFunc.one(CTX3)}), g.f_part),
-        InvalidElement, r"connection part must be of bidegree \(1,1\)",
-        id="connection"),
+    pytest.param(lambda g: g.mixed + MixedElement(
+        CTX3, {((), (0,), (2,)): RatFunc.one(CTX3)}),
+        r"vertical part must be of bidegree \(0,2\)", id="lift"),
 ])
-def test_dirac_element_refuses_malformed_parts(parts, error, message):
-    with pytest.raises(error, match="^%s$" % message):
-        DiracElement(*parts(_sphere_gamma()))
+def test_dirac_element_refuses_malformed_parts(element, message):
+    with pytest.raises(InvalidElement, match="^%s$" % message):
+        DiracElement(element(_sphere_gamma()))
 
 
 def test_from_mixed_refuses_terms_of_other_bidegrees():
+    # a Dirac element built from a mixed element takes only its three
+    # bidegrees
     gamma = _sphere_gamma()
-    assert DiracElement.from_mixed(gamma.as_mixed()) == gamma
+    assert DiracElement(gamma.mixed) == gamma
     one = RatFunc.one(CTX3)
     extra = MixedElement(CTX3, {((), (), ()): one, ((0,), (), (2, 3)): one})
     with pytest.raises(InvalidElement,
                        match=r"^element has terms outside bidegrees "
                              r"\(0,2\), \(1,1\) and \(2,0\)$"):
-        DiracElement.from_mixed(gamma.as_mixed() + extra)
+        DiracElement(gamma.mixed + extra)
+
+
+@pytest.mark.parametrize("theta", [
+    pytest.param(lambda: sphere_bivector(CTX3, True), id="sphere"),
+    pytest.param(so3x2_bivector, id="so3x2"),
+])
+def test_dirac_element_is_its_mixed_element(theta):
+    gamma = decompose(theta())
+    assert DiracElement(gamma.mixed) == gamma
+    assert gamma.v_part == gamma.mixed.bidegree_part(0, 2)
+    assert gamma.conn_part == gamma.mixed.bidegree_part(1, 1)
+    assert gamma.f_part == gamma.mixed.bidegree_part(2, 0)
+    assert not any(part.is_zero()
+                   for part in (gamma.v_part, gamma.conn_part, gamma.f_part))
+
+
+def test_dirac_element_stores_vertical_then_connection_then_two_form():
+    # sums and brackets add equal keys in iteration order, which decides the
+    # partial sums that vanish and so the gcd work of every later step
+    gamma = _sphere_gamma()
+    v, conn, f = gamma.v_part, gamma.conn_part, gamma.f_part
+    for g in (gamma, DiracElement(f + conn + v), DiracElement(conn + f + v)):
+        assert list(g.mixed.terms) == [*v.terms, *conn.terms, *f.terms]
 
 
 def test_horizontal_blocks_need_a_bivector():
@@ -798,7 +823,7 @@ def test_moser_path_refuses_a_coefficient_singular_at_t_zero(monkeypatch):
 
 def test_gamma_dot_needs_a_leaf():
     f = MixedElement(CTX, {((0, 1), (), ()): rf(pv("y1"))})
-    gamma = DiracElement(MixedElement.zero(CTX), gamma_S(CTX), f)
+    gamma = DiracElement(gamma_S(CTX) + f)
     with pytest.raises(LeafCheckFailed,
                        match="^the zero section is not a symplectic leaf$"):
         gamma_dot_1(gamma)
@@ -806,7 +831,7 @@ def test_gamma_dot_needs_a_leaf():
 
 def test_graded_differential_refusals():
     gamma = decompose(symplectic_2d(CTX3) + so3_linear(CTX3))
-    delta = ds_n(gamma.as_mixed(), 1)
+    delta = ds_n(gamma.mixed, 1)
     with pytest.raises(ValueError, match="^grading level must be >= 0$"):
         graded_differential(delta, -1)
     y1 = RatFunc.var(CTX3, "y1")
@@ -846,7 +871,7 @@ def test_first_jet_model_refuses_a_jet_that_is_not_dirac():
     v = MixedElement.from_terms(CTX3, [
         (((), (), key), c) for key, c in _non_jacobi_vertical(CTX3)])
     f = MixedElement(CTX3, {((0, 1), (), ()): RatFunc.one(CTX3)})
-    gamma = DiracElement(v, gamma_S(CTX3), f)
+    gamma = DiracElement(v + gamma_S(CTX3) + f)
     assert leaf_check(gamma).ok
     with pytest.raises(InvalidElement,
                        match="^first jet fails the Dirac equation$"):
